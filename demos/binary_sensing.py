@@ -14,7 +14,6 @@ from binident import (
     RegressionContext,
     SparseUniformRegressors,
     SystemModel,
-    binary_observe,
     regression_function,
     solve_root,
 )
@@ -34,7 +33,7 @@ def main():
         d = streams.noise_step()
         y = phi.outputs(model.theta_star, d)
         c = phi.thresholds(np.zeros((4, 4)))
-        bit = binary_observe(float(y[0]), float(c[0]))
+        bit = int(y[0] < c[0])
         print(f"  k={k}: y_1 = {y[0]:+.4f}  ->  bit {bit}")
     print()
 

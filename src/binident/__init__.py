@@ -22,14 +22,12 @@ from .analysis import (
     stacked_l1_objective_mc,
 )
 from .identifier import (
-    AgentState,
     EngineState,
     InvariantMonitor,
     NetworkSnapshot,
     TruncationLedger,
     dsaawet_identification_step,
     generic_dsaawet_step,
-    innovation,
     run,
     sigma_settled,
     truncation_radii,
@@ -53,11 +51,8 @@ from .plant import (
     SparseUniformRegressors,
     SystemModel,
     UniformNoise,
-    binary_observe,
     graded_theta_star,
     make_noise,
-    output,
-    sample_regressor,
     sign_pm,
 )
 from .runner import (

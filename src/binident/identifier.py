@@ -15,11 +15,11 @@ truncations converges for any a > 0 and any increasing, unbounded radii;
 the choice only changes how fast.  The defaults are the literal 1/k, M_m = m
 recursion.
 
-:func:`generic_dsaawet_step` is the same recursion written for an arbitrary
-root guess ``x_star``, gain, bound sequence, and user-supplied observation
-rows; the identification step is its specialisation (zero root guess, gain
-a/k, radii M_m, one-bit innovations) and the two are kept
-operation-for-operation parallel so results agree to the last bit.
+One private kernel holds the truncated update, and two entry points call
+it.  :func:`dsaawet_identification_step` senses (draws, thresholds, one-bit
+signs) and runs it with the origin as root guess, gain a/k and radii M_m;
+:func:`generic_dsaawet_step` runs it on user-supplied observation rows with
+an arbitrary root guess ``x_star``, gain and bound sequence.
 """
 
 from __future__ import annotations
@@ -30,21 +30,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .plant import SystemModel
+from .plant import PhiBatch, SystemModel
 from .streams import ModelStreams
 from .topology import TopologySchedule, WeightMatrix
 
 
 # ---------------------------------------------------------------------------
 # state containers
-
-@dataclass(frozen=True)
-class AgentState:
-    """One agent's estimate and truncation counter (read-only view)."""
-
-    theta: np.ndarray
-    sigma: int
-
 
 class TruncationLedger:
     """First-hit times of truncation levels.
@@ -145,13 +137,6 @@ class NetworkSnapshot:
     def l(self) -> int:
         return self.theta.shape[1]
 
-    @property
-    def agents(self) -> tuple[AgentState, ...]:
-        """Per-agent views (built on demand; not for hot loops)."""
-        return tuple(
-            AgentState(self.theta[i], int(self.sigma[i])) for i in range(self.n_agents)
-        )
-
 
 # ---------------------------------------------------------------------------
 # gain and truncation radii
@@ -180,12 +165,50 @@ def truncation_radii(levels: np.ndarray, radii: str = "linear") -> np.ndarray:
 # ---------------------------------------------------------------------------
 # single-step updates
 
-def innovation(phi: np.ndarray, z: int) -> np.ndarray:
-    """Correction direction ``phi * (1 - 2 z)`` for a one-bit reading z."""
-    z = int(z)
-    if z not in (0, 1):
-        raise ValueError("binary reading z must be 0 or 1")
-    return np.asarray(phi, dtype=np.float64) * float(1 - 2 * z)
+def _bounds_at(bounds, levels: np.ndarray) -> np.ndarray:
+    if bounds is None or isinstance(bounds, str):
+        return truncation_radii(levels, bounds or "linear")
+    if callable(bounds):
+        return np.array([float(bounds(int(m))) for m in levels])
+    return np.asarray(bounds, dtype=np.float64)[levels]
+
+
+def _truncated_update(x, sigma, sigma_uniform, weights, phi, signs, a_k, bounds, x_star):
+    """The truncated recursion shared by both step functions.
+
+    Mixes over the neighbourhood-max counter, adds ``a_k phi_i signs_i``
+    (``phi`` a :class:`PhiBatch`), substitutes ``x_star`` (None: the origin)
+    for lagging agents and resets to it outside the radius ``bounds`` of the
+    adopted counter.  Returns ``(x_next, sigma_next, n_truncated)``.
+    """
+    zero_center = x_star is None or not np.any(np.asarray(x_star))
+    fill = 0.0 if zero_center else np.asarray(x_star, dtype=np.float64)[None, :]
+
+    if sigma_uniform:
+        sig_hat = sigma
+        x_prime = weights.w @ x
+    else:
+        sig_hat = np.where(weights.support, sigma[None, :], -1).max(axis=1)
+        eq = sigma[None, :] == sig_hat[:, None]
+        x_prime = (weights.w * eq) @ x
+        if not zero_center:
+            lagging = (weights.w * (sigma[None, :] < sig_hat[:, None])).sum(axis=1)
+            x_prime += lagging[:, None] * fill
+
+    phi.add_innovation(x_prime, a_k, signs)
+
+    if not sigma_uniform:
+        keep = sigma == sig_hat
+        x_prime = np.where(keep[:, None], x_prime, fill)
+
+    norms_sq = np.einsum("ij,ij->i", x_prime, x_prime)
+    bound = _bounds_at(bounds, sig_hat)
+    exceeded = norms_sq > bound * bound
+
+    if not exceeded.any():
+        return x_prime, sig_hat, 0
+    x_next = np.where(exceeded[:, None], fill, x_prime)
+    return x_next, sig_hat + exceeded, int(exceeded.sum())
 
 
 def dsaawet_identification_step(
@@ -209,46 +232,16 @@ def dsaawet_identification_step(
     otherwise the agent resets to zero and its counter becomes
     ``shat_i + 1``.
     """
-    theta, sigma = s.theta, s.sigma
     k = s.k
-    a_k = gain / k
-
     phi = streams.phi_step(k)
     d = streams.noise_step()
-
-    c = phi.thresholds(theta)
-    y = phi.outputs(model.theta_star, d)
-    z = y < c
+    z = phi.outputs(model.theta_star, d) < phi.thresholds(s.theta)
     signs = 1.0 - 2.0 * z
 
-    if s.sigma_uniform:
-        sig_hat = sigma
-        theta_prime = weights.w @ theta
-    else:
-        sig_hat = np.where(weights.support, sigma[None, :], -1).max(axis=1)
-        eq = sigma[None, :] == sig_hat[:, None]
-        theta_prime = (weights.w * eq) @ theta
-
-    phi.add_innovation(theta_prime, a_k, signs)
-
-    if not s.sigma_uniform:
-        keep = sigma == sig_hat
-        theta_prime = np.where(keep[:, None], theta_prime, 0.0)
-
-    norms_sq = np.einsum("ij,ij->i", theta_prime, theta_prime)
-    bound = truncation_radii(sig_hat, radii)
-    exceeded = norms_sq > bound * bound
-
-    if exceeded.any():
-        theta_next = np.where(exceeded[:, None], 0.0, theta_prime)
-        sigma_next = sig_hat + exceeded
-        n_trunc = int(exceeded.sum())
-    else:
-        theta_next = theta_prime
-        sigma_next = sig_hat
-        n_trunc = 0
-
-    ledger = s.ledger.record(k + 1, sigma, sigma_next, n_trunc)
+    theta_next, sigma_next, n_trunc = _truncated_update(
+        s.theta, s.sigma, s.sigma_uniform, weights, phi, signs, gain / k, radii, None
+    )
+    ledger = s.ledger.record(k + 1, s.sigma, sigma_next, n_trunc)
     return NetworkSnapshot(k=k + 1, theta=theta_next, sigma=sigma_next, ledger=ledger)
 
 
@@ -272,14 +265,6 @@ class EngineState:
     def initial(cls, n: int, l: int, x_star: np.ndarray | None = None) -> "EngineState":
         x = np.zeros((n, l)) if x_star is None else np.tile(np.asarray(x_star, float), (n, 1))
         return cls(x=x, sigma=np.zeros(n, dtype=np.int64))
-
-
-def _bounds_at(bounds, levels: np.ndarray) -> np.ndarray:
-    if bounds is None or isinstance(bounds, str):
-        return truncation_radii(levels, bounds or "linear")
-    if callable(bounds):
-        return np.array([float(bounds(int(m))) for m in levels])
-    return np.asarray(bounds, dtype=np.float64)[levels]
 
 
 def generic_dsaawet_step(
@@ -307,48 +292,18 @@ def generic_dsaawet_step(
         x'_i = x~_i 1{sigma_i = shat_i} + x* 1{sigma_i < shat_i}
         x_i  <- x'_i if ||x'_i|| <= M_shat_i else x*,   with counter bump.
 
-    With the defaults this reproduces :func:`dsaawet_identification_step`
-    exactly (bit for bit) when fed the same weights and observation rows.
+    This and :func:`dsaawet_identification_step` are two entry points to
+    one kernel: here the rows O_i enter with unit signs, so the same
+    weights and rows give the identification step's result bit for bit.
     """
-    x, sigma = state.x, state.sigma
-    n, l = x.shape
+    n, l = state.x.shape
     obs = np.asarray(observations, dtype=np.float64)
     if obs.shape != (n, l):
         raise ValueError(f"observations shape {obs.shape} != ({n}, {l})")
-    zero_center = x_star is None or not np.any(np.asarray(x_star))
-    center = None if zero_center else np.asarray(x_star, dtype=np.float64)
-
-    if state.sigma_uniform:
-        sig_hat = sigma
-        x_prime = weights.w @ x
-    else:
-        sig_hat = np.where(weights.support, sigma[None, :], -1).max(axis=1)
-        eq = sigma[None, :] == sig_hat[:, None]
-        x_prime = (weights.w * eq) @ x
-        if not zero_center:
-            lagging = (weights.w * (sigma[None, :] < sig_hat[:, None])).sum(axis=1)
-            x_prime += lagging[:, None] * center[None, :]
-
-    x_prime += obs * a_k
-
-    if not state.sigma_uniform:
-        keep = sigma == sig_hat
-        if zero_center:
-            x_prime = np.where(keep[:, None], x_prime, 0.0)
-        else:
-            x_prime = np.where(keep[:, None], x_prime, center[None, :])
-
-    norms_sq = np.einsum("ij,ij->i", x_prime, x_prime)
-    bound = _bounds_at(bounds, sig_hat)
-    exceeded = norms_sq > bound * bound
-
-    if exceeded.any():
-        reset_to = 0.0 if zero_center else center[None, :]
-        x_next = np.where(exceeded[:, None], reset_to, x_prime)
-        sigma_next = sig_hat + exceeded
-    else:
-        x_next = x_prime
-        sigma_next = sig_hat
+    x_next, sigma_next, _ = _truncated_update(
+        state.x, state.sigma, state.sigma_uniform, weights,
+        PhiBatch(l=l, dense=obs), np.ones(n), a_k, bounds, x_star,
+    )
     return EngineState(x=x_next, sigma=sigma_next)
 
 

@@ -197,8 +197,8 @@ class DenseUniformRegressors(RegressorGenerator):
     def __post_init__(self):
         if self.l < 1:
             raise ValueError("l must be >= 1")
-        if not self.bound > 0:
-            raise ValueError("bound must be positive")
+        if not (math.isfinite(self.bound) and self.bound > 0):
+            raise ValueError(f"bound must be finite and positive, got {self.bound!r}")
 
     def sample(self, agent, k, rng):
         return rng.uniform(-1.0, 1.0, self.l) * (self.bound / math.sqrt(self.l))
@@ -208,8 +208,8 @@ class DenseUniformRegressors(RegressorGenerator):
 class CustomBoundedRegressors(RegressorGenerator):
     """User-supplied sampler hook, e.g. for dependent (mixing) processes.
 
-    ``sampler(agent, k, rng)`` must return an ``(l,)`` vector; the norm
-    bound is enforced on every draw.
+    ``sampler(agent, k, rng)`` must return a finite ``(l,)`` vector; the
+    norm bound is enforced on every draw.
     """
 
     l: int
@@ -221,13 +221,11 @@ class CustomBoundedRegressors(RegressorGenerator):
         phi = np.asarray(self.sampler(agent, k, rng), dtype=np.float64)
         if phi.shape != (self.l,):
             raise ValueError(f"sampler returned shape {phi.shape}, expected ({self.l},)")
+        if not np.isfinite(phi).all():
+            raise ValueError("sampler returned non-finite values")
         if float(phi @ phi) > self.bound**2 * (1.0 + 1e-12):
             raise ValueError("sampler exceeded the declared norm bound")
         return phi
-
-
-def sample_regressor(gen: RegressorGenerator, agent: int, k: int, rng) -> np.ndarray:
-    return gen.sample(agent, k, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +303,10 @@ class PhiBatch:
 # ---------------------------------------------------------------------------
 # sensor arithmetic
 
-def output(phi: np.ndarray, theta_star: np.ndarray, noise: float) -> float:
-    """Scalar plant output ``phi' theta_star + noise``."""
-    phi = np.asarray(phi, dtype=np.float64)
-    theta_star = np.asarray(theta_star, dtype=np.float64)
-    if phi.shape != theta_star.shape:
-        raise ValueError(f"shape mismatch: {phi.shape} vs {theta_star.shape}")
-    return float(phi @ theta_star) + float(noise)
-
-def binary_observe(y: float, threshold: float) -> int:
-    """One-bit sensor reading: 1 if ``y < threshold`` else 0 (ties give 0)."""
-    return int(y < threshold)
-
 def sign_pm(x):
     """Sign with the sensor's tie convention: +1 for x >= 0, -1 otherwise.
 
-    Matches ``1 - 2 * binary_observe(y, c)`` applied to ``x = y - c``.
+    Matches ``1 - 2 z`` for the bit ``z = (y < c)`` applied to ``x = y - c``.
     """
     return np.where(np.asarray(x) >= 0, 1.0, -1.0)
 
@@ -343,8 +329,8 @@ class SystemModel:
 
     def __post_init__(self):
         theta = np.array(self.theta_star, dtype=np.float64)
-        if theta.ndim != 1 or theta.size == 0:
-            raise ValueError("theta_star must be a nonempty vector")
+        if theta.ndim != 1 or theta.size == 0 or not np.isfinite(theta).all():
+            raise ValueError("theta_star must be a nonempty finite vector")
         theta.flags.writeable = False
         object.__setattr__(self, "theta_star", theta)
         if self.n_agents < 1:

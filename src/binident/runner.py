@@ -98,6 +98,8 @@ class ExperimentConfig:
         theta = np.asarray(self.theta_star, dtype=np.float64)
         if theta.shape != (self.l,):
             raise ValueError(f"model.theta_star: expected {self.l} entries, got {theta.size}")
+        if not np.isfinite(theta).all():
+            raise ValueError(f"model.theta_star: entries must be finite, got {theta.tolist()}")
         return theta
 
     def to_dict(self) -> dict:
@@ -247,6 +249,10 @@ def build_model(cfg: ExperimentConfig) -> SystemModel:
     theta = cfg.resolved_theta_star()
     if cfg.regressor_kind == "sparse-uniform":
         gen: object = SparseUniformRegressors(cfg.l)
+    elif not (np.isfinite(cfg.regressor_bound) and cfg.regressor_bound > 0):
+        raise ValueError(
+            f"regressor.bound: must be finite and positive, got {cfg.regressor_bound!r}"
+        )
     else:
         gen = DenseUniformRegressors(cfg.l, cfg.regressor_bound)
     try:
@@ -332,12 +338,12 @@ def preflight(
         try:
             model = build_model(cfg)
         except ValueError as exc:
-            return PreflightReport([str(exc)], [], None)
+            errors.append(str(exc))
     if schedule is None:
         try:
             schedule = build_schedule(cfg, np.random.SeedSequence(cfg.seed).spawn(2)[0])
         except ValueError as exc:
-            return PreflightReport([str(exc)], [], None)
+            errors.append(str(exc))
 
     if cfg.steps < 0:
         errors.append("run.steps: must be >= 0")
@@ -348,6 +354,8 @@ def preflight(
             check(value)
         except ValueError as exc:
             errors.append(f"algorithm.{key}: {exc}")
+    if model is None or schedule is None:
+        return PreflightReport(errors, warnings_, None)
 
     gen = model.regressor_for(1)
     if model.uniform_regressor_kind() == "sparse-uniform":

@@ -52,10 +52,6 @@ class Digraph:
         """Agents j (including i itself) whose values agent i receives."""
         return tuple(sorted(j for j, t in self.edges if t == i))
 
-    def neighbor_count(self, i: int) -> int:
-        """|N_i|: in-neighbors including the agent itself."""
-        return sum(1 for j, t in self.edges if t == i)
-
     @property
     def is_symmetric(self) -> bool:
         return all((i, j) in self.edges for j, i in self.edges)

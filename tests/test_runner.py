@@ -315,6 +315,27 @@ def test_preflight_bad_model_reported_without_crash():
     assert "regressor.kind" in rep.errors[0]
 
 
+def test_preflight_reports_every_error_when_the_build_fails():
+    rep = preflight(small_config(regressor_kind="bogus", gain=0.0, stride=0))
+    assert rep.network is None
+    assert rep.errors[0].startswith("regressor.kind: unknown kind 'bogus'")
+    assert "run.stride: must be >= 1" in rep.errors
+    assert [e for e in rep.errors if e.startswith("algorithm.gain: ")]
+
+
+def test_preflight_rejects_non_finite_theta_star():
+    rep = preflight(small_config(theta_star=(float("nan"), 0.0, 0.0, 0.0)))
+    assert rep.errors == ["model.theta_star: entries must be finite, got [nan, 0.0, 0.0, 0.0]"]
+    with pytest.raises(ValueError, match="model.theta_star"):
+        bi.run_experiment(small_config(theta_star=(0.0, float("inf"), 0.0, 0.0)))
+
+
+def test_preflight_rejects_non_finite_regressor_bound():
+    for bound in (float("inf"), float("nan"), 0.0):
+        rep = preflight(small_config(regressor_kind="dense-uniform", regressor_bound=bound))
+        assert rep.errors == [f"regressor.bound: must be finite and positive, got {bound!r}"]
+
+
 def _star_schedule_file(tmp_path):
     g = from_undirected_pairs(3, [(1, 2), (1, 3)])
     w, ds = degree_weights(g)
