@@ -94,7 +94,11 @@ class NetworkSnapshot:
     """All agents' estimates and counters after step k's update.
 
     Arrays are owned by the snapshot and frozen; ``theta`` has shape
-    ``(n_agents, l)`` and ``sigma`` shape ``(n_agents,)``.
+    ``(n_agents, l)`` and ``sigma`` shape ``(n_agents,)``.  The constructor
+    copies its inputs, so the caller's arrays stay writable and later writes
+    to them do not reach the snapshot.  A step whose counters did not move
+    builds its successor around the parent's (already validated, frozen)
+    ``sigma`` array, so consecutive snapshots may share it.
     """
 
     k: int
@@ -105,8 +109,8 @@ class NetworkSnapshot:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("step index k starts at 1")
-        theta = np.asarray(self.theta, dtype=np.float64)
-        sigma = np.asarray(self.sigma, dtype=np.int64)
+        theta = np.array(self.theta, dtype=np.float64)
+        sigma = np.array(self.sigma, dtype=np.int64)
         if theta.ndim != 2 or theta.size == 0:
             raise ValueError("theta must be a nonempty (n_agents, l) array")
         if sigma.shape != (theta.shape[0],):
@@ -128,6 +132,19 @@ class NetworkSnapshot:
             sigma=np.zeros(n_agents, dtype=np.int64),
             ledger=TruncationLedger.initial(n_agents, k),
         )
+
+    def _successor(self, theta: np.ndarray, ledger: TruncationLedger) -> "NetworkSnapshot":
+        """Step k + 1 with this snapshot's counters and a fresh ``theta``.
+
+        Skips ``__post_init__``: the counters were validated when this
+        snapshot was built and are frozen, and ``theta`` must be a new
+        ``(n_agents, l)`` float array that nothing else holds.
+        """
+        theta.flags.writeable = False
+        nxt = object.__new__(NetworkSnapshot)
+        nxt.__dict__.update(k=self.k + 1, theta=theta, sigma=self.sigma, ledger=ledger,
+                            sigma_uniform=self.sigma_uniform)
+        return nxt
 
     @property
     def n_agents(self) -> int:
@@ -202,7 +219,13 @@ def _truncated_update(x, sigma, sigma_uniform, weights, phi, signs, a_k, bounds,
         x_prime = np.where(keep[:, None], x_prime, fill)
 
     norms_sq = np.einsum("ij,ij->i", x_prime, x_prime)
-    bound = _bounds_at(bounds, sig_hat)
+    if sigma_uniform:
+        # one counter, one radius: a scalar test settles the quiet steps
+        bound = _bounds_at(bounds, sig_hat[:1])[0]
+        if not norms_sq.max() > bound * bound:
+            return x_prime, sig_hat, 0
+    else:
+        bound = _bounds_at(bounds, sig_hat)
     exceeded = norms_sq > bound * bound
 
     if not exceeded.any():
@@ -235,13 +258,14 @@ def dsaawet_identification_step(
     k = s.k
     phi = streams.phi_step(k)
     d = streams.noise_step()
-    z = phi.outputs(model.theta_star, d) < phi.thresholds(s.theta)
-    signs = 1.0 - 2.0 * z
+    signs = np.where(phi.outputs(model.theta_star, d) < phi.thresholds(s.theta), -1.0, 1.0)
 
     theta_next, sigma_next, n_trunc = _truncated_update(
         s.theta, s.sigma, s.sigma_uniform, weights, phi, signs, gain / k, radii, None
     )
     ledger = s.ledger.record(k + 1, s.sigma, sigma_next, n_trunc)
+    if sigma_next is s.sigma:
+        return s._successor(theta_next, ledger)
     return NetworkSnapshot(k=k + 1, theta=theta_next, sigma=sigma_next, ledger=ledger)
 
 
@@ -371,6 +395,8 @@ class InvariantMonitor:
         self.count = 0
         self.steps = 0
         self._cap = max_recorded
+        self._sigma = None          # counters the cached squared radii belong to
+        self._radii_sq = None
 
     def _record(self, msg: str) -> None:
         self.count += 1
@@ -385,9 +411,15 @@ class InvariantMonitor:
             rose = new.sigma > prev.sigma
             if np.any(rose) and new.theta[rose].any():
                 self._record(f"k={new.k}: nonzero estimate right after a counter bump")
+        if new.sigma is not self._sigma:
+            radii = truncation_radii(new.sigma, self.radii)
+            self._sigma, self._radii_sq = new.sigma, radii * radii
         norms_sq = np.einsum("ij,ij->i", new.theta, new.theta)
-        radii = truncation_radii(new.sigma, self.radii)
-        if np.any(norms_sq > radii * radii):
+        if new.sigma_uniform:
+            outside = norms_sq.max() > self._radii_sq[0]
+        else:
+            outside = np.any(norms_sq > self._radii_sq)
+        if outside:
             self._record(f"k={new.k}: estimate outside its truncation ball")
 
     @property

@@ -239,20 +239,25 @@ class PhiBatch:
     dense layout stores full rows.  All engine arithmetic that touches the
     regressors goes through these methods, so the sparse fast path and the
     dense path cannot drift apart.
+
+    The sparse layout addresses agent i's active slot of an ``(n, l)``
+    array by one flat index, ``flat[i] = i * l + support[i]``; it is built
+    from ``support`` unless the caller passes it (streams compute it once
+    per run).
     """
 
     l: int
     eta: np.ndarray | None = None       # (n,) sparse amplitudes
     support: np.ndarray | None = None   # (n,) 0-based active coordinate
     dense: np.ndarray | None = None     # (n, l) full rows
-    rows_idx: np.ndarray | None = field(default=None, repr=False)
+    flat: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         sparse = self.eta is not None and self.support is not None
         if sparse == (self.dense is not None):
             raise ValueError("need either (eta, support) or dense, not both")
-        if sparse and self.rows_idx is None:
-            self.rows_idx = np.arange(len(self.eta))
+        if sparse and self.flat is None:
+            self.flat = np.arange(len(self.eta)) * self.l + self.support
 
     @property
     def is_sparse(self) -> bool:
@@ -265,7 +270,7 @@ class PhiBatch:
     def thresholds(self, theta: np.ndarray) -> np.ndarray:
         """phi_i' theta_i for every agent; theta has shape (n, l)."""
         if self.is_sparse:
-            return self.eta * theta[self.rows_idx, self.support]
+            return self.eta * np.ravel(theta)[self.flat]
         return np.einsum("ij,ij->i", self.dense, theta)
 
     def thresholds_common(self, theta: np.ndarray) -> np.ndarray:
@@ -283,11 +288,17 @@ class PhiBatch:
     def add_innovation(self, target: np.ndarray, a_k: float, signs: np.ndarray) -> None:
         """In-place ``target += a_k * phi_i * signs_i`` row by row.
 
-        Sparse rows touch one distinct (row, coordinate) slot each, so plain
-        fancy-index assignment is safe.
+        Sparse rows touch one distinct slot each, so plain fancy-index
+        assignment is safe.  The flat index needs a C-contiguous target
+        (``reshape`` of any other layout copies, and the update would be
+        lost); other layouts are indexed by (row, coordinate).
         """
         if self.is_sparse:
-            target[self.rows_idx, self.support] += (self.eta * signs) * a_k
+            delta = (self.eta * signs) * a_k
+            if target.flags.c_contiguous:
+                target.reshape(-1)[self.flat] += delta
+            else:
+                target[np.arange(self.n), self.support] += delta
         else:
             target += (self.dense * signs[:, None]) * a_k
 
@@ -296,7 +307,7 @@ class PhiBatch:
         if not self.is_sparse:
             return self.dense.copy()
         out = np.zeros((self.n, self.l))
-        out[self.rows_idx, self.support] = self.eta
+        out.reshape(-1)[self.flat] = self.eta
         return out
 
 

@@ -248,6 +248,11 @@ def build_model(cfg: ExperimentConfig) -> SystemModel:
         )
     theta = cfg.resolved_theta_star()
     if cfg.regressor_kind == "sparse-uniform":
+        if cfg.regressor_bound != 1:
+            raise ValueError(
+                "regressor.bound: sparse-uniform regressors have norm bound 1, "
+                f"got {cfg.regressor_bound!r}"
+            )
         gen: object = SparseUniformRegressors(cfg.l)
     elif not (np.isfinite(cfg.regressor_bound) and cfg.regressor_bound > 0):
         raise ValueError(

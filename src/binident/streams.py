@@ -84,15 +84,23 @@ class StreamBank:
         return len(self._gens)
 
     def _refill(self) -> None:
+        # Step-major, so each step's column is one contiguous row.  A refill
+        # binds a new array and never writes into the old one, so views
+        # handed out earlier keep their values.
         rows = [d(g, self._block) for g, d in zip(self._gens, self._draws)]
-        self._cache = np.stack(rows, axis=0)
+        self._cache = np.stack(rows, axis=1)
+        self._cache.flags.writeable = False
         self._pos = 0
 
     def column(self) -> np.ndarray:
-        """Next step's draw for every agent: shape ``(n,)`` or ``(n, width)``."""
+        """Next step's draw for every agent: shape ``(n,)`` or ``(n, width)``.
+
+        The result is a read-only view into the block cache; it keeps its
+        values after later refills.
+        """
         if self._cache is None or self._pos == self._block:
             self._refill()
-        col = self._cache[:, self._pos].copy()
+        col = self._cache[self._pos]
         self._pos += 1
         return col
 
@@ -110,7 +118,6 @@ class ModelStreams:
         self.model = model
         n = model.n_agents
         seqs = spawn_agent_sequences(seed, n)
-        self._rows_idx = np.arange(n)
 
         kind = model.uniform_regressor_kind()
         self._kind = kind
@@ -119,6 +126,7 @@ class ModelStreams:
                 [model.regressor_for(i).support_coordinate(i) - 1 for i in range(1, n + 1)],
                 dtype=np.intp,
             )
+            self._flat = np.arange(n) * model.l + self._support
             self._phi_bank = StreamBank(
                 seqs["regressor"], lambda g, s: g.uniform(-1.0, 1.0, s), block
             )
@@ -155,7 +163,7 @@ class ModelStreams:
                 l=self.model.l,
                 eta=self._phi_bank.column(),
                 support=self._support,
-                rows_idx=self._rows_idx,
+                flat=self._flat,
             )
         if self._kind == "dense-uniform":
             return plant.PhiBatch(l=self.model.l, dense=self._phi_bank.column())

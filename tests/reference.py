@@ -10,35 +10,48 @@ import math
 import numpy as np
 
 
-def reference_step(theta, sigma, w, phi_rows, y, a_k, radius=lambda m: m):
+def reference_step(theta, sigma, w, phi_rows, y, a_k, radius=lambda m: m,
+                   x_star=None, observations=None):
     """One synchronous round for all agents, agent by agent.
 
     theta: list of per-agent estimate lists; sigma: list of counters;
     w: row-stochastic weight matrix (entry > 0 marks an in-neighbor);
     phi_rows: per-agent regressor rows; y: per-agent true outputs;
-    radius: truncation radius as a function of the adopted counter level.
+    radius: truncation radius as a function of the adopted counter level;
+    x_star: reset/substitution point (default: the origin), which lagging
+    neighbors contribute in place of their estimate, a lagging agent takes
+    as its candidate, and a truncated agent resets to;
+    observations: raw per-agent correction rows O_i used in place of the
+    sensed phi_i (1 - 2 z_i) (phi_rows and y are then not read).
     Returns (theta_next, sigma_next, n_truncated).
     """
     n = len(theta)
     l = len(theta[0])
+    center = [0.0] * l if x_star is None else [float(v) for v in x_star]
     theta_next = []
     sigma_next = []
     truncated = 0
     for i in range(n):
         nbrs = [j for j in range(n) if w[i][j] > 0.0]
         shat = max(sigma[j] for j in nbrs)
-        cand = [0.0] * l
         if sigma[i] == shat:
+            cand = [0.0] * l
             for j in nbrs:
-                if sigma[j] == shat:
-                    for m in range(l):
-                        cand[m] += w[i][j] * theta[j][m]
-            c = sum(phi_rows[i][m] * theta[i][m] for m in range(l))
-            z = 1 if y[i] < c else 0
+                source = theta[j] if sigma[j] == shat else center
+                for m in range(l):
+                    cand[m] += w[i][j] * source[m]
+            if observations is None:
+                c = sum(phi_rows[i][m] * theta[i][m] for m in range(l))
+                z = 1 if y[i] < c else 0
+                correction = [phi_rows[i][m] * (1 - 2 * z) for m in range(l)]
+            else:
+                correction = observations[i]
             for m in range(l):
-                cand[m] += a_k * phi_rows[i][m] * (1 - 2 * z)
+                cand[m] += a_k * correction[m]
+        else:
+            cand = list(center)
         if math.sqrt(sum(v * v for v in cand)) > radius(shat):
-            theta_next.append([0.0] * l)
+            theta_next.append(list(center))
             sigma_next.append(shat + 1)
             truncated += 1
         else:

@@ -241,6 +241,42 @@ def test_engine_bound_sequence_variants():
     assert np.array_equal(nxt.x, [[0.0]]) and np.array_equal(nxt.sigma, [1])
 
 
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4),
+    st.sampled_from(["linear", "doubling", "callable", "table"]),
+    st.sampled_from(["default", "zero", "shifted"]), st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_engine_matches_reference_on_random_networks(seed, n, l, bounds_kind, center, uniform):
+    # floats come from a seeded numpy rng (see the identification fuzz test)
+    rng = np.random.default_rng(seed)
+    table = np.cumsum(rng.uniform(0.3, 2.0, 64))
+    bounds, radius = {
+        "linear": ("linear", lambda m: m),
+        "doubling": ("doubling", lambda m: 2.0**m),
+        "callable": (lambda m: 0.5 + 0.75 * m, lambda m: 0.5 + 0.75 * m),
+        "table": (table.tolist(), lambda m: table[m]),
+    }[bounds_kind]
+    x_star = {"default": None, "zero": np.zeros(l), "shifted": rng.normal(0.0, 1.0, l)}[center]
+    g = bi.generate_poisson_graph(n, rng.uniform(0.2, 0.8), rng)
+    w = bi.metropolis_weights(g)
+    sigma0 = np.full(n, rng.integers(0, 4)) if uniform else rng.integers(0, 4, n)
+    state = bi.EngineState(x=rng.uniform(-2.0, 2.0, (n, l)), sigma=sigma0)
+    x, sigma = state.x.tolist(), state.sigma.tolist()
+    ref_center = None if x_star is None else x_star.tolist()
+    k0 = int(rng.integers(1, 50))
+    for k in range(k0, k0 + 30):
+        obs = rng.normal(0.0, 1.5, (n, l))
+        a_k = rng.uniform(1.0, 16.0) / k
+        state = bi.generic_dsaawet_step(state, w, obs, a_k, bounds=bounds, x_star=x_star)
+        x, sigma, _ = reference_step(
+            x, sigma, w.w.tolist(), None, None, a_k, radius,
+            x_star=ref_center, observations=obs.tolist(),
+        )
+        assert np.array_equal(state.sigma, sigma)
+        assert np.allclose(state.x, x, rtol=1e-10, atol=1e-12)
+
+
 def test_truncation_radii_kinds():
     levels = np.array([0, 1, 3, 10])
     assert np.array_equal(bi.truncation_radii(levels), [0.0, 1.0, 3.0, 10.0])
@@ -377,6 +413,53 @@ def test_monitor_checks_the_runs_radius_sequence():
         bi.InvariantMonitor(radii="cubic")
 
 
+def test_monitor_judges_each_agent_against_its_own_radius():
+    ledger = bi.TruncationLedger.initial(3)
+    sigma = np.array([4, 2, 2])
+    prev = bi.NetworkSnapshot(k=5, theta=np.zeros((3, 1)), sigma=sigma, ledger=ledger)
+
+    def at(norms):
+        return bi.NetworkSnapshot(k=6, theta=np.array(norms)[:, None], sigma=sigma, ledger=ledger)
+
+    mon = bi.InvariantMonitor()
+    # agent 1 at 3.5 is outside the radius-2 balls but inside its own radius 4
+    mon(prev, at([3.5, 1.5, -2.0]))
+    assert mon.ok
+    # only agent 3 leaves its own ball
+    bad = at([3.5, 1.5, -2.5])
+    mon(prev, bad)
+    mon(prev, bad)  # same counter array again: cached radii
+    assert mon.count == 2
+    mon(prev, at([4.5, 1.5, 0.0]))
+    assert mon.count == 3
+    # uniform counters after non-uniform ones: the radii follow the new array
+    uniform = bi.NetworkSnapshot(k=7, theta=np.full((3, 1), 3.5), sigma=np.full(3, 4), ledger=ledger)
+    mon(uniform, uniform)
+    assert mon.count == 3
+    mon(prev, bad)
+    assert mon.count == 4
+
+
+def test_step_freezes_theta_and_shares_counters_that_did_not_move():
+    model = _sparse_model(3, 2)
+    w = bi.metropolis_weights(bi.complete_graph(3))
+    streams = bi.ModelStreams(model, 4)
+    # at k = 50 the correction is below 1/50, far inside radius 3
+    s = bi.NetworkSnapshot(
+        k=50, theta=np.zeros((3, 2)), sigma=np.full(3, 3), ledger=bi.TruncationLedger.initial(3)
+    )
+    nxt = bi.dsaawet_identification_step(s, w, model, streams)
+    assert nxt.k == 51 and nxt.sigma is s.sigma and nxt.ledger is s.ledger and nxt.sigma_uniform
+    assert not nxt.theta.flags.writeable and nxt.theta.any()
+    with pytest.raises(ValueError):
+        nxt.theta[0, 0] = 1.0
+    # the first step truncates every agent: new counters, validated and frozen
+    s0 = bi.NetworkSnapshot.initial(3, 2)
+    first = bi.dsaawet_identification_step(s0, w, model, streams)
+    assert first.sigma is not s0.sigma and np.array_equal(first.sigma, [1, 1, 1])
+    assert not first.sigma.flags.writeable and not first.theta.flags.writeable
+
+
 def test_run_rejects_bad_gain_and_radii():
     model = _sparse_model(2, 2)
     g = bi.complete_graph(2)
@@ -433,6 +516,23 @@ def test_snapshot_arrays_frozen():
     s = bi.NetworkSnapshot.initial(2, 2)
     with pytest.raises(ValueError):
         s.theta[0, 0] = 1.0
+
+
+def test_snapshot_leaves_the_callers_arrays_writable():
+    theta, sigma = np.zeros((2, 2)), np.zeros(2, dtype=np.int64)
+    snap = bi.NetworkSnapshot(k=1, theta=theta, sigma=sigma, ledger=bi.TruncationLedger.initial(2))
+    theta[0, 0] = 1.0
+    sigma[0] = 5
+    assert snap.theta[0, 0] == 0.0 and snap.sigma[0] == 0
+
+
+def test_snapshot_of_a_view_ignores_later_writes_to_the_base():
+    base = np.zeros((4, 2))
+    snap = bi.NetworkSnapshot(
+        k=1, theta=base[:2], sigma=np.zeros(2, dtype=np.int64), ledger=bi.TruncationLedger.initial(2)
+    )
+    base[0, 0] = 7.0
+    assert snap.theta[0, 0] == 0.0
 
 
 def test_ledger_copy_on_write():

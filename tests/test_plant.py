@@ -204,6 +204,24 @@ def test_sparse_batch_agrees_with_its_dense_materialisation():
     assert np.array_equal(a, b)
 
 
+def test_sparse_innovation_on_non_contiguous_targets_matches_the_2d_update():
+    rng = np.random.default_rng(8)
+    batch = _sparse_batch(5, rng.uniform(-1, 1, 4), [0, 2, 2, 4])
+    signs = np.array([1.0, -1.0, -1.0, 1.0])
+    start = rng.normal(size=(4, 5))
+    expected = start.copy()
+    expected[np.arange(4), batch.support] += (batch.eta * signs) * 0.25
+    fortran = np.asfortranarray(start)
+    wide = np.zeros((4, 7))
+    wide[:, 1:6] = start
+    strided = wide[:, 1:6]
+    for target in (fortran, strided):
+        assert not target.flags.c_contiguous
+        batch.add_innovation(target, 0.25, signs)
+        assert np.array_equal(target, expected)
+    assert np.array_equal(wide[:, [0, 6]], np.zeros((4, 2)))
+
+
 def test_batch_hand_values():
     batch = _sparse_batch(3, [2.0, -1.0], [1, 0])
     theta = np.array([[1.0, 10.0, 0.0], [5.0, 1.0, 1.0]])

@@ -336,6 +336,15 @@ def test_preflight_rejects_non_finite_regressor_bound():
         assert rep.errors == [f"regressor.bound: must be finite and positive, got {bound!r}"]
 
 
+def test_preflight_rejects_sparse_regressor_bound_other_than_one():
+    for bound in (float("inf"), float("nan"), 2.0, 0.5):
+        rep = preflight(small_config(regressor_kind="sparse-uniform", regressor_bound=bound))
+        assert rep.errors == [
+            f"regressor.bound: sparse-uniform regressors have norm bound 1, got {bound!r}"
+        ]
+    assert preflight(small_config(regressor_kind="sparse-uniform", regressor_bound=1.0)).ok
+
+
 def _star_schedule_file(tmp_path):
     g = from_undirected_pairs(3, [(1, 2), (1, 3)])
     w, ds = degree_weights(g)

@@ -53,6 +53,19 @@ def test_stream_bank_block_size_does_not_change_draws():
         assert np.array_equal(small.column(), big.column())
 
 
+def test_stream_bank_columns_are_read_only_and_survive_refills():
+    seqs = bi.spawn_agent_sequences(5, 3)["noise"]
+    draw = lambda g, size: g.normal(0.0, 1.0, size)
+    bank = bi.StreamBank(seqs, draw, block=2)
+    reference = bi.StreamBank(seqs, draw, block=64)
+    cols = [bank.column() for _ in range(7)]  # three refills
+    for col, want in zip(cols, [reference.column() for _ in range(7)]):
+        assert not col.flags.writeable
+        assert np.array_equal(col, want)
+    with pytest.raises(ValueError):
+        cols[0][0] = 1.0
+
+
 def test_stream_bank_matches_scalar_generator_calls():
     seqs = bi.spawn_agent_sequences(11, 2)["regressor"]
     bank = bi.StreamBank(seqs, lambda g, size: g.uniform(-1.0, 1.0, size), block=4)
