@@ -19,7 +19,6 @@ from .analysis import (
     regression_function,
     regression_function_mc,
     regression_jacobian,
-    stacked_l1_objective_mc,
 )
 from .identifier import (
     EngineState,
@@ -74,13 +73,11 @@ from .topology import (
     TopologySchedule,
     ValidationReport,
     WeightMatrix,
-    backward_product_deviation,
     complete_graph,
     degree_weights,
     deviation_profile,
     dump_schedule,
     fit_geometric_envelope,
-    from_directed_pairs,
     from_undirected_pairs,
     generate_poisson_graph,
     is_doubly_stochastic,

@@ -232,48 +232,6 @@ def regression_function_mc(
     return MCEstimate(value=mean, stderr=np.sqrt(var / samples), samples=samples)
 
 
-def stacked_l1_objective_mc(
-    ctx: RegressionContext, theta: np.ndarray, samples: int, rng
-) -> MCEstimate:
-    """Monte Carlo estimate of ``sum_i E|y_i - phi_i' theta|``.
-
-    The network-wide L1 prediction cost whose gradient is -f; exposed as a
-    diagnostic only (nothing in the recursion evaluates it).
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    rng = as_generator(rng)
-    model = ctx.model
-    tstar = model.theta_star
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        chunk = min(_CHUNK, samples - done)
-        v = np.zeros(chunk)
-        for i in range(1, model.n_agents + 1):
-            gen = model.regressor_for(i)
-            d = model.noise_for(i).sample(rng, chunk)
-            if gen.kind == "sparse-uniform":
-                m = gen.support_coordinate(i) - 1
-                eta = rng.uniform(-1.0, 1.0, chunk)
-                v += np.abs(eta * (tstar[m] - theta[m]) + d)
-            elif gen.kind == "dense-uniform":
-                rows = rng.uniform(-1.0, 1.0, (chunk, ctx.l)) * (gen.bound / np.sqrt(ctx.l))
-                v += np.abs(rows @ (tstar - theta) + d)
-            else:
-                for c in range(chunk):
-                    phi = gen.sample(i, done + c + 1, rng)
-                    v[c] += abs(float(phi @ (tstar - theta)) + d[c])
-        total += v.sum()
-        total_sq += (v * v).sum()
-        done += chunk
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return MCEstimate(
-        value=np.float64(mean), stderr=np.float64(np.sqrt(var / samples)), samples=samples
-    )
-
-
 # ---------------------------------------------------------------------------
 # run metrics
 
@@ -351,7 +309,8 @@ class TrajectoryRecorder:
     """Run sink keeping strided metric rows (always including first/last).
 
     Appends a row at the initial snapshot, at every step k divisible by
-    ``stride``, and (when :meth:`metrics` is called) at the final snapshot.
+    ``stride``, and at the final snapshot handed to :meth:`metrics` (for a
+    zero-step run that is the initial snapshot, so there is always a row).
     """
 
     def __init__(
@@ -368,8 +327,6 @@ class TrajectoryRecorder:
         self.record_agent_errors = record_agent_errors
         self.record_theta_bar = record_theta_bar
         self._rows: list[tuple] = []
-        self._last_k = None
-        self._pending = None
 
     def _append(self, snap) -> None:
         row = [
@@ -383,37 +340,23 @@ class TrajectoryRecorder:
         if self.record_theta_bar:
             row.append(mean_estimate(snap))
         self._rows.append(tuple(row))
-        self._last_k = snap.k
 
     def __call__(self, prev, new) -> None:
         if not self._rows:
             self._append(prev)
         if new.k % self.stride == 0:
             self._append(new)
-            self._pending = None
-        else:
-            self._pending = new
 
-    def metrics(self) -> Metrics:
-        # flush the final snapshot if the stride skipped it
-        if self._pending is not None and (self._last_k is None or self._pending.k > self._last_k):
-            self._append(self._pending)
-            self._pending = None
-        rows = self._rows
-        cols = list(zip(*rows))
-        agent_errors = None
-        theta_bar = None
-        pos = 4
-        if self.record_agent_errors:
-            agent_errors = np.stack(cols[pos]) if rows else np.empty((0, 0))
-            pos += 1
-        if self.record_theta_bar:
-            theta_bar = np.stack(cols[pos]) if rows else np.empty((0, 0))
+    def metrics(self, final) -> Metrics:
+        """Recorded columns, closed by the run's ``final`` snapshot."""
+        if not self._rows or final.k > self._rows[-1][0]:
+            self._append(final)
+        cols = list(zip(*self._rows))
         return Metrics(
-            k=np.array(cols[0] if rows else [], dtype=np.int64),
-            sigma_max=np.array(cols[1] if rows else [], dtype=np.int64),
-            consensus_gap=np.array(cols[2] if rows else []),
-            mean_error=np.array(cols[3] if rows else []),
-            agent_errors=agent_errors,
-            theta_bar=theta_bar,
+            k=np.array(cols[0], dtype=np.int64),
+            sigma_max=np.array(cols[1], dtype=np.int64),
+            consensus_gap=np.array(cols[2]),
+            mean_error=np.array(cols[3]),
+            agent_errors=np.stack(cols[4]) if self.record_agent_errors else None,
+            theta_bar=np.stack(cols[-1]) if self.record_theta_bar else None,
         )

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import RegressionContext, regression_function
+from .analysis import RegressionContext, jacobian_at_root, regression_function
 from .oracle import identifiability_probe
 from .runner import ExperimentConfig, build_model, preset_v, run_experiment
 
@@ -151,8 +151,6 @@ def _cmd_analyze(args) -> int:
         raise ValueError(f"--theta: expected {model.l} values, got {theta.size}")
     ctx = RegressionContext(model)
     fval = regression_function(ctx, theta)
-    from .analysis import jacobian_at_root  # local import keeps startup light
-
     eigs = np.linalg.eigvalsh(jacobian_at_root(ctx))
     print(f"f(theta) = {np.array2string(fval, precision=8)}")
     print(f"||f(theta)|| = {float(np.linalg.norm(fval)):.8g}")

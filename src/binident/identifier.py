@@ -17,9 +17,9 @@ recursion.
 
 One private kernel holds the truncated update, and two entry points call
 it.  :func:`dsaawet_identification_step` senses (draws, thresholds, one-bit
-signs) and runs it with the origin as root guess, gain a/k and radii M_m;
+signs) and runs it with gain a/k and radii M_m;
 :func:`generic_dsaawet_step` runs it on user-supplied observation rows with
-an arbitrary root guess ``x_star``, gain and bound sequence.
+a given gain a_k and radius sequence.  Both reset to the origin.
 """
 
 from __future__ import annotations
@@ -37,6 +37,27 @@ from .topology import TopologySchedule, WeightMatrix
 
 # ---------------------------------------------------------------------------
 # state containers
+
+def _own_state(obj, name: str) -> None:
+    """Copy, validate and freeze ``obj.<name>`` (n, l) and ``obj.sigma`` (n,).
+
+    The frozen dataclass then owns its arrays (later writes to the caller's
+    arrays do not reach it) and gains ``sigma_uniform``.
+    """
+    values = np.array(getattr(obj, name), dtype=np.float64)
+    sigma = np.array(obj.sigma, dtype=np.int64)
+    if values.ndim != 2 or values.size == 0:
+        raise ValueError(f"{name} must be a nonempty (n_agents, l) array")
+    if sigma.shape != (values.shape[0],):
+        raise ValueError("sigma must have one entry per agent")
+    if sigma.min() < 0:
+        raise ValueError("truncation counters cannot be negative")
+    values.flags.writeable = False
+    sigma.flags.writeable = False
+    object.__setattr__(obj, name, values)
+    object.__setattr__(obj, "sigma", sigma)
+    object.__setattr__(obj, "sigma_uniform", bool((sigma == sigma[0]).all()))
+
 
 class TruncationLedger:
     """First-hit times of truncation levels.
@@ -109,19 +130,7 @@ class NetworkSnapshot:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("step index k starts at 1")
-        theta = np.array(self.theta, dtype=np.float64)
-        sigma = np.array(self.sigma, dtype=np.int64)
-        if theta.ndim != 2 or theta.size == 0:
-            raise ValueError("theta must be a nonempty (n_agents, l) array")
-        if sigma.shape != (theta.shape[0],):
-            raise ValueError("sigma must have one entry per agent")
-        if sigma.min() < 0:
-            raise ValueError("truncation counters cannot be negative")
-        theta.flags.writeable = False
-        sigma.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "sigma_uniform", bool((sigma == sigma[0]).all()))
+        _own_state(self, "theta")
 
     @classmethod
     def initial(cls, n_agents: int, l: int, k: int = 1) -> "NetworkSnapshot":
@@ -182,55 +191,39 @@ def truncation_radii(levels: np.ndarray, radii: str = "linear") -> np.ndarray:
 # ---------------------------------------------------------------------------
 # single-step updates
 
-def _bounds_at(bounds, levels: np.ndarray) -> np.ndarray:
-    if bounds is None or isinstance(bounds, str):
-        return truncation_radii(levels, bounds or "linear")
-    if callable(bounds):
-        return np.array([float(bounds(int(m))) for m in levels])
-    return np.asarray(bounds, dtype=np.float64)[levels]
-
-
-def _truncated_update(x, sigma, sigma_uniform, weights, phi, signs, a_k, bounds, x_star):
+def _truncated_update(x, sigma, sigma_uniform, weights, phi, signs, a_k, radii):
     """The truncated recursion shared by both step functions.
 
-    Mixes over the neighbourhood-max counter, adds ``a_k phi_i signs_i``
-    (``phi`` a :class:`PhiBatch`), substitutes ``x_star`` (None: the origin)
-    for lagging agents and resets to it outside the radius ``bounds`` of the
+    Mixes over the neighbourhood-max counter (lagging agents contribute the
+    origin), adds ``a_k phi_i signs_i`` (``phi`` a :class:`PhiBatch`), zeroes
+    lagging agents and resets to the origin outside the radius of the
     adopted counter.  Returns ``(x_next, sigma_next, n_truncated)``.
     """
-    zero_center = x_star is None or not np.any(np.asarray(x_star))
-    fill = 0.0 if zero_center else np.asarray(x_star, dtype=np.float64)[None, :]
-
     if sigma_uniform:
         sig_hat = sigma
         x_prime = weights.w @ x
     else:
         sig_hat = np.where(weights.support, sigma[None, :], -1).max(axis=1)
-        eq = sigma[None, :] == sig_hat[:, None]
-        x_prime = (weights.w * eq) @ x
-        if not zero_center:
-            lagging = (weights.w * (sigma[None, :] < sig_hat[:, None])).sum(axis=1)
-            x_prime += lagging[:, None] * fill
+        x_prime = (weights.w * (sigma[None, :] == sig_hat[:, None])) @ x
 
     phi.add_innovation(x_prime, a_k, signs)
 
     if not sigma_uniform:
-        keep = sigma == sig_hat
-        x_prime = np.where(keep[:, None], x_prime, fill)
+        x_prime = np.where((sigma == sig_hat)[:, None], x_prime, 0.0)
 
     norms_sq = np.einsum("ij,ij->i", x_prime, x_prime)
     if sigma_uniform:
         # one counter, one radius: a scalar test settles the quiet steps
-        bound = _bounds_at(bounds, sig_hat[:1])[0]
+        bound = truncation_radii(sig_hat[:1], radii)[0]
         if not norms_sq.max() > bound * bound:
             return x_prime, sig_hat, 0
     else:
-        bound = _bounds_at(bounds, sig_hat)
+        bound = truncation_radii(sig_hat, radii)
     exceeded = norms_sq > bound * bound
 
     if not exceeded.any():
         return x_prime, sig_hat, 0
-    x_next = np.where(exceeded[:, None], fill, x_prime)
+    x_next = np.where(exceeded[:, None], 0.0, x_prime)
     return x_next, sig_hat + exceeded, int(exceeded.sum())
 
 
@@ -261,7 +254,7 @@ def dsaawet_identification_step(
     signs = np.where(phi.outputs(model.theta_star, d) < phi.thresholds(s.theta), -1.0, 1.0)
 
     theta_next, sigma_next, n_trunc = _truncated_update(
-        s.theta, s.sigma, s.sigma_uniform, weights, phi, signs, gain / k, radii, None
+        s.theta, s.sigma, s.sigma_uniform, weights, phi, signs, gain / k, radii
     )
     ledger = s.ledger.record(k + 1, s.sigma, sigma_next, n_trunc)
     if sigma_next is s.sigma:
@@ -271,24 +264,21 @@ def dsaawet_identification_step(
 
 @dataclass(frozen=True, eq=False)
 class EngineState:
-    """State of the generic truncated recursion: iterates plus counters."""
+    """State of the generic truncated recursion: iterates plus counters.
+
+    Like :class:`NetworkSnapshot` it owns frozen copies of its arrays and
+    rejects negative counters.
+    """
 
     x: np.ndarray
     sigma: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        sigma = np.asarray(self.sigma, dtype=np.int64)
-        if x.ndim != 2 or sigma.shape != (x.shape[0],):
-            raise ValueError("x must be (n, l) with one counter per row")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "sigma_uniform", bool((sigma == sigma[0]).all()))
+        _own_state(self, "x")
 
     @classmethod
-    def initial(cls, n: int, l: int, x_star: np.ndarray | None = None) -> "EngineState":
-        x = np.zeros((n, l)) if x_star is None else np.tile(np.asarray(x_star, float), (n, 1))
-        return cls(x=x, sigma=np.zeros(n, dtype=np.int64))
+    def initial(cls, n: int, l: int) -> "EngineState":
+        return cls(x=np.zeros((n, l)), sigma=np.zeros(n, dtype=np.int64))
 
 
 def generic_dsaawet_step(
@@ -296,37 +286,36 @@ def generic_dsaawet_step(
     weights: WeightMatrix,
     observations: np.ndarray,
     a_k: float,
-    bounds: Callable[[int], float] | Sequence[float] | str | None = None,
-    x_star: np.ndarray | None = None,
+    radii: str = "linear",
 ) -> EngineState:
     """One step of the general truncated recursion.
 
     ``observations`` holds each agent's raw correction row O_i (shape
-    (n, l)); ``bounds`` maps a counter level m to the truncation radius M_m
-    (default: M_m = m; a radius kind of :func:`truncation_radii`, a callable
-    or a lookup table otherwise; the sequence must
-    be positive for m >= 1, nondecreasing and unbounded for the convergence
-    guarantees to apply); ``x_star`` is the reset/substitution point
-    (default: the origin).  Agents behind the neighborhood-max counter
-    contribute ``x_star`` in place of their iterate, and truncation resets
-    to ``x_star``:
+    (n, l), finite); ``a_k`` is the step's gain (finite, positive) and
+    ``radii`` the radius sequence M_m of :func:`truncation_radii`.  Agents
+    behind the neighborhood-max counter contribute the origin in place of
+    their iterate, and truncation resets to the origin:
 
-        x~_i = sum_j w_ij [ x_j 1{sigma_j = shat_i} + x* 1{sigma_j < shat_i} ]
-               + a_k O_i
-        x'_i = x~_i 1{sigma_i = shat_i} + x* 1{sigma_i < shat_i}
-        x_i  <- x'_i if ||x'_i|| <= M_shat_i else x*,   with counter bump.
+        x~_i = sum_j w_ij x_j 1{sigma_j = shat_i} + a_k O_i
+        x'_i = x~_i 1{sigma_i = shat_i}
+        x_i  <- x'_i if ||x'_i|| <= M_shat_i else 0,   with counter bump.
 
     This and :func:`dsaawet_identification_step` are two entry points to
     one kernel: here the rows O_i enter with unit signs, so the same
     weights and rows give the identification step's result bit for bit.
     """
+    check_radii(radii)
+    if not (math.isfinite(a_k) and a_k > 0):
+        raise ValueError(f"a_k must be finite and positive, got {a_k!r}")
     n, l = state.x.shape
     obs = np.asarray(observations, dtype=np.float64)
     if obs.shape != (n, l):
         raise ValueError(f"observations shape {obs.shape} != ({n}, {l})")
+    if not np.isfinite(obs).all():
+        raise ValueError("observations must be finite")
     x_next, sigma_next, _ = _truncated_update(
         state.x, state.sigma, state.sigma_uniform, weights,
-        PhiBatch(l=l, dense=obs), np.ones(n), a_k, bounds, x_star,
+        PhiBatch(l=l, dense=obs), np.ones(n), a_k, radii,
     )
     return EngineState(x=x_next, sigma=sigma_next)
 

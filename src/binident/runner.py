@@ -494,7 +494,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         gain=cfg.gain,
         radii=cfg.radii,
     )
-    metrics = recorder.metrics()
+    metrics = recorder.metrics(final)
 
     theta_star = model.theta_star
     errs = estimation_errors(final, theta_star)
@@ -510,10 +510,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "max_agent_error": float(errs.max()),
             "relative_max_agent_error": float(errs.max()) / norm_star if norm_star else float("nan"),
             "consensus_gap": consensus_gap(final),
-            # a zero-step run records no rows; the peak is then the final state
-            "peak_consensus_gap": float(metrics.consensus_gap.max())
-            if metrics.n_rows
-            else consensus_gap(final),
+            "peak_consensus_gap": float(metrics.consensus_gap.max()),
             "theta_bar": [float(v) for v in mean_estimate(final)],
             "sigma": [int(v) for v in final.sigma],
             "sigma_max": int(final.ledger.sigma_max),

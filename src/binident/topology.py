@@ -1,11 +1,12 @@
 """Time-varying communication topology.
 
 Directed graphs with mandatory self-loops, weight matrix constructions
-(Metropolis and uniform-by-degree), schedules over steps, validation of the
-standing network assumptions (per-step double stochasticity, a positive
-entry floor, and windowed joint strong connectivity), and backward products
-of the weight matrices whose deviation from the averaging matrix decays
-geometrically on validated schedules.
+(Metropolis and uniform-by-degree), schedules that cycle through a fixed
+list of weight matrices, validation of the standing network assumptions
+(per-step double stochasticity, a positive entry floor, and windowed joint
+strong connectivity), and backward products of the weight matrices whose
+deviation from the averaging matrix decays geometrically on validated
+schedules.
 
 Agent ids are 1-based in the public API.  An edge ``(j, i)`` means agent i
 receives from agent j; matrices are indexed ``w[i-1, j-1]``.
@@ -14,7 +15,7 @@ receives from agent j; matrices are indexed ``w[i-1, j-1]``.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -48,10 +49,6 @@ class Digraph:
         if missing:
             raise ValueError(f"missing self-loops for agents {missing}")
 
-    def in_neighbors(self, i: int) -> tuple[int, ...]:
-        """Agents j (including i itself) whose values agent i receives."""
-        return tuple(sorted(j for j, t in self.edges if t == i))
-
     @property
     def is_symmetric(self) -> bool:
         return all((i, j) in self.edges for j, i in self.edges)
@@ -69,24 +66,12 @@ class Digraph:
         return Digraph(self.n, self.edges | other.edges)
 
 
-def _with_self_loops(n: int, pairs: Iterable[tuple[int, int]]) -> frozenset:
-    edges = {(i, i) for i in range(1, n + 1)}
-    edges.update((int(j), int(i)) for j, i in pairs)
-    return frozenset(edges)
-
-
 def from_undirected_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Digraph:
     """Graph with self-loops plus both directions of each given pair."""
-    both = []
+    edges = {(i, i) for i in range(1, n + 1)}
     for a, b in pairs:
-        both.append((a, b))
-        both.append((b, a))
-    return Digraph(n, _with_self_loops(n, both))
-
-
-def from_directed_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Digraph:
-    """Graph with self-loops plus the given directed edges (j, i)."""
-    return Digraph(n, _with_self_loops(n, pairs))
+        edges.update(((a, b), (b, a)))
+    return Digraph(n, frozenset(edges))
 
 
 def complete_graph(n: int) -> Digraph:
@@ -203,78 +188,52 @@ def degree_weights(g: Digraph, tol: float = 1e-9) -> tuple[WeightMatrix, bool]:
 
 @dataclass(frozen=True, eq=False)
 class TopologySchedule:
-    """Assignment of a (graph, weights) pair to every step k >= 1.
+    """A cycle of (graph, weights) pairs: step k >= 1 uses pair (k-1) mod period.
 
-    ``mode`` is one of ``static``, ``periodic-list``, ``regenerated-per-step``.
-    ``B`` is the connectivity window length the schedule claims: the union
-    graph over any B consecutive steps should be strongly connected (checked
-    by :func:`validate_c4`, not assumed).
+    One pair makes a static schedule (``mode`` ``static``), more a periodic
+    one (``periodic-list``).  ``B`` is the connectivity window length the
+    schedule claims: the union graph over any B consecutive steps should be
+    strongly connected (checked by :func:`validate_c4`, not assumed).
     """
 
-    mode: str
     B: int
-    pairs: tuple[tuple[Digraph, WeightMatrix], ...] = ()
-    factory: Callable[[int], tuple[Digraph, WeightMatrix]] | None = field(default=None, repr=False)
+    pairs: tuple[tuple[Digraph, WeightMatrix], ...]
 
     def __post_init__(self):
         if self.B < 1:
             raise ValueError("B must be >= 1")
-        if self.mode in ("static", "periodic-list"):
-            if not self.pairs:
-                raise ValueError(f"{self.mode} schedule needs at least one pair")
-            if self.mode == "static" and len(self.pairs) != 1:
-                raise ValueError("static schedule takes exactly one pair")
-            sizes = {g.n for g, _ in self.pairs}
-            if len(sizes) != 1:
-                raise ValueError("all graphs in a schedule must have the same size")
-            for g, w in self.pairs:
-                if w.graph is not g and w.graph != g:
-                    raise ValueError("weight matrix paired with a different graph")
-        elif self.mode == "regenerated-per-step":
-            if self.factory is None:
-                raise ValueError("regenerated schedule needs a factory")
-        else:
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
+        if not self.pairs:
+            raise ValueError("a schedule needs at least one (graph, weights) pair")
+        if len({g.n for g, _ in self.pairs}) != 1:
+            raise ValueError("all graphs in a schedule must have the same size")
+        for g, w in self.pairs:
+            if w.graph is not g and w.graph != g:
+                raise ValueError("weight matrix paired with a different graph")
 
     @classmethod
     def static(cls, graph: Digraph, weights: WeightMatrix, B: int = 1) -> "TopologySchedule":
-        return cls(mode="static", B=B, pairs=((graph, weights),))
+        return cls(B=B, pairs=((graph, weights),))
 
     @classmethod
     def periodic(cls, pairs: Sequence[tuple[Digraph, WeightMatrix]], B: int) -> "TopologySchedule":
-        return cls(mode="periodic-list", B=B, pairs=tuple(pairs))
+        return cls(B=B, pairs=tuple(pairs))
 
-    @classmethod
-    def regenerated(cls, factory: Callable[[int], tuple[Digraph, WeightMatrix]], B: int) -> "TopologySchedule":
-        return cls(mode="regenerated-per-step", B=B, factory=factory)
+    @property
+    def mode(self) -> str:
+        return "static" if len(self.pairs) == 1 else "periodic-list"
 
     @property
     def n_agents(self) -> int:
-        if self.pairs:
-            return self.pairs[0][0].n
-        return self.factory(1)[0].n
+        return self.pairs[0][0].n
 
     @property
-    def period(self) -> int | None:
-        """Cycle length for static/periodic schedules, None if regenerated."""
-        return len(self.pairs) if self.pairs else None
+    def period(self) -> int:
+        return len(self.pairs)
 
     def __getitem__(self, k: int) -> tuple[Digraph, WeightMatrix]:
         if k < 1:
             raise IndexError("steps are numbered from 1")
-        if self.mode == "static":
-            return self.pairs[0]
-        if self.mode == "periodic-list":
-            return self.pairs[(k - 1) % len(self.pairs)]
-        return self.factory(k)
-
-    def materialize(self, steps: int) -> "TopologySchedule":
-        """Freeze the first ``steps`` pairs into a periodic-list schedule.
-
-        Intended for serialising finite runs of regenerated schedules; the
-        result repeats after ``steps``.
-        """
-        return TopologySchedule.periodic([self[k] for k in range(1, steps + 1)], self.B)
+        return self.pairs[(k - 1) % len(self.pairs)]
 
 
 def partitioned_ring_schedule(
@@ -349,73 +308,51 @@ class ValidationReport:
 def validate_c4(
     schedule: TopologySchedule,
     kappa: float | None = None,
-    horizon: int | None = None,
     tol: float = 1e-9,
 ) -> ValidationReport:
-    """Check the standing network assumptions over a schedule.
+    """Check the standing network assumptions over one period of a schedule.
 
-    Verifies, per examined step, that the weight matrix is doubly
+    Verifies, per step of the period, that the weight matrix is doubly
     stochastic (within ``tol``) with positive entries no smaller than
     ``kappa`` (defaults to the smallest positive entry seen, reported), and
-    that the union graph over every window of B consecutive steps is
-    strongly connected.
-
-    Static schedules examine one step; periodic schedules examine one full
-    period with wrap-around windows (the schedule is infinite); regenerated
-    schedules require an explicit ``horizon``.
+    that the union graph over every window of B consecutive steps, wrapping
+    around the period (the schedule is infinite), is strongly connected.
     """
-    if schedule.mode == "regenerated-per-step":
-        if horizon is None:
-            raise ValueError("regenerated schedules need an explicit horizon")
-        steps = list(range(1, horizon + 1))
-        window_starts = list(range(1, max(horizon - schedule.B + 1, 0) + 1))
-        wrap = None
-    else:
-        period = schedule.period
-        steps = list(range(1, period + 1))
-        window_starts = steps
-        wrap = period
-
-    pairs = {k: schedule[k] for k in steps}
+    pairs = schedule.pairs
+    steps = range(1, len(pairs) + 1)
 
     stoch_failures: list[tuple[int, float]] = []
-    min_entry = np.inf
-    for k in steps:
-        _, wm = pairs[k]
+    for k, (_, wm) in zip(steps, pairs):
         dev_rows = np.abs(wm.w.sum(axis=1) - 1.0).max()
         dev_cols = np.abs(wm.w.sum(axis=0) - 1.0).max()
         worst = float(max(dev_rows, dev_cols))
         if worst > tol:
             stoch_failures.append((k, worst))
-        min_entry = min(min_entry, wm.min_positive_entry)
+    min_entry = min(wm.min_positive_entry for _, wm in pairs)
 
     if kappa is None:
-        kappa = float(min_entry)
+        kappa = min_entry
         floor_failures: list[int] = []
     else:
         floor_failures = [
-            k for k in steps if pairs[k][1].min_positive_entry < kappa - 1e-15
+            k for k, (_, wm) in zip(steps, pairs) if wm.min_positive_entry < kappa - 1e-15
         ]
 
     failed_windows: list[int] = []
-    for start in window_starts:
-        union = None
-        for t in range(schedule.B):
-            k = start + t
-            if wrap is not None:
-                k = (k - 1) % wrap + 1
-            g = pairs[k][0] if k in pairs else schedule[k][0]
-            union = g if union is None else union.union(g)
+    for start in steps:
+        union = schedule[start][0]
+        for k in range(start + 1, start + schedule.B):
+            union = union.union(schedule[k][0])
         if not _strongly_connected(union.adjacency()):
             failed_windows.append(start)
 
     return ValidationReport(
-        steps_checked=len(steps),
+        steps_checked=len(pairs),
         stochasticity_failures=stoch_failures,
         kappa=float(kappa),
         min_entry=float(min_entry),
         entry_floor_failures=floor_failures,
-        windows_checked=len(window_starts),
+        windows_checked=len(pairs),
         failed_windows=failed_windows,
     )
 
@@ -423,24 +360,14 @@ def validate_c4(
 # ---------------------------------------------------------------------------
 # backward products
 
-def backward_product_deviation(schedule: TopologySchedule, k: int, s: int) -> float:
-    """Spectral-norm distance of W(k)...W(s) from uniform averaging.
-
-    Returns ``||W(k) W(k-1) ... W(s) - (1/n) 11'||_2``; the empty product
-    (k = s - 1) is the identity.  On schedules passing validation this
-    decays geometrically in k - s.
-    """
-    if s < 1 or k < s - 1:
-        raise ValueError("need s >= 1 and k >= s - 1")
-    n = schedule.n_agents
-    prod = np.eye(n)
-    for t in range(s, k + 1):
-        prod = schedule[t][1].w @ prod
-    return float(np.linalg.norm(prod - np.full((n, n), 1.0 / n), 2))
-
-
 def deviation_profile(schedule: TopologySchedule, s: int, max_lag: int) -> np.ndarray:
-    """Deviations of the backward products for lags k - s = 0..max_lag."""
+    """Spectral-norm distances ``||W(s+lag) ... W(s) - (1/n) 11'||_2``.
+
+    One entry per lag 0..max_lag; on schedules passing validation they decay
+    geometrically in the lag.
+    """
+    if s < 1 or max_lag < 0:
+        raise ValueError(f"need s >= 1 and max_lag >= 0, got s={s}, max_lag={max_lag}")
     n = schedule.n_agents
     avg = np.full((n, n), 1.0 / n)
     out = np.empty(max_lag + 1)
@@ -494,11 +421,8 @@ def dump_schedule(schedule: TopologySchedule, path) -> None:
 
     Each block is a ``step <k>`` line followed by one ``j i w`` triple per
     positive weight (receiver i takes weight w from sender j).  Weights are
-    written with repr so loading reproduces them bit for bit.  Regenerated
-    schedules have no finite description; materialize() them first.
+    written with repr so loading reproduces them bit for bit.
     """
-    if schedule.mode == "regenerated-per-step":
-        raise ValueError("cannot serialise a regenerated schedule; use materialize(steps)")
     lines = [f"{schedule.n_agents} {schedule.B} {schedule.mode}"]
     for idx, (g, wm) in enumerate(schedule.pairs, start=1):
         lines.append(f"step {idx}")
@@ -541,10 +465,8 @@ def load_schedule(path) -> TopologySchedule:
         g = Digraph(n, frozenset(edges))
         pairs.append((g, WeightMatrix(g, w)))
 
-    if mode == "static":
-        if len(pairs) != 1:
-            raise ValueError("static schedule must contain exactly one block")
-        return TopologySchedule.static(pairs[0][0], pairs[0][1], B=B)
-    if mode == "periodic-list":
-        return TopologySchedule.periodic(pairs, B=B)
-    raise ValueError(f"unknown mode {mode!r} in schedule file")
+    if mode not in ("static", "periodic-list"):
+        raise ValueError(f"unknown mode {mode!r} in schedule file")
+    if mode == "static" and len(pairs) != 1:
+        raise ValueError("static schedule must contain exactly one block")
+    return TopologySchedule(B=B, pairs=tuple(pairs))

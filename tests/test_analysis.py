@@ -199,13 +199,6 @@ def test_mc_deterministic_given_seed():
     assert np.array_equal(a.value, b.value)
 
 
-def test_l1_objective_minimised_at_root():
-    ctx = _ctx(6, 3, star=np.array([0.5, -0.25, 1.0]))
-    at_root = bi.stacked_l1_objective_mc(ctx, ctx.model.theta_star, 60_000, 1)
-    away = bi.stacked_l1_objective_mc(ctx, ctx.model.theta_star + 2.0, 60_000, 1)
-    assert away.value - at_root.value > 10.0 * (away.stderr + at_root.stderr)
-
-
 # ---------------------------------------------------------------------------
 # snapshot metrics
 
@@ -275,12 +268,14 @@ def test_recorder_keeps_first_stride_and_final_rows():
     sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
     rec = bi.TrajectoryRecorder(model.theta_star, stride=40, record_agent_errors=True,
                                 record_theta_bar=True)
-    bi.run(model, sched, 95, seed=12, sinks=(rec,))
-    m = rec.metrics()
+    final = bi.run(model, sched, 95, seed=12, sinks=(rec,))
+    m = rec.metrics(final)
     assert m.k.tolist() == [1, 40, 80, 96]
     assert m.agent_errors.shape == (4, 3)
     assert m.theta_bar.shape == (4, 2)
     assert np.all(np.isfinite(m.consensus_gap))
+    # asking again does not add the final row twice
+    assert rec.metrics(final).equals(m)
 
 
 def test_recorder_stride_one_records_every_step():
@@ -290,5 +285,5 @@ def test_recorder_stride_one_records_every_step():
     g = bi.complete_graph(2)
     sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
     rec = bi.TrajectoryRecorder(model.theta_star, stride=1)
-    bi.run(model, sched, 10, seed=3, sinks=(rec,))
-    assert rec.metrics().k.tolist() == list(range(1, 12))
+    final = bi.run(model, sched, 10, seed=3, sinks=(rec,))
+    assert rec.metrics(final).k.tolist() == list(range(1, 12))

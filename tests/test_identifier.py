@@ -200,78 +200,55 @@ def test_engine_zero_observations_identity_weights_fixed_point():
     assert np.array_equal(nxt.sigma, state.sigma)
 
 
-def test_engine_resets_to_center_on_bound_crossing():
-    center = np.array([3.0, 0.0])
-    state = bi.EngineState(x=np.array([[0.5, 0.0]]), sigma=np.array([1]))
-    obs = np.array([[10.0, 0.0]])
-    nxt = bi.generic_dsaawet_step(state, _single_agent_weights(), obs, a_k=1.0, x_star=center)
-    assert np.array_equal(nxt.x, [center])
-    assert np.array_equal(nxt.sigma, [2])
-
-
-def test_engine_substitutes_center_for_lagging_neighbors():
-    w = bi.metropolis_weights(bi.complete_graph(2))
-    center = np.array([0.6])
-    state = bi.EngineState(x=np.array([[0.2], [5.0]]), sigma=np.array([1, 0]))
-    obs = np.array([[0.1], [0.0]])
-    nxt = bi.generic_dsaawet_step(state, w, obs, a_k=0.5, x_star=center)
-    # agent 1 mixes its own 0.2 with the center standing in for agent 2
-    assert nxt.x[0, 0] == pytest.approx(0.5 * 0.2 + 0.5 * 0.6 + 0.5 * 0.1, abs=1e-15)
-    # agent 2 is behind the max counter: replaced by the center, kept (0.6 <= 1)
-    assert np.array_equal(nxt.x[1], center)
-    assert np.array_equal(nxt.sigma, [1, 1])
-
-
 def test_engine_bound_sequence_variants():
-    state = bi.EngineState(x=np.array([[0.0]]), sigma=np.array([0]))
-    obs = np.array([[2.0]])
     w = _single_agent_weights()
+    obs = np.array([[2.0]])
+    state = bi.EngineState(x=np.array([[0.0]]), sigma=np.array([0]))
     # default M_m = m truncates at level 0
     nxt = bi.generic_dsaawet_step(state, w, obs, a_k=1.0)
-    assert np.array_equal(nxt.sigma, [1])
-    # a generous lookup table keeps the same candidate
-    nxt = bi.generic_dsaawet_step(state, w, obs, a_k=1.0, bounds=[5.0, 6.0])
-    assert np.array_equal(nxt.x, [[2.0]])
-    nxt = bi.generic_dsaawet_step(state, w, obs, a_k=1.0, bounds=lambda m: 5.0 + m)
-    assert np.array_equal(nxt.x, [[2.0]])
-    # doubling radii by name: M_0 = 2^0 = 1 keeps a unit step, not a step of 2
-    nxt = bi.generic_dsaawet_step(state, w, obs / 2, a_k=1.0, bounds="doubling")
-    assert np.array_equal(nxt.x, [[1.0]]) and np.array_equal(nxt.sigma, [0])
-    nxt = bi.generic_dsaawet_step(state, w, obs, a_k=1.0, bounds="doubling")
     assert np.array_equal(nxt.x, [[0.0]]) and np.array_equal(nxt.sigma, [1])
+    # doubling radii by name: M_0 = 2^0 = 1 keeps a unit step, not a step of 2
+    nxt = bi.generic_dsaawet_step(state, w, obs / 2, a_k=1.0, radii="doubling")
+    assert np.array_equal(nxt.x, [[1.0]]) and np.array_equal(nxt.sigma, [0])
+    nxt = bi.generic_dsaawet_step(state, w, obs, a_k=1.0, radii="doubling")
+    assert np.array_equal(nxt.x, [[0.0]]) and np.array_equal(nxt.sigma, [1])
+    # at level 3 a step of 5 lands between M_3 = 3 and 2^3 = 8
+    state = bi.EngineState(x=np.array([[0.0]]), sigma=np.array([3]))
+    nxt = bi.generic_dsaawet_step(state, w, obs * 2.5, a_k=1.0, radii="linear")
+    assert np.array_equal(nxt.x, [[0.0]]) and np.array_equal(nxt.sigma, [4])
+    nxt = bi.generic_dsaawet_step(state, w, obs * 2.5, a_k=1.0, radii="doubling")
+    assert np.array_equal(nxt.x, [[5.0]]) and np.array_equal(nxt.sigma, [3])
+    # non-uniform counters: agent 2 (level 1) lags agent 1 (level 3) and is zeroed;
+    # agent 1 mixes over itself only and each radius follows the adopted level
+    w2 = bi.metropolis_weights(bi.complete_graph(2))
+    state = bi.EngineState(x=np.array([[4.0], [0.5]]), sigma=np.array([3, 1]))
+    obs2 = np.array([[4.0], [0.0]])
+    nxt = bi.generic_dsaawet_step(state, w2, obs2, a_k=1.0, radii="linear")
+    assert np.array_equal(nxt.x, [[0.0], [0.0]]) and np.array_equal(nxt.sigma, [4, 3])
+    nxt = bi.generic_dsaawet_step(state, w2, obs2, a_k=1.0, radii="doubling")
+    assert np.array_equal(nxt.x, [[6.0], [0.0]]) and np.array_equal(nxt.sigma, [3, 3])
 
 
 @given(
     st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4),
-    st.sampled_from(["linear", "doubling", "callable", "table"]),
-    st.sampled_from(["default", "zero", "shifted"]), st.booleans(),
+    st.sampled_from(["linear", "doubling"]), st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_engine_matches_reference_on_random_networks(seed, n, l, bounds_kind, center, uniform):
+def test_engine_matches_reference_on_random_networks(seed, n, l, radii, uniform):
     # floats come from a seeded numpy rng (see the identification fuzz test)
     rng = np.random.default_rng(seed)
-    table = np.cumsum(rng.uniform(0.3, 2.0, 64))
-    bounds, radius = {
-        "linear": ("linear", lambda m: m),
-        "doubling": ("doubling", lambda m: 2.0**m),
-        "callable": (lambda m: 0.5 + 0.75 * m, lambda m: 0.5 + 0.75 * m),
-        "table": (table.tolist(), lambda m: table[m]),
-    }[bounds_kind]
-    x_star = {"default": None, "zero": np.zeros(l), "shifted": rng.normal(0.0, 1.0, l)}[center]
     g = bi.generate_poisson_graph(n, rng.uniform(0.2, 0.8), rng)
     w = bi.metropolis_weights(g)
     sigma0 = np.full(n, rng.integers(0, 4)) if uniform else rng.integers(0, 4, n)
     state = bi.EngineState(x=rng.uniform(-2.0, 2.0, (n, l)), sigma=sigma0)
     x, sigma = state.x.tolist(), state.sigma.tolist()
-    ref_center = None if x_star is None else x_star.tolist()
     k0 = int(rng.integers(1, 50))
     for k in range(k0, k0 + 30):
         obs = rng.normal(0.0, 1.5, (n, l))
         a_k = rng.uniform(1.0, 16.0) / k
-        state = bi.generic_dsaawet_step(state, w, obs, a_k, bounds=bounds, x_star=x_star)
+        state = bi.generic_dsaawet_step(state, w, obs, a_k, radii=radii)
         x, sigma, _ = reference_step(
-            x, sigma, w.w.tolist(), None, None, a_k, radius,
-            x_star=ref_center, observations=obs.tolist(),
+            x, sigma, w.w.tolist(), None, None, a_k, RADIUS[radii], observations=obs.tolist(),
         )
         assert np.array_equal(state.sigma, sigma)
         assert np.allclose(state.x, x, rtol=1e-10, atol=1e-12)
@@ -291,6 +268,43 @@ def test_engine_validates_observation_shape():
         bi.generic_dsaawet_step(state, _identity_weights(2), np.zeros((3, 2)), a_k=1.0)
 
 
+def test_engine_rejects_bad_gain():
+    state = bi.EngineState(x=np.zeros((2, 2)), sigma=[3, 3])
+    for a_k in (float("nan"), float("inf"), 0.0, -0.5):
+        with pytest.raises(ValueError, match="a_k must be finite and positive"):
+            bi.generic_dsaawet_step(state, _identity_weights(2), np.zeros((2, 2)), a_k=a_k)
+
+
+def test_engine_rejects_non_finite_observations():
+    state = bi.EngineState(x=np.zeros((2, 2)), sigma=[3, 3])
+    for bad in (float("nan"), float("inf")):
+        obs = np.zeros((2, 2))
+        obs[0, 0] = bad
+        with pytest.raises(ValueError, match="observations must be finite"):
+            bi.generic_dsaawet_step(state, _identity_weights(2), obs, a_k=1.0)
+
+
+def test_engine_rejects_unknown_radius_sequence():
+    state = bi.EngineState(x=np.zeros((2, 2)), sigma=[3, 3])
+    with pytest.raises(ValueError, match="unknown radius sequence 'cubic'"):
+        bi.generic_dsaawet_step(state, _identity_weights(2), np.zeros((2, 2)), 1.0, radii="cubic")
+
+
+def test_engine_state_owns_frozen_copies_and_rejects_negative_counters():
+    x, sigma = np.zeros((2, 2)), np.array([0, 0])
+    state = bi.EngineState(x=x, sigma=sigma)
+    x[0, 0] = 7.0
+    sigma[1] = -3
+    assert state.x[0, 0] == 0.0 and np.array_equal(state.sigma, [0, 0]) and state.sigma_uniform
+    for arr in (state.x, state.sigma):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    with pytest.raises(ValueError, match="counters cannot be negative"):
+        bi.EngineState(x=np.zeros((2, 2)), sigma=[-1, -1])
+    with pytest.raises(ValueError, match="one entry per agent"):
+        bi.EngineState(x=np.zeros((2, 2)), sigma=[0, 0, 0])
+
+
 def _engine_vs_step(gain=None, radii=None):
     """Drive the identification step and the generic engine in lockstep."""
     n, l, steps = 8, 4, 300
@@ -300,7 +314,7 @@ def _engine_vs_step(gain=None, radii=None):
     ident_streams = bi.ModelStreams(model, 31)
     engine_streams = bi.ModelStreams(model, 31)
     recursion = () if gain is None else (gain, radii)
-    engine_bounds = {} if gain is None else {"bounds": radii}
+    engine_radii = {} if gain is None else {"radii": radii}
 
     snap = bi.NetworkSnapshot.initial(n, l)
     state = bi.EngineState.initial(n, l)
@@ -317,7 +331,7 @@ def _engine_vs_step(gain=None, radii=None):
         phi.add_innovation(obs, 1.0, signs)
         prev_sigma = state.sigma
         a_k = 1.0 / k if gain is None else gain / k
-        state = bi.generic_dsaawet_step(state, w, obs, a_k=a_k, **engine_bounds)
+        state = bi.generic_dsaawet_step(state, w, obs, a_k=a_k, **engine_radii)
         truncations += int((state.sigma > prev_sigma).sum())
 
         assert np.array_equal(snap.theta, state.x)
@@ -368,7 +382,7 @@ def test_run_is_deterministic_per_seed():
     for _ in range(2):
         rec = bi.TrajectoryRecorder(model.theta_star, stride=10)
         final = bi.run(model, sched, 500, seed=99, sinks=(rec,))
-        recs.append((final, rec.metrics()))
+        recs.append((final, rec.metrics(final)))
     assert np.array_equal(recs[0][0].theta, recs[1][0].theta)
     assert recs[0][1].equals(recs[1][1])
     other = bi.run(model, sched, 500, seed=100)

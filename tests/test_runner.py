@@ -349,7 +349,7 @@ def _star_schedule_file(tmp_path):
     g = from_undirected_pairs(3, [(1, 2), (1, 3)])
     w, ds = degree_weights(g)
     assert not ds
-    sched = bi.TopologySchedule.static(g, w).materialize(3)
+    sched = bi.TopologySchedule.periodic([(g, w)] * 3, B=1)
     path = tmp_path / "star.schedule"
     dump_schedule(sched, path)
     return path
@@ -525,14 +525,19 @@ def test_run_experiment_seed_changes_trajectory(tmp_path):
 def test_run_experiment_zero_steps(tmp_path):
     cfg = small_config(steps=0, out=str(tmp_path / "z"))
     res = bi.run_experiment(cfg)
-    assert res.metrics.n_rows == 0
-    # nothing was recorded, so the optional columns are absent entirely
-    assert (tmp_path / "z/trajectory.csv").read_text() == (
-        "k,sigma_max,consensus_gap,mean_error\n"
-    )
+    # the initial snapshot is the one row
+    assert res.metrics.k.tolist() == [1]
+    assert (tmp_path / "z/trajectory.csv").read_text().splitlines()[1].startswith("1,0,0.0,")
     fin = res.summary["final"]
     assert fin["mean_error"] == pytest.approx(np.linalg.norm(STAR4))
     assert fin["consensus_gap"] == 0.0 and fin["peak_consensus_gap"] == 0.0
+
+
+def test_zero_step_trajectory_reads_back_as_the_recorded_metrics(tmp_path):
+    cfg = small_config(steps=0, out=str(tmp_path / "z"), record_agent_errors=True)
+    res = bi.run_experiment(cfg)
+    assert res.metrics.agent_errors.shape == (1, 8)
+    assert read_trajectory_csv(res.trajectory_path).equals(res.metrics)
 
 
 def test_run_experiment_rejects_invalid_config():

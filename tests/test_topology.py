@@ -35,7 +35,7 @@ def test_complete_and_ring_shapes():
     assert len(bi.complete_graph(4).edges) == 16
     ring = bi.ring_graph(5)
     assert ring.is_symmetric
-    assert ring.in_neighbors(1) == (1, 2, 5)
+    assert {j for j, i in ring.edges if i == 1} == {1, 2, 5}
 
 
 def test_union_merges_edge_sets():
@@ -115,7 +115,7 @@ def test_metropolis_single_agent():
 
 
 def test_metropolis_rejects_asymmetric_graph():
-    g = bi.from_directed_pairs(3, [(1, 2), (2, 3), (3, 1)])
+    g = bi.Digraph(3, frozenset({(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)}))
     with pytest.raises(ValueError):
         bi.metropolis_weights(g)
 
@@ -169,12 +169,16 @@ def test_static_schedule_indexing():
     g = bi.complete_graph(3)
     sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
     assert sched[1][0] is g and sched[10**9][0] is g
-    assert sched.period == 1
+    assert sched.period == 1 and sched.mode == "static"
+    # the mode follows the pair count, however the schedule was built
+    assert bi.TopologySchedule.periodic([sched.pairs[0]], B=1).mode == "static"
+    with pytest.raises(ValueError, match="at least one"):
+        bi.TopologySchedule.periodic([], B=1)
 
 
 def test_periodic_schedule_cycles():
     sched = bi.partitioned_ring_schedule(4, 2)
-    assert sched.period == 2
+    assert sched.period == 2 and sched.mode == "periodic-list"
     assert sched[1][0].edges == sched[3][0].edges
     assert sched[2][0].edges == sched[4][0].edges
     assert sched[1][0].edges != sched[2][0].edges
@@ -242,26 +246,23 @@ def test_instant_averaging_has_zero_deviation():
     # metropolis on the complete graph gives exactly 1/n everywhere
     sched = _static(4)
     assert np.array_equal(sched[1][1].w, np.full((4, 4), 0.25))
-    assert bi.backward_product_deviation(sched, 5, 1) == 0.0
-
-
-def test_empty_product_is_identity_projector_norm():
-    sched = _static(3)
-    assert bi.backward_product_deviation(sched, 0, 1) == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(bi.deviation_profile(sched, 1, 4), np.zeros(5))
 
 
 def test_deviation_rejects_bad_window():
-    with pytest.raises(ValueError):
-        bi.backward_product_deviation(_static(3), 0, 2)
+    for s, max_lag in ((0, 3), (-1, 3), (2, -1)):
+        with pytest.raises(ValueError, match="need s >= 1 and max_lag >= 0"):
+            bi.deviation_profile(_static(3), s, max_lag)
 
 
 def test_backward_product_matches_loop_oracle():
     sched = bi.partitioned_ring_schedule(4, 2)
-    mats = [sched[t][1].w.tolist() for t in range(1, 6)]
-    prod = np.array(reference_backward_product(mats))
-    want = float(np.linalg.norm(prod - np.full((4, 4), 0.25), 2))
-    got = bi.backward_product_deviation(sched, 5, 1)
-    assert got == pytest.approx(want, rel=1e-12)
+    got = bi.deviation_profile(sched, 2, 4)
+    for lag in range(5):
+        mats = [sched[t][1].w.tolist() for t in range(2, 3 + lag)]
+        prod = np.array(reference_backward_product(mats))
+        want = float(np.linalg.norm(prod - np.full((4, 4), 0.25), 2))
+        assert got[lag] == pytest.approx(want, rel=1e-12)
 
 
 def test_static_ring_log_deviation_is_affine():
@@ -306,18 +307,19 @@ def test_golden_schedule_file(datadir):
         assert np.array_equal(back[t][1].w, fresh[t][1].w)
 
 
-def test_regenerated_schedule_refuses_dump(tmp_path):
-    def factory(k):
-        g = bi.generate_poisson_graph(4, 0.5, np.random.default_rng(k))
-        return g, bi.metropolis_weights(g)
-
-    sched = bi.TopologySchedule.regenerated(factory, B=3)
-    with pytest.raises(ValueError):
-        bi.dump_schedule(sched, tmp_path / "no.txt")
-    fixed = sched.materialize(4)
-    bi.dump_schedule(fixed, tmp_path / "yes.txt")
-    back = bi.load_schedule(tmp_path / "yes.txt")
-    assert np.array_equal(back[2][1].w, fixed[2][1].w)
+def test_one_block_periodic_file_loads_as_static(tmp_path):
+    g = bi.complete_graph(3)
+    path = tmp_path / "one.txt"
+    bi.dump_schedule(bi.TopologySchedule.static(g, bi.metropolis_weights(g), B=2), path)
+    text = path.read_text()
+    assert text.startswith("3 2 static\n")
+    periodic = tmp_path / "periodic.txt"
+    periodic.write_text(text.replace("static", "periodic-list", 1))
+    back = bi.load_schedule(periodic)
+    assert back.mode == "static" and back.period == 1 and back.B == 2
+    again = tmp_path / "again.txt"
+    bi.dump_schedule(back, again)
+    assert again.read_text() == text
 
 
 def test_load_rejects_malformed_files(tmp_path):
