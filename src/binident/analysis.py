@@ -2,14 +2,14 @@
 
 The mean correction field driving the recursion is
 
-    f(theta) = sum_i E[ phi_i (1 - 2 F_i(phi_i' (theta - theta_star))) ]
+    f(theta) = sum_i E[ phi_i (1 - 2 F(phi_i' (theta - theta_star))) ]
 
-with F_i the noise CDF of agent i.  Its unique root is the true parameter,
-which is what makes the one-bit scheme consistent.  For the sparse
-one-coordinate-per-agent regressor kind f decouples per coordinate and is
-evaluated by Gauss-Legendre quadrature; other kinds fall back to Monte
-Carlo.  Also here: consensus/error metrics and the strided trajectory
-recorder used by runs.
+with F the CDF of the noise model all agents share.  Its unique root is
+the true parameter, which is what makes the one-bit scheme consistent.
+For the sparse one-coordinate-per-agent regressor kind f decouples per
+coordinate and is evaluated by Gauss-Legendre quadrature; other kinds fall
+back to Monte Carlo.  Also here: consensus/error metrics and the strided
+trajectory recorder used by runs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,10 +36,11 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 class RegressionContext:
     """Precomputed structure for evaluating the mean correction field.
 
-    Closed-form quadrature is available when every agent uses the sparse
-    one-coordinate regressor kind; anything else routes through Monte Carlo
-    with ``mc_fallback_samples`` draws from a generator seeded with
-    ``mc_fallback_seed`` (deterministic fallback, with a warning).
+    Closed-form quadrature is available when the model's shared regressor
+    generator is the sparse one-coordinate kind; ``supports`` then holds
+    each agent's 0-based active coordinate.  Anything else routes through
+    Monte Carlo with ``mc_fallback_samples`` draws from a generator seeded
+    with ``mc_fallback_seed`` (deterministic fallback, with a warning).
     """
 
     model: SystemModel
@@ -51,27 +51,16 @@ class RegressionContext:
     def __post_init__(self):
         if self.quad_nodes < 2:
             raise ValueError("quad_nodes must be >= 2")
-        model = self.model
-        n = model.n_agents
-        closed = model.uniform_regressor_kind() == "sparse-uniform"
+        gen = self.model.regressor
+        closed = gen.kind == "sparse-uniform"
         object.__setattr__(self, "closed_form", closed)
+        supports = None
         if closed:
             supports = np.array(
-                [model.regressor_for(i).support_coordinate(i) - 1 for i in range(1, n + 1)],
+                [gen.support_coordinate(i) - 1 for i in range(1, self.model.n_agents + 1)],
                 dtype=np.intp,
             )
-            groups: dict[int, tuple] = {}
-            for idx in range(n):
-                noise = model.noise_for(idx + 1)
-                groups.setdefault(id(noise), (noise, []))[1].append(idx)
-            noise_groups = tuple(
-                (noise, np.array(idxs, dtype=np.intp)) for noise, idxs in groups.values()
-            )
-        else:
-            supports = None
-            noise_groups = ()
         object.__setattr__(self, "supports", supports)
-        object.__setattr__(self, "_noise_groups", noise_groups)
 
     @property
     def l(self) -> int:
@@ -100,11 +89,9 @@ def regression_function(ctx: RegressionContext, theta: np.ndarray) -> np.ndarray
     x, wq = _gauss_legendre(ctx.quad_nodes)
     delta = theta[ctx.supports] - ctx.model.theta_star[ctx.supports]
     out = np.zeros(ctx.l)
-    half_x = 0.5 * x
-    for noise, idx in ctx._noise_groups:
-        args = np.outer(delta[idx], x)                      # (group, nodes)
-        vals = (1.0 - 2.0 * noise.cdf(args)) * half_x
-        np.add.at(out, ctx.supports[idx], vals @ wq)
+    args = np.outer(delta, x)                               # (agents, nodes)
+    vals = (1.0 - 2.0 * ctx.model.noise.cdf(args)) * (0.5 * x)
+    np.add.at(out, ctx.supports, vals @ wq)
     return out
 
 
@@ -121,51 +108,39 @@ def regression_jacobian(ctx: RegressionContext, theta: np.ndarray) -> np.ndarray
     x, wq = _gauss_legendre(ctx.quad_nodes)
     delta = theta[ctx.supports] - ctx.model.theta_star[ctx.supports]
     diag = np.zeros(ctx.l)
-    x_sq = x * x
-    for noise, idx in ctx._noise_groups:
-        args = np.outer(delta[idx], x)
-        np.add.at(diag, ctx.supports[idx], (noise.pdf(args) * x_sq) @ wq)
+    args = np.outer(delta, x)
+    np.add.at(diag, ctx.supports, (ctx.model.noise.pdf(args) * (x * x)) @ wq)
     return np.diag(diag)
 
 
 def jacobian_at_root(ctx: RegressionContext) -> np.ndarray:
-    """Curvature ``sum_i 2 f_i(0) E[phi_i phi_i']`` of -f at the root.
+    """Curvature ``sum_i 2 f(0) E[phi_i phi_i']`` of -f at the root.
 
-    Closed form for the sparse kind (diagonal, second moment 1/3 on the
-    active coordinate) and the dense-uniform kind (``bound^2/(3l)`` times
-    the identity per agent); custom regressors estimate the second-moment
-    matrix by Monte Carlo, with a warning.
+    ``f`` is the density of the shared noise model.  Closed form for the
+    sparse kind (diagonal, second moment 1/3 on each agent's active
+    coordinate) and the dense-uniform kind (``n bound^2/(3l)`` times the
+    identity); custom regressors estimate the second-moment matrix by
+    Monte Carlo, agent by agent, with a warning.
     """
     model = ctx.model
+    gen = model.regressor
     l = ctx.l
-    out = np.zeros((l, l))
-    kind = model.uniform_regressor_kind()
-    if kind == "sparse-uniform":
-        for noise, idx in ctx._noise_groups:
-            dens = 2.0 * float(noise.pdf(0.0)) / 3.0
-            np.add.at(out, (ctx.supports[idx], ctx.supports[idx]), dens)
+    dens = 2.0 * float(model.noise.pdf(0.0))
+    if gen.kind == "sparse-uniform":
+        out = np.zeros((l, l))
+        np.add.at(out, (ctx.supports, ctx.supports), dens / 3.0)
         return out
+    if gen.kind == "dense-uniform":
+        return (model.n_agents * dens * gen.bound**2 / (3.0 * l)) * np.eye(l)
+    warnings.warn("custom regressors: estimating second moments by Monte Carlo", stacklevel=2)
     rng = np.random.default_rng(ctx.mc_fallback_seed)
     per_agent = max(1_000, ctx.mc_fallback_samples // model.n_agents)
-    warned = False
+    acc = np.zeros((l, l))
     for i in range(1, model.n_agents + 1):
-        gen = model.regressor_for(i)
-        dens = 2.0 * float(model.noise_for(i).pdf(0.0))
-        if gen.kind == "dense-uniform":
-            out += dens * (gen.bound**2 / (3.0 * l)) * np.eye(l)
-        else:
-            if not warned:
-                warnings.warn(
-                    "custom regressors: estimating second moments by Monte Carlo",
-                    stacklevel=2,
-                )
-                warned = True
-            acc = np.zeros((l, l))
-            for s in range(per_agent):
-                phi = gen.sample(i, s + 1, rng)
-                acc += np.outer(phi, phi)
-            out += dens * acc / per_agent
-    return out
+        for s in range(per_agent):
+            phi = gen.sample(i, s + 1, rng)
+            acc += np.outer(phi, phi)
+    return dens * acc / per_agent
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +173,7 @@ def regression_function_mc(
         raise ValueError("samples must be >= 1")
     rng = as_generator(rng)
     model = ctx.model
+    gen, noise = model.regressor, model.noise
     l = ctx.l
     tstar = model.theta_star
     total = np.zeros(l)
@@ -207,16 +183,14 @@ def regression_function_mc(
         chunk = min(_CHUNK, samples - done)
         x_rows = np.zeros((chunk, l))
         for i in range(1, model.n_agents + 1):
-            gen = model.regressor_for(i)
-            noise = model.noise_for(i)
             d = noise.sample(rng, chunk)
             if gen.kind == "sparse-uniform":
                 m = gen.support_coordinate(i) - 1
-                eta = rng.uniform(-1.0, 1.0, chunk)
+                eta = gen.draw(rng, chunk)
                 s = sign_pm(eta * tstar[m] + d - eta * theta[m])
                 x_rows[:, m] += eta * s
             elif gen.kind == "dense-uniform":
-                rows = rng.uniform(-1.0, 1.0, (chunk, l)) * (gen.bound / np.sqrt(l))
+                rows = gen.draw(rng, chunk)
                 s = sign_pm(rows @ (tstar - theta) + d)
                 x_rows += rows * s[:, None]
             else:

@@ -173,7 +173,7 @@ def identifiability_probe(
     """
     if not 1 <= agent <= model.n_agents:
         raise ValueError(f"agent must lie in 1..{model.n_agents}")
-    base = model.regressor_for(agent)
+    base = model.regressor
     if isinstance(base, SparseUniformRegressors):
         sub_gen: object = SparseUniformRegressors(
             base.l, support=(base.support_coordinate(agent),)
@@ -184,7 +184,7 @@ def identifiability_probe(
         sub_gen = CustomBoundedRegressors(
             base.l, base.bound, lambda _a, k, g: base.sample(agent, k, g)
         )
-    submodel = SystemModel(model.theta_star, sub_gen, model.noise_for(agent), 1)
+    submodel = SystemModel(model.theta_star, sub_gen, model.noise, 1)
     g = complete_graph(1)
     schedule = TopologySchedule.static(g, metropolis_weights(g))
 

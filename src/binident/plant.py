@@ -2,16 +2,17 @@
 
 Each agent i observes the scalar output ``y = phi_i' theta_star + d_i``
 only through a one-bit comparison against a threshold of its own choosing.
-This module holds the true system (parameter, regressor processes, noise
-models) and the sensor arithmetic; nothing here knows about the network or
-the identification recursion.
+This module holds the true system (parameter, one regressor generator and
+one noise model shared by every agent) and the sensor arithmetic; each
+built-in generator writes its sampling law once, in its ``draw`` method.
+Nothing here knows about the network or the identification recursion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
@@ -180,9 +181,13 @@ class SparseUniformRegressors(RegressorGenerator):
         """Coordinates excited by at least one of agents 1..n_agents."""
         return {self.support_coordinate(i) for i in range(1, n_agents + 1)}
 
+    def draw(self, rng, size=None):
+        """Amplitudes on the active coordinate, iid uniform on [-1, 1]."""
+        return rng.uniform(-1.0, 1.0, size)
+
     def sample(self, agent, k, rng):
         phi = np.zeros(self.l)
-        phi[self.support_coordinate(agent) - 1] = rng.uniform(-1.0, 1.0)
+        phi[self.support_coordinate(agent) - 1] = self.draw(rng)
         return phi
 
 
@@ -200,8 +205,13 @@ class DenseUniformRegressors(RegressorGenerator):
         if not (math.isfinite(self.bound) and self.bound > 0):
             raise ValueError(f"bound must be finite and positive, got {self.bound!r}")
 
+    def draw(self, rng, size=None):
+        """One row, or ``(size, l)`` rows, of scaled iid uniform entries."""
+        shape = self.l if size is None else (size, self.l)
+        return rng.uniform(-1.0, 1.0, shape) * (self.bound / math.sqrt(self.l))
+
     def sample(self, agent, k, rng):
-        return rng.uniform(-1.0, 1.0, self.l) * (self.bound / math.sqrt(self.l))
+        return self.draw(rng)
 
 
 @dataclass(frozen=True)
@@ -327,15 +337,16 @@ def sign_pm(x):
 
 @dataclass(frozen=True, eq=False)
 class SystemModel:
-    """True parameter plus per-agent regressor and noise processes.
+    """True parameter plus the regressor generator and noise model that
+    every agent shares.
 
-    ``regressors`` and ``noises`` may be single shared objects or sequences
-    with one entry per agent (1-based agent ids index into them).
+    Agents differ only in their random streams (and, for the sparse kind,
+    in the coordinate they excite), never in the law they draw from.
     """
 
     theta_star: np.ndarray
-    regressors: RegressorGenerator | Sequence[RegressorGenerator]
-    noises: NoiseModel | Sequence[NoiseModel]
+    regressor: RegressorGenerator
+    noise: NoiseModel
     n_agents: int
 
     def __post_init__(self):
@@ -346,35 +357,16 @@ class SystemModel:
         object.__setattr__(self, "theta_star", theta)
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
-        for name in ("regressors", "noises"):
+        for name, cls in (("regressor", RegressorGenerator), ("noise", NoiseModel)):
             val = getattr(self, name)
-            if not isinstance(val, (RegressorGenerator, NoiseModel)):
-                val = tuple(val)
-                if len(val) != self.n_agents:
-                    raise ValueError(f"{name}: expected {self.n_agents} entries, got {len(val)}")
-                object.__setattr__(self, name, val)
-        for i in range(1, self.n_agents + 1):
-            if self.regressor_for(i).l != self.l:
-                raise ValueError("regressor dimension does not match theta_star")
+            if not isinstance(val, cls):
+                raise ValueError(f"{name}: expected one {cls.__name__}, got {type(val).__name__}")
+        if self.regressor.l != self.l:
+            raise ValueError("regressor dimension does not match theta_star")
 
     @property
     def l(self) -> int:
         return self.theta_star.shape[0]
-
-    def regressor_for(self, agent: int) -> RegressorGenerator:
-        if isinstance(self.regressors, RegressorGenerator):
-            return self.regressors
-        return self.regressors[agent - 1]
-
-    def noise_for(self, agent: int) -> NoiseModel:
-        if isinstance(self.noises, NoiseModel):
-            return self.noises
-        return self.noises[agent - 1]
-
-    def uniform_regressor_kind(self) -> str | None:
-        """The common regressor kind, or None if agents mix kinds."""
-        kinds = {self.regressor_for(i).kind for i in range(1, self.n_agents + 1)}
-        return kinds.pop() if len(kinds) == 1 else None
 
 
 def graded_theta_star(l: int) -> np.ndarray:

@@ -175,7 +175,7 @@ class ExperimentConfig:
         for key in _NOISE_PARAM_KEYS:
             if cp.has_option("noise", key):
                 noise_params[key] = need("noise", key, float)
-        if not noise_params:
+        if not noise_params and noise_kind == "gaussian":
             noise_params = {"sigma2": 0.09}
 
         cfg = cls(
@@ -261,8 +261,17 @@ def build_model(cfg: ExperimentConfig) -> SystemModel:
     else:
         gen = DenseUniformRegressors(cfg.l, cfg.regressor_bound)
     try:
+        expected = sorted(make_noise(cfg.noise_kind).params())
+    except ValueError as exc:
+        raise ValueError(f"noise: {exc}") from None
+    if sorted(cfg.noise_params) != expected:
+        raise ValueError(
+            f"noise.{expected[0]}: {cfg.noise_kind} noise takes {expected}, "
+            f"got {sorted(cfg.noise_params)}"
+        )
+    try:
         noise = make_noise(cfg.noise_kind, **cfg.noise_params)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"noise: {exc}") from None
     return SystemModel(theta, gen, noise, cfg.n_agents)
 
@@ -270,10 +279,7 @@ def build_model(cfg: ExperimentConfig) -> SystemModel:
 def build_schedule(cfg: ExperimentConfig, topology_seed) -> TopologySchedule:
     if cfg.weights not in _WEIGHT_SCHEMES:
         raise ValueError(f"topology.weights: unknown scheme {cfg.weights!r}")
-    if cfg.weights == "metropolis":
-        weight_fn = metropolis_weights
-    else:
-        weight_fn = lambda g: degree_weights(g)[0]  # noqa: E731
+    weight_fn = metropolis_weights if cfg.weights == "metropolis" else degree_weights
 
     kind = cfg.topology_kind
     if kind == "poisson":
@@ -362,23 +368,17 @@ def preflight(
     if model is None or schedule is None:
         return PreflightReport(errors, warnings_, None)
 
-    gen = model.regressor_for(1)
-    if model.uniform_regressor_kind() == "sparse-uniform":
-        covered = gen.coverage(model.n_agents)
-        missing = sorted(set(range(1, model.l + 1)) - covered)
+    if model.regressor.kind == "sparse-uniform":
+        missing = sorted(set(range(1, model.l + 1)) - model.regressor.coverage(model.n_agents))
         if missing:
             errors.append(
                 f"model.n_agents: sparse regressors leave coordinates {missing} unexcited"
             )
 
-    for i in range(1, model.n_agents + 1):
-        noise = model.noise_for(i)
-        if abs(float(noise.cdf(0.0)) - 0.5) > 1e-12:
-            errors.append(f"noise: agent {i} noise median is not zero")
-            break
-        if not float(noise.pdf(0.0)) > 0:
-            errors.append(f"noise: agent {i} density vanishes at zero")
-            break
+    if abs(float(model.noise.cdf(0.0)) - 0.5) > 1e-12:
+        errors.append("noise: median is not zero")
+    elif not float(model.noise.pdf(0.0)) > 0:
+        errors.append("noise: density vanishes at zero")
 
     report = validate_c4(schedule)
     if not report.connectivity_ok:
@@ -429,6 +429,8 @@ def read_trajectory_csv(path) -> Metrics:
     """Inverse of :func:`write_trajectory_csv`."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"empty trajectory file: {path}")
     header = lines[0].split(",")
     base = ["k", "sigma_max", "consensus_gap", "mean_error"]
     if header[: len(base)] != base:

@@ -2,8 +2,9 @@
 
 Every agent owns two independent generator streams (regressor draws and
 sensor noise), derived from one experiment seed via ``SeedSequence.spawn``.
-Draws are served one network column per step.  For homogeneous model kinds
-the columns are sliced out of a block cache; numpy generators produce
+Draws are served one network column per step.  For the built-in regressor
+kinds and the noise the columns are sliced out of a block cache filled by
+the model's own sampler (``draw`` or ``sample``); numpy generators produce
 identical values whether drawn one at a time or in batches, so the cache is
 purely a speed optimisation and never changes the stream.
 """
@@ -53,28 +54,17 @@ class StreamBank:
         Per-agent seeds (SeedSequence, int, or Generator each).
     draw:
         ``draw(gen, size)`` returning ``(size,)`` or ``(size, width)``
-        samples.  May also be a sequence with one callable per agent, e.g.
-        for heterogeneous noise models; all widths must agree.
+        samples; every agent draws with the same callable from its own
+        generator.
     block:
         Steps cached per refill.  Has no effect on the values served.
     """
 
-    def __init__(
-        self,
-        sequences: Sequence[SeedLike],
-        draw: Callable | Sequence[Callable],
-        block: int = 4096,
-    ):
+    def __init__(self, sequences: Sequence[SeedLike], draw: Callable, block: int = 4096):
         if block < 1:
             raise ValueError("block must be >= 1")
         self._gens = [as_generator(s) for s in sequences]
-        n = len(self._gens)
-        if callable(draw):
-            self._draws = [draw] * n
-        else:
-            self._draws = list(draw)
-            if len(self._draws) != n:
-                raise ValueError("need one draw callable per agent")
+        self._draw = draw
         self._block = int(block)
         self._cache: np.ndarray | None = None
         self._pos = 0
@@ -87,7 +77,7 @@ class StreamBank:
         # Step-major, so each step's column is one contiguous row.  A refill
         # binds a new array and never writes into the old one, so views
         # handed out earlier keep their values.
-        rows = [d(g, self._block) for g, d in zip(self._gens, self._draws)]
+        rows = [self._draw(g, self._block) for g in self._gens]
         self._cache = np.stack(rows, axis=1)
         self._cache.flags.writeable = False
         self._pos = 0
@@ -109,48 +99,28 @@ class ModelStreams:
     """Regressor and noise streams bound to a system model.
 
     Provides the two per-step draws the identification recursion consumes:
-    ``phi_step(k)`` (regressor batch) and ``noise_step()``.  Sparse and
-    dense homogeneous regressor kinds use block caches; custom samplers are
-    called one agent at a time against that agent's own generator.
+    ``phi_step(k)`` (regressor batch) and ``noise_step()``.  The sparse and
+    dense regressor kinds and the noise are block-cached through the
+    model's own ``draw`` and ``sample`` methods; custom samplers are called
+    one agent at a time against that agent's own generator.
     """
 
     def __init__(self, model, seed: int | np.random.SeedSequence, block: int = 4096):
         self.model = model
         n = model.n_agents
         seqs = spawn_agent_sequences(seed, n)
-
-        kind = model.uniform_regressor_kind()
-        self._kind = kind
-        if kind == "sparse-uniform":
+        gen = model.regressor
+        self._kind = gen.kind
+        if self._kind == "sparse-uniform":
             self._support = np.array(
-                [model.regressor_for(i).support_coordinate(i) - 1 for i in range(1, n + 1)],
-                dtype=np.intp,
+                [gen.support_coordinate(i) - 1 for i in range(1, n + 1)], dtype=np.intp
             )
             self._flat = np.arange(n) * model.l + self._support
-            self._phi_bank = StreamBank(
-                seqs["regressor"], lambda g, s: g.uniform(-1.0, 1.0, s), block
-            )
-        elif kind == "dense-uniform":
-            gens = [model.regressor_for(i) for i in range(1, n + 1)]
-            scales = np.array([g.bound / np.sqrt(g.l) for g in gens])
-            if not np.all(scales == scales[0]):
-                raise ValueError("dense banked streams need a common bound")
-            scale = float(scales[0])
-            l = model.l
-            self._phi_bank = StreamBank(
-                seqs["regressor"],
-                lambda g, s: g.uniform(-1.0, 1.0, (s, l)) * scale,
-                block,
-            )
+        if self._kind in ("sparse-uniform", "dense-uniform"):
+            self._phi_bank = StreamBank(seqs["regressor"], gen.draw, block)
         else:
-            # mixed or custom kinds: no banking, direct per-agent sampling
-            self._phi_bank = None
             self._phi_gens = [as_generator(s) for s in seqs["regressor"]]
-
-        noise_draws = [
-            (lambda g, s, m=model.noise_for(i): m.sample(g, s)) for i in range(1, n + 1)
-        ]
-        self._noise_bank = StreamBank(seqs["noise"], noise_draws, block)
+        self._noise_bank = StreamBank(seqs["noise"], model.noise.sample, block)
 
     @property
     def n_agents(self) -> int:
@@ -167,12 +137,8 @@ class ModelStreams:
             )
         if self._kind == "dense-uniform":
             return plant.PhiBatch(l=self.model.l, dense=self._phi_bank.column())
-        rows = np.stack(
-            [
-                self.model.regressor_for(i).sample(i, k, self._phi_gens[i - 1])
-                for i in range(1, self.model.n_agents + 1)
-            ]
-        )
+        gen = self.model.regressor
+        rows = np.stack([gen.sample(i, k, g) for i, g in enumerate(self._phi_gens, start=1)])
         return plant.PhiBatch(l=self.model.l, dense=rows)
 
     def noise_step(self) -> np.ndarray:

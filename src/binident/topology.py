@@ -14,7 +14,6 @@ receives from agent j; matrices are indexed ``w[i-1, j-1]``.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -23,8 +22,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .streams import as_generator
-
-logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +164,15 @@ def metropolis_weights(g: Digraph) -> WeightMatrix:
     return WeightMatrix(g, w)
 
 
-def degree_weights(g: Digraph, tol: float = 1e-9) -> tuple[WeightMatrix, bool]:
+def degree_weights(g: Digraph) -> WeightMatrix:
     """Uniform weights ``1/|N_i|`` over each agent's in-neighborhood.
 
-    Always row stochastic; returns ``(weights, doubly_stochastic)`` because
-    on most graphs the columns do not sum to one, which callers may need to
-    surface (the averaging guarantees assume double stochasticity).
+    Always row stochastic; on most graphs the columns do not sum to one, so
+    the averaging guarantees (which assume double stochasticity) do not
+    apply.  Check with :func:`is_doubly_stochastic`; preflight reports it.
     """
     adj = g.adjacency()
-    w = adj / adj.sum(axis=1, keepdims=True)
-    wm = WeightMatrix(g, w)
-    flag = is_doubly_stochastic(wm, tol)
-    if not flag:
-        logger.warning("degree weights are not doubly stochastic on this graph")
-    return wm, flag
+    return WeightMatrix(g, adj / adj.sum(axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +445,10 @@ def load_schedule(path) -> TopologySchedule:
             raise ValueError(f"bad triple line {ln!r}")
         if not blocks:
             raise ValueError("triple before any 'step' line")
-        blocks[-1].append((int(parts[0]), int(parts[1]), float(parts[2])))
+        j, i = int(parts[0]), int(parts[1])
+        if not (1 <= j <= n and 1 <= i <= n):
+            raise ValueError(f"agent id out of range 1..{n} in triple line {ln!r}")
+        blocks[-1].append((j, i, float(parts[2])))
 
     pairs = []
     for triples in blocks:

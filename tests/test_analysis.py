@@ -12,8 +12,8 @@ DENSITY_AT_ZERO = 1.329807601338109  # gaussian sigma^2 = 0.09
 def _ctx(n_agents=100, l=8, noise=None, star=None):
     model = bi.SystemModel(
         theta_star=bi.graded_theta_star(l) if star is None else star,
-        regressors=bi.SparseUniformRegressors(l),
-        noises=noise or bi.GaussianNoise(0.09),
+        regressor=bi.SparseUniformRegressors(l),
+        noise=noise or bi.GaussianNoise(0.09),
         n_agents=n_agents,
     )
     return bi.RegressionContext(model)

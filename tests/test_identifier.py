@@ -14,8 +14,8 @@ STAR4 = np.array([0.5, -0.4, 0.3, -0.35])
 def _sparse_model(n_agents, l, noise=None, star=None):
     return bi.SystemModel(
         theta_star=bi.graded_theta_star(l) if star is None else star,
-        regressors=bi.SparseUniformRegressors(l),
-        noises=noise or bi.GaussianNoise(0.09),
+        regressor=bi.SparseUniformRegressors(l),
+        noise=noise or bi.GaussianNoise(0.09),
         n_agents=n_agents,
     )
 

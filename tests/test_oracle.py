@@ -13,8 +13,8 @@ STAR4 = np.array([0.5, -0.4, 0.3, -0.35])
 def _model(n_agents=100, l=8, noise=None, star=None):
     return bi.SystemModel(
         theta_star=bi.graded_theta_star(l) if star is None else star,
-        regressors=bi.SparseUniformRegressors(l),
-        noises=noise or bi.GaussianNoise(0.09),
+        regressor=bi.SparseUniformRegressors(l),
+        noise=noise or bi.GaussianNoise(0.09),
         n_agents=n_agents,
     )
 

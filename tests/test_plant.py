@@ -130,6 +130,33 @@ def test_dense_bound_must_be_finite_and_positive():
             bi.DenseUniformRegressors(2, bound=bound)
 
 
+@pytest.mark.parametrize(
+    "gen",
+    [
+        bi.SparseUniformRegressors(3),
+        bi.SparseUniformRegressors(3, support=(3, 1, 1, 2)),
+        bi.DenseUniformRegressors(3, bound=2.5),
+    ],
+    ids=["sparse", "sparse-pinned", "dense"],
+)
+def test_block_draw_equals_successive_samples(gen):
+    """One block ``draw`` is the same law, and the same numbers, as that
+    many ``sample`` calls: the stream cache depends on it."""
+    m = 64
+    for agent in (1, 2, 4):
+        block = gen.draw(np.random.default_rng(agent), m)
+        rng = np.random.default_rng(agent)
+        rows = np.stack([gen.sample(agent, k, rng) for k in range(1, m + 1)])
+        if gen.kind == "sparse-uniform":
+            col = gen.support_coordinate(agent) - 1
+            assert block.shape == (m,)
+            assert np.array_equal(rows[:, col], block)
+            assert not np.delete(rows, col, axis=1).any()
+        else:
+            assert block.shape == (m, gen.l)
+            assert np.array_equal(rows, block)
+
+
 def test_custom_bounded_enforces_bound():
     ok = bi.CustomBoundedRegressors(2, 1.0, lambda a, k, g: np.array([0.6, 0.0]))
     assert np.array_equal(ok.sample(1, 1, np.random.default_rng(0)), [0.6, 0.0])
@@ -250,16 +277,19 @@ def test_system_model_validation():
         )
 
 
-def test_system_model_per_agent_lookup():
-    gens = [bi.SparseUniformRegressors(2), bi.DenseUniformRegressors(2)]
-    noises = [bi.GaussianNoise(1.0), bi.UniformNoise(1.0)]
-    m = bi.SystemModel(np.ones(2), gens, noises, 2)
-    assert m.regressor_for(1) is gens[0] and m.regressor_for(2) is gens[1]
-    assert m.noise_for(2) is noises[1]
-    assert m.uniform_regressor_kind() is None
-    shared = bi.SystemModel(np.ones(2), gens[0], noises[0], 3)
-    assert shared.uniform_regressor_kind() == "sparse-uniform"
-    assert shared.regressor_for(3) is gens[0]
+def test_system_model_holds_one_shared_generator_and_noise():
+    gen, noise = bi.SparseUniformRegressors(2), bi.GaussianNoise(1.0)
+    m = bi.SystemModel(np.ones(2), gen, noise, 3)
+    assert m.regressor is gen and m.noise is noise
+
+
+def test_system_model_rejects_per_agent_lists():
+    gens = [bi.SparseUniformRegressors(2), bi.SparseUniformRegressors(2)]
+    noises = [bi.GaussianNoise(1.0), bi.GaussianNoise(1.0)]
+    with pytest.raises(ValueError, match="^regressor: expected one RegressorGenerator, got list"):
+        bi.SystemModel(np.ones(2), gens, noises[0], 2)
+    with pytest.raises(ValueError, match="^noise: expected one NoiseModel, got list"):
+        bi.SystemModel(np.ones(2), gens[0], noises, 2)
 
 
 def test_theta_star_frozen():

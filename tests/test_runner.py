@@ -142,6 +142,31 @@ def test_from_ini_defaults(tmp_path):
     assert cfg.gain == 1.0 and cfg.radii == "linear"
 
 
+def test_from_ini_laplace_without_scale_names_the_missing_key(tmp_path):
+    path = tmp_path / "laplace.ini"
+    path.write_text(
+        "[model]\nn_agents = 8\nl = 4\n[run]\nsteps = 10\nseed = 0\n[noise]\nkind = laplace\n"
+    )
+    cfg = ExperimentConfig.from_ini(path)
+    assert cfg.noise_params == {}
+    with pytest.raises(ValueError, match=r"^noise\.scale: laplace noise takes \['scale'\], got \[\]"):
+        bi.build_model(cfg)
+    path.write_text(
+        "[model]\nn_agents = 8\nl = 4\n[run]\nsteps = 10\nseed = 0\n"
+        "[noise]\nkind = laplace\nscale = 0.3\n"
+    )
+    assert bi.build_model(ExperimentConfig.from_ini(path)).noise == bi.LaplaceNoise(0.3)
+
+
+def test_build_model_gaussian_with_scale_names_the_expected_key():
+    cfg = small_config(noise_kind="gaussian", noise_params={"scale": 0.3})
+    with pytest.raises(
+        ValueError, match=r"^noise\.sigma2: gaussian noise takes \['sigma2'\], got \['scale'\]"
+    ):
+        bi.build_model(cfg)
+    assert "noise.sigma2: gaussian noise takes ['sigma2'], got ['scale']" in preflight(cfg).errors
+
+
 def test_from_ini_algorithm_section(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text(
@@ -184,13 +209,13 @@ def test_from_ini_rejects_bad_boolean(tmp_path):
 
 def test_build_model_sparse_default():
     model = bi.build_model(small_config())
-    assert isinstance(model.regressor_for(1), bi.SparseUniformRegressors)
-    assert model.noise_for(1).params() == {"sigma2": 0.01}
+    assert isinstance(model.regressor, bi.SparseUniformRegressors)
+    assert model.noise.params() == {"sigma2": 0.01}
 
 
 def test_build_model_dense_bound():
     cfg = small_config(regressor_kind="dense-uniform", regressor_bound=2.0)
-    gen = bi.build_model(cfg).regressor_for(3)
+    gen = bi.build_model(cfg).regressor
     assert isinstance(gen, bi.DenseUniformRegressors)
     assert gen.bound == 2.0
 
@@ -347,12 +372,25 @@ def test_preflight_rejects_sparse_regressor_bound_other_than_one():
 
 def _star_schedule_file(tmp_path):
     g = from_undirected_pairs(3, [(1, 2), (1, 3)])
-    w, ds = degree_weights(g)
-    assert not ds
+    w = degree_weights(g)
+    assert not bi.is_doubly_stochastic(w)
     sched = bi.TopologySchedule.periodic([(g, w)] * 3, B=1)
     path = tmp_path / "star.schedule"
     dump_schedule(sched, path)
     return path
+
+
+@pytest.mark.parametrize("triple", ["1 4 0.5", "0 2 0.5"])
+def test_preflight_rejects_schedule_agent_ids_out_of_range(tmp_path, triple):
+    path = tmp_path / "bad.schedule"
+    path.write_text(f"3 1 static\nstep 1\n1 1 0.5\n{triple}\n")
+    cfg = small_config(
+        n_agents=3, l=2, theta_star=(0.5, -0.4), topology_kind="file", period=None,
+        schedule_file=str(path),
+    )
+    with pytest.raises(ValueError, match="agent id out of range"):
+        bi.build_schedule(cfg, np.random.SeedSequence(0))
+    assert f"agent id out of range 1..3 in triple line {triple!r}" in preflight(cfg).errors
 
 
 def test_preflight_degree_weights_downgrade_to_warning(tmp_path):
@@ -409,7 +447,7 @@ def test_preflight_rejects_biased_noise():
         np.array(STAR4), bi.SparseUniformRegressors(4), _ShiftedNoise(), 8
     )
     rep = preflight(cfg, model=model)
-    assert "noise: agent 1 noise median is not zero" in rep.errors
+    assert "noise: median is not zero" in rep.errors
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +500,13 @@ def test_read_trajectory_rejects_ragged_rows(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("k,sigma_max,consensus_gap,mean_error\n1,0,0.0\n")
     with pytest.raises(ValueError, match="ragged"):
+        read_trajectory_csv(path)
+
+
+def test_read_trajectory_rejects_empty_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty trajectory file: .*t.csv"):
         read_trajectory_csv(path)
 
 

@@ -15,8 +15,8 @@ def _model(n_agents=4, l=3, kind="sparse", noise=None):
         gen = bi.CustomBoundedRegressors(l, 1.0, lambda a, k, g: g.uniform(-0.5, 0.5, l))
     return bi.SystemModel(
         theta_star=np.arange(1.0, l + 1.0),
-        regressors=gen,
-        noises=noise or bi.GaussianNoise(0.25),
+        regressor=gen,
+        noise=noise or bi.GaussianNoise(0.25),
         n_agents=n_agents,
     )
 
@@ -126,23 +126,3 @@ def test_model_streams_different_seeds_differ():
     a = bi.ModelStreams(model, 1)
     b = bi.ModelStreams(model, 2)
     assert not np.array_equal(a.phi_step(1).eta, b.phi_step(1).eta)
-
-
-def test_heterogeneous_noise_streams_follow_each_model():
-    model = bi.SystemModel(
-        theta_star=np.ones(2),
-        regressors=bi.SparseUniformRegressors(2),
-        noises=[bi.UniformNoise(1.0), bi.GaussianNoise(1.0)],
-        n_agents=2,
-    )
-    streams = bi.ModelStreams(model, 4)
-    draws = np.array([streams.noise_step() for _ in range(5_000)])
-    assert np.abs(draws[:, 0]).max() <= 1.0  # uniform support
-    assert np.abs(draws[:, 1]).max() > 1.5  # gaussian tails escape it
-
-
-def test_dense_streams_need_common_bound():
-    gens = [bi.DenseUniformRegressors(2, 1.0), bi.DenseUniformRegressors(2, 2.0)]
-    model = bi.SystemModel(np.ones(2), gens, bi.GaussianNoise(1.0), 2)
-    with pytest.raises(ValueError):
-        bi.ModelStreams(model, 0)

@@ -1,5 +1,10 @@
 """Graphs, weight schemes, schedules, mixing decay, serialization."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,8 @@ from reference import (
     reference_backward_product,
     reference_strongly_connected,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -129,23 +136,42 @@ def test_metropolis_doubly_stochastic_on_random_graphs(n, p, seed):
 
 
 def test_degree_weights_regular_graph_is_doubly_stochastic():
-    wm, ds = bi.degree_weights(bi.complete_graph(2))
-    assert ds
+    wm = bi.degree_weights(bi.complete_graph(2))
+    assert bi.is_doubly_stochastic(wm)
     assert np.array_equal(wm.w, np.full((2, 2), 0.5))
 
 
 def test_degree_weights_path_graph_column_sums():
     g = bi.from_undirected_pairs(3, [(1, 2), (2, 3)])
-    wm, ds = bi.degree_weights(g)
-    assert not ds
+    wm = bi.degree_weights(g)
+    assert not bi.is_doubly_stochastic(wm)
     assert np.allclose(wm.w.sum(axis=1), 1.0)
     assert np.allclose(wm.w.sum(axis=0), [5 / 6, 4 / 3, 5 / 6])
 
 
 def test_degree_weights_single_agent():
-    wm, ds = bi.degree_weights(bi.complete_graph(1))
-    assert ds
+    wm = bi.degree_weights(bi.complete_graph(1))
+    assert bi.is_doubly_stochastic(wm)
     assert np.array_equal(wm.w, [[1.0]])
+
+
+def test_degree_weights_write_nothing_to_stderr():
+    """Preflight reports row-only stochasticity; the weights stay silent,
+    also with no logging handler configured."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import binident as bi\n"
+        "wm = bi.degree_weights(bi.from_undirected_pairs(3, [(1, 2), (2, 3)]))\n"
+        "assert not bi.is_doubly_stochastic(wm)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_is_doubly_stochastic_cases():

@@ -1,0 +1,105 @@
+"""Print artifact digests for a fixed set of runs, to check a refactor.
+
+For each of 19 configs it runs ``run_experiment`` into a temporary
+directory and prints one line: the config name, the SHA-256 of
+``trajectory.csv`` and the SHA-256 of ``summary.json`` with ``wall_time_s``
+removed.  No golden values are stored, because BLAS may round differently
+on another host.  To check that a change keeps the artifacts, run the
+script in a checkout of the parent and in the change, on the same machine,
+and diff the two outputs:
+
+    python3 tools/artifact_digests.py > before.txt    # in the parent
+    python3 tools/artifact_digests.py > after.txt     # in the change
+    diff before.txt after.txt
+
+The configs:
+
+- ``preset_v`` seeds 101, 202 and 303 (gain 16, doubling radii) and seed 7
+  at gain 1 with linear radii, 2e4 steps each;
+- the acceptance suite's partitioned ring (8 agents, l = 4) at 2e4 steps,
+  seeds 1-5;
+- the same ring at 3000 steps, seeds 1-5, with sparse regressors, stride 10
+  and per-agent errors recorded;
+- the same ring at 3000 steps, seeds 1-5, with dense regressors, Laplace
+  noise, gain 3, doubling radii and stride 1.
+
+The script imports ``binident`` from the ``src`` directory next to it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import binident as bi  # noqa: E402
+
+RING_STAR = (0.5, -0.4, 0.3, -0.35)
+
+
+def ring_config(seed: int, steps: int) -> bi.ExperimentConfig:
+    """The partitioned ring of the acceptance suite."""
+    return bi.ExperimentConfig(
+        n_agents=8,
+        l=4,
+        steps=steps,
+        seed=seed,
+        stride=1000,
+        theta_star=RING_STAR,
+        topology_kind="partitioned-ring",
+        period=4,
+        window=4,
+        noise_kind="gaussian",
+        noise_params={"sigma2": 0.01},
+    )
+
+
+def configs() -> list[tuple[str, bi.ExperimentConfig]]:
+    out = [(f"preset-v-{s}", bi.preset_v(seed=s, steps=20_000)) for s in (101, 202, 303)]
+    out.append(("preset-v-7-gain1-linear", replace(bi.preset_v(seed=7, steps=20_000), gain=1.0, radii="linear")))
+    out += [(f"ring-{s}", ring_config(s, 20_000)) for s in range(1, 6)]
+    out += [
+        (f"ring-sparse-{s}", replace(ring_config(s, 3000), stride=10, record_agent_errors=True))
+        for s in range(1, 6)
+    ]
+    out += [
+        (
+            f"ring-dense-{s}",
+            replace(
+                ring_config(s, 3000),
+                stride=1,
+                regressor_kind="dense-uniform",
+                noise_kind="laplace",
+                noise_params={"scale": 0.1},
+                gain=3.0,
+                radii="doubling",
+            ),
+        )
+        for s in range(1, 6)
+    ]
+    return out
+
+
+def digests(cfg: bi.ExperimentConfig) -> tuple[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        bi.run_experiment(replace(cfg, out=tmp))
+        trajectory = (Path(tmp) / "trajectory.csv").read_bytes()
+        summary = json.loads((Path(tmp) / "summary.json").read_text(encoding="utf-8"))
+    summary.pop("wall_time_s")
+    summary_bytes = json.dumps(summary, indent=2).encode("utf-8")
+    return hashlib.sha256(trajectory).hexdigest(), hashlib.sha256(summary_bytes).hexdigest()
+
+
+def main() -> None:
+    for name, cfg in configs():
+        trajectory, summary = digests(cfg)
+        print(name, trajectory, summary, flush=True)
+
+
+if __name__ == "__main__":
+    main()
