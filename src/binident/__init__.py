@@ -40,7 +40,6 @@ from .oracle import (
     solve_root,
 )
 from .plant import (
-    CustomBoundedRegressors,
     DenseUniformRegressors,
     GaussianNoise,
     LaplaceNoise,

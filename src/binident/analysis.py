@@ -7,8 +7,8 @@ The mean correction field driving the recursion is
 with F the CDF of the noise model all agents share.  Its unique root is
 the true parameter, which is what makes the one-bit scheme consistent.
 For the sparse one-coordinate-per-agent regressor kind f decouples per
-coordinate and is evaluated by Gauss-Legendre quadrature; other kinds fall
-back to Monte Carlo.  Also here: consensus/error metrics and the strided
+coordinate and is evaluated by Gauss-Legendre quadrature; the dense kind
+falls back to Monte Carlo.  Also here: consensus/error metrics and the strided
 trajectory recorder used by runs.
 """
 
@@ -37,10 +37,10 @@ class RegressionContext:
     """Precomputed structure for evaluating the mean correction field.
 
     Closed-form quadrature is available when the model's shared regressor
-    generator is the sparse one-coordinate kind; ``supports`` then holds
-    each agent's 0-based active coordinate.  Anything else routes through
-    Monte Carlo with ``mc_fallback_samples`` draws from a generator seeded
-    with ``mc_fallback_seed`` (deterministic fallback, with a warning).
+    generator is the sparse one-coordinate kind (``model.supports`` is
+    set).  The dense kind routes through Monte Carlo with
+    ``mc_fallback_samples`` draws from a generator seeded with
+    ``mc_fallback_seed`` (deterministic fallback, with a warning).
     """
 
     model: SystemModel
@@ -51,16 +51,7 @@ class RegressionContext:
     def __post_init__(self):
         if self.quad_nodes < 2:
             raise ValueError("quad_nodes must be >= 2")
-        gen = self.model.regressor
-        closed = gen.kind == "sparse-uniform"
-        object.__setattr__(self, "closed_form", closed)
-        supports = None
-        if closed:
-            supports = np.array(
-                [gen.support_coordinate(i) - 1 for i in range(1, self.model.n_agents + 1)],
-                dtype=np.intp,
-            )
-        object.__setattr__(self, "supports", supports)
+        object.__setattr__(self, "closed_form", self.model.supports is not None)
 
     @property
     def l(self) -> int:
@@ -79,19 +70,20 @@ def regression_function(ctx: RegressionContext, theta: np.ndarray) -> np.ndarray
         raise ValueError(f"theta must have shape ({ctx.l},)")
     if not ctx.closed_form:
         warnings.warn(
-            "no closed form for these regressor kinds; using Monte Carlo fallback",
+            "no closed form for this regressor kind; using Monte Carlo fallback",
             stacklevel=2,
         )
         est = regression_function_mc(
             ctx, theta, ctx.mc_fallback_samples, np.random.default_rng(ctx.mc_fallback_seed)
         )
         return est.value
+    sup = ctx.model.supports
     x, wq = _gauss_legendre(ctx.quad_nodes)
-    delta = theta[ctx.supports] - ctx.model.theta_star[ctx.supports]
+    delta = theta[sup] - ctx.model.theta_star[sup]
     out = np.zeros(ctx.l)
     args = np.outer(delta, x)                               # (agents, nodes)
     vals = (1.0 - 2.0 * ctx.model.noise.cdf(args)) * (0.5 * x)
-    np.add.at(out, ctx.supports, vals @ wq)
+    np.add.at(out, sup, vals @ wq)
     return out
 
 
@@ -105,42 +97,32 @@ def regression_jacobian(ctx: RegressionContext, theta: np.ndarray) -> np.ndarray
     if not ctx.closed_form:
         raise ValueError("general-theta Jacobian needs the sparse regressor kind")
     theta = np.asarray(theta, dtype=np.float64)
+    sup = ctx.model.supports
     x, wq = _gauss_legendre(ctx.quad_nodes)
-    delta = theta[ctx.supports] - ctx.model.theta_star[ctx.supports]
+    delta = theta[sup] - ctx.model.theta_star[sup]
     diag = np.zeros(ctx.l)
     args = np.outer(delta, x)
-    np.add.at(diag, ctx.supports, (ctx.model.noise.pdf(args) * (x * x)) @ wq)
+    np.add.at(diag, sup, (ctx.model.noise.pdf(args) * (x * x)) @ wq)
     return np.diag(diag)
 
 
 def jacobian_at_root(ctx: RegressionContext) -> np.ndarray:
     """Curvature ``sum_i 2 f(0) E[phi_i phi_i']`` of -f at the root.
 
-    ``f`` is the density of the shared noise model.  Closed form for the
-    sparse kind (diagonal, second moment 1/3 on each agent's active
-    coordinate) and the dense-uniform kind (``n bound^2/(3l)`` times the
-    identity); custom regressors estimate the second-moment matrix by
-    Monte Carlo, agent by agent, with a warning.
+    ``f`` is the density of the shared noise model.  Closed form for both
+    regressor kinds: diagonal for the sparse kind (second moment 1/3 on
+    each agent's active coordinate), ``n bound^2/(3l)`` times the identity
+    for the dense kind.
     """
     model = ctx.model
-    gen = model.regressor
     l = ctx.l
     dens = 2.0 * float(model.noise.pdf(0.0))
-    if gen.kind == "sparse-uniform":
+    sup = model.supports
+    if sup is not None:
         out = np.zeros((l, l))
-        np.add.at(out, (ctx.supports, ctx.supports), dens / 3.0)
+        np.add.at(out, (sup, sup), dens / 3.0)
         return out
-    if gen.kind == "dense-uniform":
-        return (model.n_agents * dens * gen.bound**2 / (3.0 * l)) * np.eye(l)
-    warnings.warn("custom regressors: estimating second moments by Monte Carlo", stacklevel=2)
-    rng = np.random.default_rng(ctx.mc_fallback_seed)
-    per_agent = max(1_000, ctx.mc_fallback_samples // model.n_agents)
-    acc = np.zeros((l, l))
-    for i in range(1, model.n_agents + 1):
-        for s in range(per_agent):
-            phi = gen.sample(i, s + 1, rng)
-            acc += np.outer(phi, phi)
-    return dens * acc / per_agent
+    return (model.n_agents * dens * model.regressor.bound**2 / (3.0 * l)) * np.eye(l)
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +147,15 @@ def regression_function_mc(
 
     Independent of the quadrature route: draws raw regressor/noise samples
     and averages ``phi_i * sign(y_i - phi_i' theta)``.  The generator is
-    consumed agent by agent within each chunk (deterministic given ``rng``,
-    unrelated to run streams).
+    consumed agent by agent within each chunk, noise before regressor
+    (deterministic given ``rng``, unrelated to run streams).
     """
     theta = np.asarray(theta, dtype=np.float64)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = as_generator(rng)
     model = ctx.model
-    gen, noise = model.regressor, model.noise
+    gen, noise, sup = model.regressor, model.noise, model.supports
     l = ctx.l
     tstar = model.theta_star
     total = np.zeros(l)
@@ -182,22 +164,17 @@ def regression_function_mc(
     while done < samples:
         chunk = min(_CHUNK, samples - done)
         x_rows = np.zeros((chunk, l))
-        for i in range(1, model.n_agents + 1):
+        for i in range(model.n_agents):
             d = noise.sample(rng, chunk)
-            if gen.kind == "sparse-uniform":
-                m = gen.support_coordinate(i) - 1
+            if sup is not None:
+                m = sup[i]
                 eta = gen.draw(rng, chunk)
                 s = sign_pm(eta * tstar[m] + d - eta * theta[m])
                 x_rows[:, m] += eta * s
-            elif gen.kind == "dense-uniform":
+            else:
                 rows = gen.draw(rng, chunk)
                 s = sign_pm(rows @ (tstar - theta) + d)
                 x_rows += rows * s[:, None]
-            else:
-                for c in range(chunk):
-                    phi = gen.sample(i, done + c + 1, rng)
-                    s = sign_pm(phi @ (tstar - theta) + d[c])
-                    x_rows[c] += phi * s
         total += x_rows.sum(axis=0)
         total_sq += (x_rows * x_rows).sum(axis=0)
         done += chunk

@@ -366,6 +366,9 @@ def run(
 # ---------------------------------------------------------------------------
 # invariant monitoring
 
+_MAX_RECORDED_VIOLATIONS = 10      # messages kept; ``count`` has them all
+
+
 class InvariantMonitor:
     """Run sink checking per-step invariants of the recursion.
 
@@ -377,19 +380,18 @@ class InvariantMonitor:
     inside the step).
     """
 
-    def __init__(self, max_recorded: int = 10, radii: str = "linear"):
+    def __init__(self, radii: str = "linear"):
         check_radii(radii)
         self.radii = radii
         self.violations: list[str] = []
         self.count = 0
         self.steps = 0
-        self._cap = max_recorded
         self._sigma = None          # counters the cached squared radii belong to
         self._radii_sq = None
 
     def _record(self, msg: str) -> None:
         self.count += 1
-        if len(self.violations) < self._cap:
+        if len(self.violations) < _MAX_RECORDED_VIOLATIONS:
             self.violations.append(msg)
 
     def __call__(self, prev: NetworkSnapshot, new: NetworkSnapshot) -> None:

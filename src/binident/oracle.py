@@ -15,12 +15,7 @@ import numpy as np
 
 from .analysis import RegressionContext, regression_function, regression_jacobian
 from .identifier import run
-from .plant import (
-    CustomBoundedRegressors,
-    DenseUniformRegressors,
-    SparseUniformRegressors,
-    SystemModel,
-)
+from .plant import SparseUniformRegressors, SystemModel
 from .streams import ModelStreams
 from .topology import TopologySchedule, complete_graph, metropolis_weights
 
@@ -173,17 +168,9 @@ def identifiability_probe(
     """
     if not 1 <= agent <= model.n_agents:
         raise ValueError(f"agent must lie in 1..{model.n_agents}")
-    base = model.regressor
-    if isinstance(base, SparseUniformRegressors):
-        sub_gen: object = SparseUniformRegressors(
-            base.l, support=(base.support_coordinate(agent),)
-        )
-    elif isinstance(base, DenseUniformRegressors):
-        sub_gen = base
-    else:
-        sub_gen = CustomBoundedRegressors(
-            base.l, base.bound, lambda _a, k, g: base.sample(agent, k, g)
-        )
+    sub_gen = model.regressor
+    if model.supports is not None:
+        sub_gen = SparseUniformRegressors(model.l, support=(int(model.supports[agent - 1]) + 1,))
     submodel = SystemModel(model.theta_star, sub_gen, model.noise, 1)
     g = complete_graph(1)
     schedule = TopologySchedule.static(g, metropolis_weights(g))

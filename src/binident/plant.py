@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
@@ -135,14 +134,19 @@ def make_noise(kind: str, **params) -> NoiseModel:
 # regressor generators
 
 class RegressorGenerator:
-    """Bounded stationary regressor process for one or more agents."""
+    """Bounded stationary regressor law shared by every agent.
+
+    ``draw(rng, size=None)`` is the one way to sample it, from one agent's
+    generator: the sparse kind returns amplitudes on the agent's active
+    coordinate (see :attr:`SystemModel.supports`), the dense kind full
+    rows with ``||phi|| <= bound``.
+    """
 
     kind = "abstract"
     l: int
     bound: float
 
-    def sample(self, agent: int, k: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw phi_{agent,k}: an ``(l,)`` vector with ``||phi|| <= bound``."""
+    def draw(self, rng: np.random.Generator, size=None) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -151,7 +155,8 @@ class SparseUniformRegressors(RegressorGenerator):
     """One active coordinate per agent with uniform amplitude on [-1, 1].
 
     Agent i excites coordinate ``((i - 1) mod l) + 1`` unless an explicit
-    per-agent ``support`` tuple overrides the rule.  The norm bound is 1.
+    per-agent ``support`` tuple (1-based, one entry per agent) overrides
+    the rule.  The norm bound is 1.
     """
 
     l: int
@@ -171,24 +176,9 @@ class SparseUniformRegressors(RegressorGenerator):
     def bound(self) -> float:
         return 1.0
 
-    def support_coordinate(self, agent: int) -> int:
-        """1-based coordinate excited by this agent."""
-        if self.support is not None:
-            return self.support[agent - 1]
-        return (agent - 1) % self.l + 1
-
-    def coverage(self, n_agents: int) -> set[int]:
-        """Coordinates excited by at least one of agents 1..n_agents."""
-        return {self.support_coordinate(i) for i in range(1, n_agents + 1)}
-
     def draw(self, rng, size=None):
         """Amplitudes on the active coordinate, iid uniform on [-1, 1]."""
         return rng.uniform(-1.0, 1.0, size)
-
-    def sample(self, agent, k, rng):
-        phi = np.zeros(self.l)
-        phi[self.support_coordinate(agent) - 1] = self.draw(rng)
-        return phi
 
 
 @dataclass(frozen=True)
@@ -209,33 +199,6 @@ class DenseUniformRegressors(RegressorGenerator):
         """One row, or ``(size, l)`` rows, of scaled iid uniform entries."""
         shape = self.l if size is None else (size, self.l)
         return rng.uniform(-1.0, 1.0, shape) * (self.bound / math.sqrt(self.l))
-
-    def sample(self, agent, k, rng):
-        return self.draw(rng)
-
-
-@dataclass(frozen=True)
-class CustomBoundedRegressors(RegressorGenerator):
-    """User-supplied sampler hook, e.g. for dependent (mixing) processes.
-
-    ``sampler(agent, k, rng)`` must return a finite ``(l,)`` vector; the
-    norm bound is enforced on every draw.
-    """
-
-    l: int
-    bound: float
-    sampler: Callable[[int, int, np.random.Generator], np.ndarray]
-    kind = "custom-bounded"
-
-    def sample(self, agent, k, rng):
-        phi = np.asarray(self.sampler(agent, k, rng), dtype=np.float64)
-        if phi.shape != (self.l,):
-            raise ValueError(f"sampler returned shape {phi.shape}, expected ({self.l},)")
-        if not np.isfinite(phi).all():
-            raise ValueError("sampler returned non-finite values")
-        if float(phi @ phi) > self.bound**2 * (1.0 + 1e-12):
-            raise ValueError("sampler exceeded the declared norm bound")
-        return phi
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +303,17 @@ class SystemModel:
     """True parameter plus the regressor generator and noise model that
     every agent shares.
 
-    Agents differ only in their random streams (and, for the sparse kind,
-    in the coordinate they excite), never in the law they draw from.
+    Agents differ only in their random streams and, for the sparse kind,
+    in the coordinate they excite: ``supports[i - 1]`` is agent i's 0-based
+    active coordinate (a read-only ``(n_agents,)`` intp array, from the
+    generator's index rule or its pinned ``support``); ``None`` for dense.
     """
 
     theta_star: np.ndarray
     regressor: RegressorGenerator
     noise: NoiseModel
     n_agents: int
+    supports: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         theta = np.array(self.theta_star, dtype=np.float64)
@@ -361,8 +327,22 @@ class SystemModel:
             val = getattr(self, name)
             if not isinstance(val, cls):
                 raise ValueError(f"{name}: expected one {cls.__name__}, got {type(val).__name__}")
-        if self.regressor.l != self.l:
+        gen = self.regressor
+        if gen.l != self.l:
             raise ValueError("regressor dimension does not match theta_star")
+        supports = None
+        if isinstance(gen, SparseUniformRegressors):
+            if gen.support is None:
+                supports = np.arange(self.n_agents, dtype=np.intp) % self.l
+            elif len(gen.support) != self.n_agents:
+                raise ValueError(
+                    f"regressor: pinned support has {len(gen.support)} entries "
+                    f"for {self.n_agents} agents"
+                )
+            else:
+                supports = np.array(gen.support, dtype=np.intp) - 1
+            supports.flags.writeable = False
+        object.__setattr__(self, "supports", supports)
 
     @property
     def l(self) -> int:

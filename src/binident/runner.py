@@ -243,8 +243,7 @@ class ExperimentConfig:
 def build_model(cfg: ExperimentConfig) -> SystemModel:
     if cfg.regressor_kind not in _REGRESSOR_KINDS:
         raise ValueError(
-            f"regressor.kind: unknown kind {cfg.regressor_kind!r}; config files support "
-            f"{_REGRESSOR_KINDS} (custom hooks are library-level)"
+            f"regressor.kind: unknown kind {cfg.regressor_kind!r}; one of {_REGRESSOR_KINDS}"
         )
     theta = cfg.resolved_theta_star()
     if cfg.regressor_kind == "sparse-uniform":
@@ -298,7 +297,14 @@ def build_schedule(cfg: ExperimentConfig, topology_seed) -> TopologySchedule:
     elif kind == "file":
         if cfg.schedule_file is None:
             raise ValueError("topology.file: required for kind=file")
-        sched = load_schedule(cfg.schedule_file)
+        try:
+            sched = load_schedule(cfg.schedule_file)
+        except OSError as exc:
+            raise ValueError(
+                f"topology.file: cannot read {cfg.schedule_file}: {exc.strerror or exc}"
+            ) from None
+        except ValueError as exc:
+            raise ValueError(f"topology.file: {exc}") from None
         if sched.n_agents != cfg.n_agents:
             raise ValueError(
                 f"topology.file: schedule has {sched.n_agents} agents, config says {cfg.n_agents}"
@@ -368,8 +374,8 @@ def preflight(
     if model is None or schedule is None:
         return PreflightReport(errors, warnings_, None)
 
-    if model.regressor.kind == "sparse-uniform":
-        missing = sorted(set(range(1, model.l + 1)) - model.regressor.coverage(model.n_agents))
+    if model.supports is not None:
+        missing = (np.setdiff1d(np.arange(model.l), model.supports) + 1).tolist()
         if missing:
             errors.append(
                 f"model.n_agents: sparse regressors leave coordinates {missing} unexcited"

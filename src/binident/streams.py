@@ -2,11 +2,11 @@
 
 Every agent owns two independent generator streams (regressor draws and
 sensor noise), derived from one experiment seed via ``SeedSequence.spawn``.
-Draws are served one network column per step.  For the built-in regressor
-kinds and the noise the columns are sliced out of a block cache filled by
-the model's own sampler (``draw`` or ``sample``); numpy generators produce
-identical values whether drawn one at a time or in batches, so the cache is
-purely a speed optimisation and never changes the stream.
+Draws are served one network column per step, sliced out of a block cache
+filled by the model's own samplers (the regressor's ``draw`` and the
+noise's ``sample``); numpy generators produce identical values whether
+drawn one at a time or in batches, so the cache is purely a speed
+optimisation and never changes the stream.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from . import plant
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
+_ROLES = ("regressor", "noise")
+
 
 def as_generator(seed: SeedLike) -> np.random.Generator:
     """Coerce an int seed, SeedSequence, or Generator into a Generator."""
@@ -30,19 +32,18 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
 
 
 def spawn_agent_sequences(
-    seed: int | np.random.SeedSequence,
-    n_agents: int,
-    roles: Sequence[str] = ("regressor", "noise"),
+    seed: int | np.random.SeedSequence, n_agents: int
 ) -> dict[str, list[np.random.SeedSequence]]:
     """Derive one child SeedSequence per (role, agent) from a root seed.
 
-    The layout is role-major: the root spawns one child per role, and each
-    role child spawns one sequence per agent.  Spawning is deterministic, so
-    the same seed always yields the same family of streams.
+    The roles are ``regressor`` and ``noise``.  The layout is role-major:
+    the root spawns one child per role, and each role child spawns one
+    sequence per agent.  Spawning is deterministic, so the same seed always
+    yields the same family of streams.
     """
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(len(roles))
-    return {role: child.spawn(n_agents) for role, child in zip(roles, children)}
+    children = root.spawn(len(_ROLES))
+    return {role: child.spawn(n_agents) for role, child in zip(_ROLES, children)}
 
 
 class StreamBank:
@@ -99,27 +100,19 @@ class ModelStreams:
     """Regressor and noise streams bound to a system model.
 
     Provides the two per-step draws the identification recursion consumes:
-    ``phi_step(k)`` (regressor batch) and ``noise_step()``.  The sparse and
-    dense regressor kinds and the noise are block-cached through the
-    model's own ``draw`` and ``sample`` methods; custom samplers are called
-    one agent at a time against that agent's own generator.
+    ``phi_step(k)`` (regressor batch) and ``noise_step()``.  Both are
+    block-cached through the model's own ``draw`` and ``sample`` methods;
+    for the sparse kind each batch carries ``model.supports`` and its flat
+    index.
     """
 
     def __init__(self, model, seed: int | np.random.SeedSequence, block: int = 4096):
         self.model = model
-        n = model.n_agents
-        seqs = spawn_agent_sequences(seed, n)
-        gen = model.regressor
-        self._kind = gen.kind
-        if self._kind == "sparse-uniform":
-            self._support = np.array(
-                [gen.support_coordinate(i) - 1 for i in range(1, n + 1)], dtype=np.intp
-            )
-            self._flat = np.arange(n) * model.l + self._support
-        if self._kind in ("sparse-uniform", "dense-uniform"):
-            self._phi_bank = StreamBank(seqs["regressor"], gen.draw, block)
-        else:
-            self._phi_gens = [as_generator(s) for s in seqs["regressor"]]
+        seqs = spawn_agent_sequences(seed, model.n_agents)
+        self._support = model.supports
+        if self._support is not None:
+            self._flat = np.arange(model.n_agents) * model.l + self._support
+        self._phi_bank = StreamBank(seqs["regressor"], model.regressor.draw, block)
         self._noise_bank = StreamBank(seqs["noise"], model.noise.sample, block)
 
     @property
@@ -128,18 +121,14 @@ class ModelStreams:
 
     def phi_step(self, k: int) -> "plant.PhiBatch":
         """Regressor draws for all agents at step ``k``."""
-        if self._kind == "sparse-uniform":
+        if self._support is not None:
             return plant.PhiBatch(
                 l=self.model.l,
                 eta=self._phi_bank.column(),
                 support=self._support,
                 flat=self._flat,
             )
-        if self._kind == "dense-uniform":
-            return plant.PhiBatch(l=self.model.l, dense=self._phi_bank.column())
-        gen = self.model.regressor
-        rows = np.stack([gen.sample(i, k, g) for i, g in enumerate(self._phi_gens, start=1)])
-        return plant.PhiBatch(l=self.model.l, dense=rows)
+        return plant.PhiBatch(l=self.model.l, dense=self._phi_bank.column())
 
     def noise_step(self) -> np.ndarray:
         """Noise draw for every agent: shape ``(n,)``."""

@@ -83,9 +83,10 @@ def test_quadrature_self_convergence():
 
 
 def test_unsupported_kind_falls_back_to_monte_carlo():
-    gen = bi.CustomBoundedRegressors(2, 1.0, lambda a, k, g: g.uniform(-0.7, 0.7, 2))
+    gen = bi.DenseUniformRegressors(2, bound=0.7)
     model = bi.SystemModel(np.array([0.4, -0.2]), gen, bi.GaussianNoise(0.04), 3)
     ctx = bi.RegressionContext(model, mc_fallback_samples=40_000, mc_fallback_seed=5)
+    assert not ctx.closed_form
     with pytest.warns(UserWarning):
         val = bi.regression_function(ctx, np.array([0.9, -0.2]))
     direct = bi.regression_function_mc(ctx, np.array([0.9, -0.2]), 40_000, 5)

@@ -85,6 +85,20 @@ def test_simulate_missing_config_is_a_clean_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_simulate_missing_schedule_file_is_a_clean_error(tmp_path, capsys):
+    cfg = ExperimentConfig(
+        n_agents=3, l=2, steps=10, seed=0, theta_star=(0.5, -0.4), topology_kind="file",
+        schedule_file=str(tmp_path / "missing.schedule"),
+    )
+    path = tmp_path / "file.ini"
+    cfg.to_ini(path)
+    rc = main(["simulate", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: topology.file: cannot read ")
+    assert captured.out == ""
+
+
 def test_simulate_invalid_config_reports_field(tmp_path, capsys):
     cfg = ExperimentConfig(
         n_agents=2, l=4, steps=10, seed=0, theta_star=STAR4, topology_kind="complete"

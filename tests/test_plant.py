@@ -83,45 +83,69 @@ def test_make_noise_factory():
 # ---------------------------------------------------------------------------
 # regressor generators
 
+def _sparse_model(n_agents, l, support=None):
+    gen = bi.SparseUniformRegressors(l, support=support)
+    return bi.SystemModel(np.ones(l), gen, bi.GaussianNoise(1.0), n_agents)
+
+
 def test_sparse_support_follows_agent_index():
-    gen = bi.SparseUniformRegressors(8)
-    assert gen.support_coordinate(3) == 3
-    assert gen.support_coordinate(8) == 8
-    assert gen.support_coordinate(16) == 8  # wraps to the l-th coordinate
-    assert gen.support_coordinate(17) == 1
+    sup = _sparse_model(17, 8).supports
+    assert sup.dtype == np.intp and sup.shape == (17,)
+    assert sup[2] == 2          # agent 3 excites coordinate 3
+    assert sup[7] == 7
+    assert sup[15] == 7         # agent 16 wraps to the l-th coordinate
+    assert sup[16] == 0         # agent 17 wraps to the first
 
 
 def test_sparse_sample_shape_and_bound():
     gen = bi.SparseUniformRegressors(8)
     rng = np.random.default_rng(0)
-    for agent in (1, 3, 16):
-        for k in range(200):
-            phi = gen.sample(agent, k + 1, rng)
-            nz = np.nonzero(phi)[0]
-            assert nz.size <= 1
-            if nz.size:
-                assert nz[0] == gen.support_coordinate(agent) - 1
-            assert np.linalg.norm(phi) <= 1.0
+    assert np.ndim(gen.draw(rng)) == 0
+    eta = gen.draw(rng, 2_000)
+    assert eta.shape == (2_000,)
+    assert gen.bound == 1.0 and np.abs(eta).max() <= 1.0
+    # a sparse batch puts each amplitude on its agent's coordinate only
+    model = _sparse_model(16, 8)
+    rows = bi.PhiBatch(l=8, eta=gen.draw(rng, 16), support=model.supports).rows()
+    assert np.array_equal(np.nonzero(rows)[1], model.supports)
+    assert np.linalg.norm(rows, axis=1).max() <= 1.0
 
 
 def test_sparse_explicit_support_override():
     # one pinned coordinate per agent, overriding the index rule
-    gen = bi.SparseUniformRegressors(8, support=(5, 2))
-    assert gen.support_coordinate(1) == 5
-    assert gen.support_coordinate(2) == 2
+    assert np.array_equal(_sparse_model(2, 8, support=(5, 2)).supports, [4, 1])
+
+
+def test_pinned_support_must_have_one_entry_per_agent():
+    for support in ((1, 2), (1, 2, 3, 1, 2)):
+        msg = rf"^regressor: pinned support has {len(support)} entries for 4 agents"
+        with pytest.raises(ValueError, match=msg):
+            _sparse_model(4, 3, support=support)
+
+
+def test_supports_are_read_only():
+    model = _sparse_model(3, 2)
+    with pytest.raises(ValueError):
+        model.supports[0] = 1
+    with pytest.raises(AttributeError):
+        model.supports = None
+
+
+def test_dense_model_has_no_supports():
+    model = bi.SystemModel(np.ones(3), bi.DenseUniformRegressors(3), bi.GaussianNoise(1.0), 4)
+    assert model.supports is None
 
 
 def test_sparse_coverage_set():
-    gen = bi.SparseUniformRegressors(4)
-    assert gen.coverage(3) == {1, 2, 3}
-    assert gen.coverage(9) == {1, 2, 3, 4}
+    assert set(_sparse_model(3, 4).supports + 1) == {1, 2, 3}
+    assert set(_sparse_model(9, 4).supports + 1) == {1, 2, 3, 4}
 
 
 def test_dense_sample_respects_bound():
     gen = bi.DenseUniformRegressors(6, bound=2.5)
-    rng = np.random.default_rng(1)
-    norms = [np.linalg.norm(gen.sample(1, k, rng)) for k in range(2_000)]
-    assert max(norms) <= 2.5
+    rows = gen.draw(np.random.default_rng(1), 2_000)
+    assert rows.shape == (2_000, 6)
+    assert np.linalg.norm(rows, axis=1).max() <= 2.5
 
 
 def test_dense_bound_must_be_finite_and_positive():
@@ -140,37 +164,16 @@ def test_dense_bound_must_be_finite_and_positive():
     ids=["sparse", "sparse-pinned", "dense"],
 )
 def test_block_draw_equals_successive_samples(gen):
-    """One block ``draw`` is the same law, and the same numbers, as that
-    many ``sample`` calls: the stream cache depends on it."""
+    """One block ``draw`` gives the same numbers as that many single
+    ``draw`` calls on an identically seeded generator: the stream cache
+    depends on it."""
     m = 64
-    for agent in (1, 2, 4):
-        block = gen.draw(np.random.default_rng(agent), m)
-        rng = np.random.default_rng(agent)
-        rows = np.stack([gen.sample(agent, k, rng) for k in range(1, m + 1)])
-        if gen.kind == "sparse-uniform":
-            col = gen.support_coordinate(agent) - 1
-            assert block.shape == (m,)
-            assert np.array_equal(rows[:, col], block)
-            assert not np.delete(rows, col, axis=1).any()
-        else:
-            assert block.shape == (m, gen.l)
-            assert np.array_equal(rows, block)
-
-
-def test_custom_bounded_enforces_bound():
-    ok = bi.CustomBoundedRegressors(2, 1.0, lambda a, k, g: np.array([0.6, 0.0]))
-    assert np.array_equal(ok.sample(1, 1, np.random.default_rng(0)), [0.6, 0.0])
-    bad = bi.CustomBoundedRegressors(2, 1.0, lambda a, k, g: np.array([2.0, 0.0]))
-    with pytest.raises(ValueError):
-        bad.sample(1, 1, np.random.default_rng(0))
-
-
-def test_custom_bounded_rejects_non_finite_rows():
-    # NaN > bound^2 is False, so the norm check alone would let these through
-    for row in ([np.nan, 0.0], [0.0, np.inf]):
-        bad = bi.CustomBoundedRegressors(2, 1.0, lambda a, k, g, row=row: np.array(row))
-        with pytest.raises(ValueError, match="non-finite"):
-            bad.sample(1, 1, np.random.default_rng(0))
+    for seed in (1, 2, 4):
+        block = gen.draw(np.random.default_rng(seed), m)
+        rng = np.random.default_rng(seed)
+        single = np.stack([gen.draw(rng) for _ in range(m)])
+        assert block.shape == ((m,) if gen.kind == "sparse-uniform" else (m, gen.l))
+        assert np.array_equal(single, block)
 
 
 def test_regressor_dimension_validated():

@@ -390,7 +390,32 @@ def test_preflight_rejects_schedule_agent_ids_out_of_range(tmp_path, triple):
     )
     with pytest.raises(ValueError, match="agent id out of range"):
         bi.build_schedule(cfg, np.random.SeedSequence(0))
-    assert f"agent id out of range 1..3 in triple line {triple!r}" in preflight(cfg).errors
+    want = f"topology.file: agent id out of range 1..3 in triple line {triple!r}"
+    assert preflight(cfg).errors == [want]
+
+
+def _file_config(path):
+    return small_config(
+        n_agents=3, l=2, theta_star=(0.5, -0.4), topology_kind="file", period=None,
+        schedule_file=str(path),
+    )
+
+
+def test_preflight_names_the_field_for_a_bad_schedule_header(tmp_path):
+    path = tmp_path / "bad.schedule"
+    path.write_text("3 1\nstep 1\n1 1 1.0\n")
+    assert preflight(_file_config(path)).errors == [
+        "topology.file: bad header '3 1'; expected 'n B mode'"
+    ]
+
+
+def test_preflight_reports_a_missing_schedule_file(tmp_path):
+    path = tmp_path / "missing.schedule"
+    with pytest.raises(ValueError, match="^topology.file: cannot read "):
+        bi.build_schedule(_file_config(path), np.random.SeedSequence(0))
+    assert preflight(_file_config(path)).errors == [
+        f"topology.file: cannot read {path}: No such file or directory"
+    ]
 
 
 def test_preflight_degree_weights_downgrade_to_warning(tmp_path):

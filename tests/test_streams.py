@@ -9,10 +9,8 @@ import binident as bi
 def _model(n_agents=4, l=3, kind="sparse", noise=None):
     if kind == "sparse":
         gen = bi.SparseUniformRegressors(l)
-    elif kind == "dense":
-        gen = bi.DenseUniformRegressors(l, bound=1.0)
     else:
-        gen = bi.CustomBoundedRegressors(l, 1.0, lambda a, k, g: g.uniform(-0.5, 0.5, l))
+        gen = bi.DenseUniformRegressors(l, bound=1.0)
     return bi.SystemModel(
         theta_star=np.arange(1.0, l + 1.0),
         regressor=gen,
@@ -92,6 +90,8 @@ def test_model_streams_sparse_support_pattern():
     assert batch.is_sparse
     # agents 1..7 on coordinates 1 2 3 1 2 3 1 (0-based below)
     assert np.array_equal(batch.support, [0, 1, 2, 0, 1, 2, 0])
+    assert batch.support is model.supports
+    assert np.array_equal(batch.flat, np.arange(7) * 3 + model.supports)
 
 
 def test_model_streams_dense_block_boundaries():
@@ -101,16 +101,6 @@ def test_model_streams_dense_block_boundaries():
     for k in range(1, 20):
         assert np.array_equal(a.phi_step(k).dense, b.phi_step(k).dense)
         assert np.array_equal(a.noise_step(), b.noise_step())
-
-
-def test_model_streams_custom_kind_is_deterministic():
-    model = _model(kind="custom")
-    a = bi.ModelStreams(model, 9)
-    b = bi.ModelStreams(model, 9)
-    ra = a.phi_step(1).dense
-    rb = b.phi_step(1).dense
-    assert np.array_equal(ra, rb)
-    assert np.array_equal(a.noise_step(), b.noise_step())
 
 
 def test_model_streams_agent_prefix_stable():

@@ -3,7 +3,9 @@
 For each of 19 configs it runs ``run_experiment`` into a temporary
 directory and prints one line: the config name, the SHA-256 of
 ``trajectory.csv`` and the SHA-256 of ``summary.json`` with ``wall_time_s``
-removed.  No golden values are stored, because BLAS may round differently
+removed.  It then prints one line per analysis and oracle output on a
+sparse and a dense model: the output's name and the SHA-256 of its array
+bytes.  No golden values are stored, because BLAS may round differently
 on another host.  To check that a change keeps the artifacts, run the
 script in a checkout of the parent and in the change, on the same machine,
 and diff the two outputs:
@@ -23,6 +25,12 @@ The configs:
 - the same ring at 3000 steps, seeds 1-5, with dense regressors, Laplace
   noise, gain 3, doubling radii and stride 1.
 
+The analysis and oracle outputs, each at a fixed seed, on the ring model
+(sparse regressors) and on its dense/Laplace variant: ``regression_function_mc``
+(value and standard error), ``regression_function``, ``jacobian_at_root``,
+``centralized_baseline`` and ``identifiability_probe`` (final estimate and
+errors) for agent 2.
+
 The script imports ``binident`` from the ``src`` directory next to it.
 """
 
@@ -32,12 +40,14 @@ import hashlib
 import json
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import binident as bi  # noqa: E402
+import numpy as np  # noqa: E402
 
 RING_STAR = (0.5, -0.4, 0.3, -0.35)
 
@@ -95,10 +105,39 @@ def digests(cfg: bi.ExperimentConfig) -> tuple[str, str]:
     return hashlib.sha256(trajectory).hexdigest(), hashlib.sha256(summary_bytes).hexdigest()
 
 
+def analysis_outputs(kind: str, model: bi.SystemModel) -> list[tuple[str, np.ndarray]]:
+    """Fixed-seed analysis and oracle arrays for one model."""
+    ctx = bi.RegressionContext(model, mc_fallback_samples=50_000, mc_fallback_seed=3)
+    theta = model.theta_star + np.linspace(-0.3, 0.3, model.l)
+    mc = bi.regression_function_mc(ctx, theta, 30_000, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the dense kind falls back to Monte Carlo
+        quad = bi.regression_function(ctx, theta)
+    probe = bi.identifiability_probe(model, 2, 2000, 5)
+    return [
+        (f"{kind}-regression_function_mc", np.concatenate([mc.value, mc.stderr])),
+        (f"{kind}-regression_function", quad),
+        (f"{kind}-jacobian_at_root", bi.jacobian_at_root(ctx)),
+        (f"{kind}-centralized_baseline", bi.centralized_baseline(model, 2000, 9, record_every=50)),
+        (f"{kind}-identifiability_probe", np.concatenate([probe.final_theta, probe.errors])),
+    ]
+
+
+def analysis_models() -> list[tuple[str, bi.SystemModel]]:
+    dense = replace(
+        ring_config(1, 0), regressor_kind="dense-uniform", noise_kind="laplace",
+        noise_params={"scale": 0.1},
+    )
+    return [("sparse", bi.build_model(ring_config(1, 0))), ("dense", bi.build_model(dense))]
+
+
 def main() -> None:
     for name, cfg in configs():
         trajectory, summary = digests(cfg)
         print(name, trajectory, summary, flush=True)
+    for kind, model in analysis_models():
+        for name, arr in analysis_outputs(kind, model):
+            print(name, hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest(), flush=True)
 
 
 if __name__ == "__main__":
