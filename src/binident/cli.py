@@ -19,10 +19,10 @@ from .oracle import identifiability_probe
 from .runner import ExperimentConfig, build_model, preset_v, run_experiment
 
 
-def _add_override_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+def _add_override_args(p: argparse.ArgumentParser, required: bool = False) -> None:
+    p.add_argument("--seed", type=int, required=required, help="override the config seed")
     p.add_argument("--steps", type=int, default=None, help="override the step count")
-    p.add_argument("--out", type=str, default=None, help="output directory")
+    p.add_argument("--out", type=str, required=required, help="output directory")
     p.add_argument("--stride", type=int, default=None, help="metric recording stride")
     p.add_argument(
         "--paper-weights",
@@ -43,11 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_override_args(p_sim)
 
     p_pre = sub.add_parser("preset-v", help="run the 100-agent benchmark configuration")
-    p_pre.add_argument("--seed", type=int, required=True)
-    p_pre.add_argument("--out", type=str, required=True)
-    p_pre.add_argument("--steps", type=int, default=1_000_000)
-    p_pre.add_argument("--stride", type=int, default=100)
-    p_pre.add_argument("--paper-weights", action="store_true")
+    _add_override_args(p_pre, required=True)
 
     p_probe = sub.add_parser("probe", help="single-agent identifiability probe")
     p_probe.add_argument("--agent", type=int, required=True, help="agent id (1-based)")
@@ -72,7 +68,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         cfg.out = args.out
     if args.stride is not None:
         cfg.stride = args.stride
-    if getattr(args, "paper_weights", False):
+    if args.paper_weights:
         cfg.weights = "degree"
     return cfg
 
@@ -83,14 +79,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_preset_v(args) -> int:
-    cfg = preset_v(
-        seed=args.seed,
-        steps=args.steps,
-        out=args.out,
-        paper_weights=args.paper_weights,
-        stride=args.stride,
-    )
-    return _execute(cfg)
+    return _execute(_apply_overrides(preset_v(seed=args.seed), args))
 
 
 def _execute(cfg: ExperimentConfig) -> int:

@@ -1,8 +1,11 @@
 """Experiment orchestration: config files, preflight, runs, outputs.
 
-A run is described by an INI config (sections [run], [model], [topology],
-[regressor], [noise], [record], [algorithm]).  ``run_experiment`` validates
-the setup, simulates with per-seed reproducible streams, and emits
+A run is described by an INI config (sections [model], [run], [topology],
+[regressor], [noise], [record], [algorithm]); one field table drives INI
+reading, INI writing and the summary's config block.  ``preflight`` is the
+one place that builds the model and schedule and checks them;
+``run_experiment`` runs on what it built, with per-seed reproducible
+streams, and emits
 ``trajectory.csv`` (strided metrics; repr-formatted floats, so parsing
 reproduces the in-memory values exactly) plus ``summary.json``.
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 import configparser
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,7 @@ from .identifier import (
     sigma_settled,
 )
 from .plant import (
+    _NOISE_KINDS,
     DenseUniformRegressors,
     SparseUniformRegressors,
     SystemModel,
@@ -61,12 +65,64 @@ from .topology import (
 _TOPOLOGY_KINDS = ("poisson", "complete", "ring", "partitioned-ring", "file")
 _WEIGHT_SCHEMES = ("metropolis", "degree")
 _REGRESSOR_KINDS = ("sparse-uniform", "dense-uniform")
-_NOISE_PARAM_KEYS = ("sigma2", "scale", "half_width")
+
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _parse_theta(raw: str) -> object:
+    return raw if raw == "graded" else tuple(float(v) for v in raw.replace(",", " ").split())
+
+
+# How each parser's values are written back to INI text; others use str.
+_INI_TEXT = {
+    float: lambda v: repr(float(v)),
+    _parse_bool: lambda v: str(v).lower(),
+    _parse_theta: lambda v: v if isinstance(v, str) else ", ".join(repr(float(x)) for x in v),
+}
+
+# One row per config field, in summary.json order: (INI section, INI key,
+# attribute, parser, summary key).  A summary key "a.b" nests b in block a;
+# None keeps the field out of the summary.  The noise parameters follow
+# noise.kind and depend on it, so they are read and written outside the table.
+_FIELDS = (
+    ("model", "n_agents", "n_agents", int, "n_agents"),
+    ("model", "l", "l", int, "l"),
+    ("run", "steps", "steps", int, "steps"),
+    ("run", "seed", "seed", int, "seed"),
+    ("run", "stride", "stride", int, "stride"),
+    ("run", "out", "out", str, None),
+    ("model", "theta_star", "theta_star", _parse_theta, "theta_star"),
+    ("topology", "kind", "topology_kind", str, "topology.kind"),
+    ("topology", "p", "p", float, "topology.p"),
+    ("topology", "period", "period", int, "topology.period"),
+    ("topology", "file", "schedule_file", str, "topology.file"),
+    ("topology", "weights", "weights", str, "topology.weights"),
+    ("topology", "B", "window", int, "topology.window"),
+    ("regressor", "kind", "regressor_kind", str, "regressor.kind"),
+    ("regressor", "bound", "regressor_bound", float, "regressor.bound"),
+    ("noise", "kind", "noise_kind", str, "noise.kind"),
+    ("record", "theta_bar", "record_theta_bar", _parse_bool, "record.theta_bar"),
+    ("record", "agent_errors", "record_agent_errors", _parse_bool, "record.agent_errors"),
+    ("algorithm", "gain", "gain", float, "algorithm.gain"),
+    ("algorithm", "radii", "radii", str, "algorithm.radii"),
+)
+_NOISE_PARAMS = tuple(f.name for cls in _NOISE_KINDS.values() for f in fields(cls))
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything needed to reproduce one simulation run."""
+    """Everything needed to reproduce one simulation run.
+
+    These field defaults are the only defaults: an INI key is required
+    exactly when its field has none.
+    """
 
     n_agents: int
     l: int
@@ -84,7 +140,7 @@ class ExperimentConfig:
     regressor_kind: str = "sparse-uniform"
     regressor_bound: float = 1.0
     noise_kind: str = "gaussian"
-    noise_params: dict = field(default_factory=lambda: {"sigma2": 0.09})
+    noise_params: dict = field(default_factory=lambda: {"sigma2": 0.09})  # for noise_kind's default
     record_theta_bar: bool = True
     record_agent_errors: bool = False
     gain: float = 1.0                      # a in the gain a/k
@@ -103,31 +159,16 @@ class ExperimentConfig:
         return theta
 
     def to_dict(self) -> dict:
-        d = {
-            "n_agents": self.n_agents,
-            "l": self.l,
-            "steps": self.steps,
-            "seed": self.seed,
-            "stride": self.stride,
-            "theta_star": self.theta_star
-            if isinstance(self.theta_star, str)
-            else [float(v) for v in self.theta_star],
-            "topology": {
-                "kind": self.topology_kind,
-                "p": self.p,
-                "period": self.period,
-                "file": self.schedule_file,
-                "weights": self.weights,
-                "window": self.window,
-            },
-            "regressor": {"kind": self.regressor_kind, "bound": self.regressor_bound},
-            "noise": {"kind": self.noise_kind, **self.noise_params},
-            "record": {
-                "theta_bar": self.record_theta_bar,
-                "agent_errors": self.record_agent_errors,
-            },
-            "algorithm": {"gain": self.gain, "radii": self.radii},
-        }
+        d: dict = {}
+        for _, _, attr, parse, summary_key in _FIELDS:
+            if summary_key is None:
+                continue
+            value = getattr(self, attr)
+            if parse is _parse_theta and not isinstance(value, str):
+                value = [float(v) for v in value]
+            block, _, name = summary_key.rpartition(".")
+            (d.setdefault(block, {}) if block else d)[name] = value
+        d["noise"].update(self.noise_params)
         return d
 
     # -- INI round trip ------------------------------------------------
@@ -135,104 +176,42 @@ class ExperimentConfig:
     @classmethod
     def from_ini(cls, path) -> "ExperimentConfig":
         cp = configparser.ConfigParser()
-        found = cp.read(path)
-        if not found:
+        if not cp.read(path):
             raise ValueError(f"config file not found: {path}")
+        required = {
+            f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+        }
 
-        def need(section: str, key: str, cast):
-            if not cp.has_option(section, key):
-                raise ValueError(f"{section}.{key}: required key is missing")
+        def parse(section: str, key: str, cast):
             raw = cp.get(section, key)
             try:
                 return cast(raw)
             except ValueError:
                 raise ValueError(f"{section}.{key}: cannot parse {raw!r}") from None
 
-        def opt(section: str, key: str, cast, default):
-            if not cp.has_option(section, key):
-                return default
-            return need(section, key, cast)
-
-        def to_bool(raw: str) -> bool:
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-
-        theta_raw = opt("model", "theta_star", str, "graded").strip()
-        if theta_raw == "graded":
-            theta: object = "graded"
-        else:
-            try:
-                theta = tuple(float(v) for v in theta_raw.replace(",", " ").split())
-            except ValueError:
-                raise ValueError(f"model.theta_star: cannot parse {theta_raw!r}") from None
-
-        noise_kind = opt("noise", "kind", str, "gaussian")
-        noise_params = {}
-        for key in _NOISE_PARAM_KEYS:
-            if cp.has_option("noise", key):
-                noise_params[key] = need("noise", key, float)
-        if not noise_params and noise_kind == "gaussian":
-            noise_params = {"sigma2": 0.09}
-
-        cfg = cls(
-            n_agents=need("model", "n_agents", int),
-            l=need("model", "l", int),
-            steps=need("run", "steps", int),
-            seed=need("run", "seed", int),
-            stride=opt("run", "stride", int, 100),
-            out=opt("run", "out", str, None),
-            theta_star=theta,
-            topology_kind=opt("topology", "kind", str, "poisson"),
-            p=opt("topology", "p", float, 0.06),
-            period=opt("topology", "period", int, None),
-            schedule_file=opt("topology", "file", str, None),
-            weights=opt("topology", "weights", str, "metropolis"),
-            window=opt("topology", "B", int, None),
-            regressor_kind=opt("regressor", "kind", str, "sparse-uniform"),
-            regressor_bound=opt("regressor", "bound", float, 1.0),
-            noise_kind=noise_kind,
-            noise_params=noise_params,
-            record_theta_bar=opt("record", "theta_bar", to_bool, True),
-            record_agent_errors=opt("record", "agent_errors", to_bool, False),
-            gain=opt("algorithm", "gain", float, 1.0),
-            radii=opt("algorithm", "radii", str, "linear"),
-        )
+        kwargs = {}
+        for section, key, attr, cast, _ in _FIELDS:
+            if cp.has_option(section, key):
+                kwargs[attr] = parse(section, key, cast)
+            elif attr in required:
+                raise ValueError(f"{section}.{key}: required key is missing")
+        cfg = cls(**kwargs)
+        # only the default noise kind has default parameters
+        params = {k: parse("noise", k, float) for k in _NOISE_PARAMS if cp.has_option("noise", k)}
+        if params or cfg.noise_kind != cls.noise_kind:
+            cfg.noise_params = params
         return cfg
 
     def to_ini(self, path) -> None:
-        cp = configparser.ConfigParser()
-        cp["run"] = {"steps": str(self.steps), "seed": str(self.seed), "stride": str(self.stride)}
-        if self.out is not None:
-            cp["run"]["out"] = str(self.out)
-        theta = (
-            self.theta_star
-            if isinstance(self.theta_star, str)
-            else ", ".join(repr(float(v)) for v in self.theta_star)
-        )
-        cp["model"] = {"n_agents": str(self.n_agents), "l": str(self.l), "theta_star": theta}
-        topo = {"kind": self.topology_kind, "weights": self.weights}
-        if self.topology_kind == "poisson":
-            topo["p"] = repr(self.p)
-        if self.period is not None:
-            topo["period"] = str(self.period)
-        if self.schedule_file is not None:
-            topo["file"] = str(self.schedule_file)
-        if self.window is not None:
-            topo["B"] = str(self.window)
-        cp["topology"] = topo
-        cp["regressor"] = {"kind": self.regressor_kind, "bound": repr(self.regressor_bound)}
-        cp["noise"] = {"kind": self.noise_kind}
+        sections: dict = {}
+        for section, key, attr, parse, _ in _FIELDS:
+            value = getattr(self, attr)
+            if value is not None:
+                sections.setdefault(section, {})[key] = _INI_TEXT.get(parse, str)(value)
         for key, val in self.noise_params.items():
-            cp["noise"][key] = repr(float(val))
-        cp["record"] = {
-            "theta_bar": str(self.record_theta_bar).lower(),
-            "agent_errors": str(self.record_agent_errors).lower(),
-        }
-        cp["algorithm"] = {"gain": repr(float(self.gain)), "radii": self.radii}
+            sections["noise"][key] = repr(float(val))
+        cp = configparser.ConfigParser()
+        cp.read_dict(sections)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             cp.write(fh)
 
@@ -316,13 +295,24 @@ def build_schedule(cfg: ExperimentConfig, topology_seed) -> TopologySchedule:
     return sched
 
 
+def _split_seed(cfg: ExperimentConfig) -> list[np.random.SeedSequence]:
+    """(topology seed, model streams seed) of a run."""
+    return np.random.SeedSequence(cfg.seed).spawn(2)
+
+
 @dataclass
 class PreflightReport:
-    """Pre-run validation outcome; ``errors`` name the failing config field."""
+    """Pre-run validation outcome; ``errors`` name the failing config field.
+
+    ``model`` and ``schedule`` are what preflight built (None where the
+    build failed); a run uses exactly these.
+    """
 
     errors: list[str]
     warnings: list[str]
     network: ValidationReport | None
+    model: SystemModel | None = None
+    schedule: TopologySchedule | None = None
 
     @property
     def ok(self) -> bool:
@@ -337,16 +327,13 @@ class PreflightReport:
         return out
 
 
-def preflight(
-    cfg: ExperimentConfig,
-    model: SystemModel | None = None,
-    schedule: TopologySchedule | None = None,
-) -> PreflightReport:
-    """Static checks before a run: model sanity, excitation coverage, and
-    the network assumptions (double stochasticity, entry floor, windowed
-    strong connectivity).  Degree weights are only row stochastic on most
-    graphs; that is downgraded to a warning since the scheme is an explicit
-    user choice.
+def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> PreflightReport:
+    """Build the model and the schedule, then check them before a run:
+    model sanity, excitation coverage, and the network assumptions (double
+    stochasticity, entry floor, windowed strong connectivity).  Degree
+    weights are only row stochastic on most graphs; that is downgraded to a
+    warning since the scheme is an explicit user choice.  A ``model`` given
+    by the caller is checked in place of the one the config describes.
     """
     errors: list[str] = []
     warnings_: list[str] = []
@@ -356,11 +343,11 @@ def preflight(
             model = build_model(cfg)
         except ValueError as exc:
             errors.append(str(exc))
-    if schedule is None:
-        try:
-            schedule = build_schedule(cfg, np.random.SeedSequence(cfg.seed).spawn(2)[0])
-        except ValueError as exc:
-            errors.append(str(exc))
+    schedule = None
+    try:
+        schedule = build_schedule(cfg, _split_seed(cfg)[0])
+    except ValueError as exc:
+        errors.append(str(exc))
 
     if cfg.steps < 0:
         errors.append("run.steps: must be >= 0")
@@ -372,7 +359,7 @@ def preflight(
         except ValueError as exc:
             errors.append(f"algorithm.{key}: {exc}")
     if model is None or schedule is None:
-        return PreflightReport(errors, warnings_, None)
+        return PreflightReport(errors, warnings_, None, model, schedule)
 
     if model.supports is not None:
         missing = (np.setdiff1d(np.arange(model.l), model.supports) + 1).tolist()
@@ -401,7 +388,7 @@ def preflight(
             warnings_.append(msg + " (degree scheme; averaging guarantees do not apply)")
         else:
             errors.append(msg)
-    return PreflightReport(errors, warnings_, report)
+    return PreflightReport(errors, warnings_, report, model, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +462,14 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Validate, simulate, and (if ``cfg.out`` is set) write artifacts.
 
-    Raises ValueError with field-named messages when preflight fails.
+    Raises one ValueError listing every field-named preflight error.
     Rerunning with the same config produces byte-identical trajectory.csv.
     """
     t0 = time.perf_counter()
-    topology_ss, streams_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    model = build_model(cfg)
-    schedule = build_schedule(cfg, topology_ss)
-    pre = preflight(cfg, model, schedule)
+    pre = preflight(cfg)
     if not pre.ok:
         raise ValueError("invalid config:\n" + "\n".join(pre.errors))
+    model = pre.model
 
     recorder = TrajectoryRecorder(
         model.theta_star,
@@ -495,9 +480,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     monitor = InvariantMonitor(radii=cfg.radii)
     final = run(
         model,
-        schedule,
+        pre.schedule,
         cfg.steps,
-        streams=ModelStreams(model, streams_ss),
+        streams=ModelStreams(model, _split_seed(cfg)[1]),
         sinks=(recorder, monitor),
         gain=cfg.gain,
         radii=cfg.radii,
@@ -555,15 +540,14 @@ def preset_v(
     seed: int,
     steps: int = 1_000_000,
     out: str | None = None,
-    paper_weights: bool = False,
     stride: int = 100,
 ) -> ExperimentConfig:
     """Benchmark configuration: 100 agents, 8 parameters.
 
     Graded true parameter ``(1 + 0.1 j) sqrt(j)``, random pairwise topology
     with link probability 0.06, sparse one-coordinate regressors, Gaussian
-    noise of variance 0.09.  Metropolis weights by default; with
-    ``paper_weights`` the uniform by-degree scheme (row stochastic only).
+    noise of variance 0.09, Metropolis weights (the paper's uniform
+    by-degree scheme, row stochastic only, is ``weights="degree"``).
 
     The recursion runs with gain 16/k and doubling radii M_m = 2^m.  Per
     coordinate the averaged correction has slope lambda ~ 0.106 at the root
@@ -585,7 +569,7 @@ def preset_v(
         theta_star="graded",
         topology_kind="poisson",
         p=0.06,
-        weights="degree" if paper_weights else "metropolis",
+        weights="metropolis",
         regressor_kind="sparse-uniform",
         noise_kind="gaussian",
         noise_params={"sigma2": 0.09},

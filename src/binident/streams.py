@@ -70,10 +70,6 @@ class StreamBank:
         self._cache: np.ndarray | None = None
         self._pos = 0
 
-    @property
-    def n_agents(self) -> int:
-        return len(self._gens)
-
     def _refill(self) -> None:
         # Step-major, so each step's column is one contiguous row.  A refill
         # binds a new array and never writes into the old one, so views
@@ -115,12 +111,13 @@ class ModelStreams:
         self._phi_bank = StreamBank(seqs["regressor"], model.regressor.draw, block)
         self._noise_bank = StreamBank(seqs["noise"], model.noise.sample, block)
 
-    @property
-    def n_agents(self) -> int:
-        return self.model.n_agents
-
     def phi_step(self, k: int) -> "plant.PhiBatch":
-        """Regressor draws for all agents at step ``k``."""
+        """Regressor draws for all agents at step ``k``.
+
+        The draws do not depend on ``k``.  The argument stays because it is
+        part of the stream interface ``run`` consumes, and the acceptance
+        suite and the test reference streams call it that way.
+        """
         if self._support is not None:
             return plant.PhiBatch(
                 l=self.model.l,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from binident import runner
 from binident.cli import build_parser, main
 from binident.runner import ExperimentConfig
 
@@ -95,7 +96,7 @@ def test_simulate_missing_schedule_file_is_a_clean_error(tmp_path, capsys):
     rc = main(["simulate", "--config", str(path)])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err.startswith("error: topology.file: cannot read ")
+    assert captured.err.startswith("error: invalid config:\ntopology.file: cannot read ")
     assert captured.out == ""
 
 
@@ -110,6 +111,36 @@ def test_simulate_invalid_config_reports_field(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error: invalid config:")
     assert "unexcited" in err
+
+
+def test_simulate_reports_every_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(
+        "[model]\nn_agents = 8\nl = 4\n[run]\nsteps = 10\nseed = 0\nstride = 0\n"
+        "[regressor]\nkind = bogus\n[algorithm]\ngain = 0\n"
+    )
+    rc = main(["simulate", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: invalid config:\n")
+    lines = captured.err.splitlines()[1:]
+    assert [ln.split(":")[0] for ln in lines] == ["regressor.kind", "run.stride", "algorithm.gain"]
+    assert captured.out == ""
+
+
+def test_simulate_builds_model_and_schedule_once(small_ini, monkeypatch, capsys):
+    calls = []
+    for name in ("build_model", "build_schedule"):
+        inner = getattr(runner, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(runner, name, counted)
+    assert main(["simulate", "--config", str(small_ini), "--steps", "5"]) == 0
+    assert sorted(calls) == ["build_model", "build_schedule"]
+    capsys.readouterr()
 
 
 def test_preset_v_short_run(tmp_path, capsys):

@@ -64,10 +64,22 @@ def test_to_dict_groups_fields_by_section():
 # ---------------------------------------------------------------------------
 # config: INI round trip
 
-def test_ini_round_trip_preserves_every_field(tmp_path):
+_TOPOLOGY_FIELDS = {
+    "poisson": {},
+    "complete": {},
+    "ring": {},
+    "partitioned-ring": {"period": 4, "window": 4},
+    "file": {"schedule_file": "nets/ring.schedule", "window": 3},
+}
+
+
+@pytest.mark.parametrize("kind", list(_TOPOLOGY_FIELDS))
+def test_ini_round_trip_preserves_every_field(tmp_path, kind):
     cfg = small_config(
         out="runs/x",
-        window=4,
+        topology_kind=kind,
+        p=0.3,
+        **{"period": None, **_TOPOLOGY_FIELDS[kind]},
         weights="degree",
         regressor_kind="dense-uniform",
         regressor_bound=2.5,
@@ -82,6 +94,7 @@ def test_ini_round_trip_preserves_every_field(tmp_path):
     cfg.to_ini(path)
     back = ExperimentConfig.from_ini(path)
     assert back.to_dict() == cfg.to_dict()
+    assert back.to_dict()["topology"]["p"] == 0.3
     assert back.out == cfg.out
 
 
@@ -639,10 +652,6 @@ def test_preset_v_shape():
     star = cfg.resolved_theta_star()
     assert star[0] == pytest.approx(1.1)
     assert star[3] == pytest.approx(2.8)
-
-
-def test_preset_v_paper_weights_switch():
-    assert bi.preset_v(seed=0, paper_weights=True).weights == "degree"
 
 
 def test_preset_v_passthroughs(tmp_path):

@@ -3,7 +3,9 @@
 For each of 19 configs it runs ``run_experiment`` into a temporary
 directory and prints one line: the config name, the SHA-256 of
 ``trajectory.csv`` and the SHA-256 of ``summary.json`` with ``wall_time_s``
-removed.  It then prints one line per analysis and oracle output on a
+removed.  For each config it also prints the SHA-256 of the JSON of
+``from_ini(to_ini(cfg)).to_dict()``, so the INI path is compared too.  It
+then prints one line per analysis and oracle output on a
 sparse and a dense model: the output's name and the SHA-256 of its array
 bytes.  No golden values are stored, because BLAS may round differently
 on another host.  To check that a change keeps the artifacts, run the
@@ -105,6 +107,14 @@ def digests(cfg: bi.ExperimentConfig) -> tuple[str, str]:
     return hashlib.sha256(trajectory).hexdigest(), hashlib.sha256(summary_bytes).hexdigest()
 
 
+def ini_round_trip(cfg: bi.ExperimentConfig) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.ini"
+        cfg.to_ini(path)
+        back = bi.ExperimentConfig.from_ini(path)
+    return hashlib.sha256(json.dumps(back.to_dict()).encode("utf-8")).hexdigest()
+
+
 def analysis_outputs(kind: str, model: bi.SystemModel) -> list[tuple[str, np.ndarray]]:
     """Fixed-seed analysis and oracle arrays for one model."""
     ctx = bi.RegressionContext(model, mc_fallback_samples=50_000, mc_fallback_seed=3)
@@ -135,6 +145,8 @@ def main() -> None:
     for name, cfg in configs():
         trajectory, summary = digests(cfg)
         print(name, trajectory, summary, flush=True)
+    for name, cfg in configs():
+        print(f"{name}-ini", ini_round_trip(cfg), flush=True)
     for kind, model in analysis_models():
         for name, arr in analysis_outputs(kind, model):
             print(name, hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest(), flush=True)
