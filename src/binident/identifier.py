@@ -355,7 +355,7 @@ def run(
     snap = init if init is not None else NetworkSnapshot.initial(model.n_agents, model.l)
     sinks = tuple(sinks)
     for _ in range(steps):
-        weights = schedule[snap.k][1]
+        weights = schedule[snap.k]
         new = dsaawet_identification_step(snap, weights, model, streams, gain, radii)
         for sink in sinks:
             sink(snap, new)

@@ -189,6 +189,18 @@ class ExperimentConfig:
             except ValueError:
                 raise ValueError(f"{section}.{key}: cannot parse {raw!r}") from None
 
+        # option names are case-folded on reading, hence "topology.b"
+        known = {(sec, key.lower()) for sec, key, *_ in _FIELDS}
+        known |= {("noise", key) for key in _NOISE_PARAMS}
+        unknown = [
+            f"{sec}.{key}: unknown key"
+            for sec in cp.sections()
+            for key in cp.options(sec)
+            if (sec, key) not in known
+        ]
+        if unknown:
+            raise ValueError("\n".join(unknown))
+
         kwargs = {}
         for section, key, attr, cast, _ in _FIELDS:
             if cp.has_option(section, key):
@@ -291,6 +303,8 @@ def build_schedule(cfg: ExperimentConfig, topology_seed) -> TopologySchedule:
     else:
         raise ValueError(f"topology.kind: unknown kind {kind!r}; one of {_TOPOLOGY_KINDS}")
     if cfg.window is not None:
+        if cfg.window < 1:
+            raise ValueError("topology.B: must be >= 1")
         sched = replace(sched, B=cfg.window)
     return sched
 
@@ -330,7 +344,7 @@ class PreflightReport:
 def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> PreflightReport:
     """Build the model and the schedule, then check them before a run:
     model sanity, excitation coverage, and the network assumptions (double
-    stochasticity, entry floor, windowed strong connectivity).  Degree
+    stochasticity and windowed strong connectivity).  Degree
     weights are only row stochastic on most graphs; that is downgraded to a
     warning since the scheme is an explicit user choice.  A ``model`` given
     by the caller is checked in place of the one the config describes.
@@ -381,7 +395,7 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
         )
     if not report.stochasticity_ok:
         msg = (
-            f"topology.weights: steps {[s for s, _ in report.stochasticity_failures]} "
+            f"topology.weights: steps {report.stochasticity_failures} "
             "are not doubly stochastic"
         )
         if cfg.weights == "degree":

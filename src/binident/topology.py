@@ -3,10 +3,9 @@
 Directed graphs with mandatory self-loops, weight matrix constructions
 (Metropolis and uniform-by-degree), schedules that cycle through a fixed
 list of weight matrices, validation of the standing network assumptions
-(per-step double stochasticity, a positive entry floor, and windowed joint
-strong connectivity), and backward products of the weight matrices whose
-deviation from the averaging matrix decays geometrically on validated
-schedules.
+(per-step double stochasticity and windowed joint strong connectivity),
+and backward products of the weight matrices whose deviation from the
+averaging matrix decays geometrically on validated schedules.
 
 Agent ids are 1-based in the public API.  An edge ``(j, i)`` means agent i
 receives from agent j; matrices are indexed ``w[i-1, j-1]``.
@@ -15,7 +14,7 @@ receives from agent j; matrices are indexed ``w[i-1, j-1]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -56,11 +55,6 @@ class Digraph:
         for j, i in self.edges:
             adj[i - 1, j - 1] = True
         return adj
-
-    def union(self, other: "Digraph") -> "Digraph":
-        if other.n != self.n:
-            raise ValueError("cannot union graphs of different sizes")
-        return Digraph(self.n, self.edges | other.edges)
 
 
 def from_undirected_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Digraph:
@@ -111,6 +105,8 @@ class WeightMatrix:
         n = self.graph.n
         if w.shape != (n, n):
             raise ValueError(f"weight matrix shape {w.shape} != ({n}, {n})")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         support = w > 0
@@ -180,52 +176,49 @@ def degree_weights(g: Digraph) -> WeightMatrix:
 
 @dataclass(frozen=True, eq=False)
 class TopologySchedule:
-    """A cycle of (graph, weights) pairs: step k >= 1 uses pair (k-1) mod period.
+    """A cycle of weight matrices: step k >= 1 uses ``weights[(k-1) mod period]``.
 
-    One pair makes a static schedule (``mode`` ``static``), more a periodic
-    one (``periodic-list``).  ``B`` is the connectivity window length the
-    schedule claims: the union graph over any B consecutive steps should be
-    strongly connected (checked by :func:`validate_c4`, not assumed).
+    Each matrix carries its graph.  One matrix makes a static schedule
+    (``mode`` ``static``), more a periodic one (``periodic-list``).  ``B`` is
+    the connectivity window length the schedule claims: the union graph over
+    any B consecutive steps should be strongly connected (checked by
+    :func:`validate_c4`, not assumed).
     """
 
     B: int
-    pairs: tuple[tuple[Digraph, WeightMatrix], ...]
+    weights: tuple[WeightMatrix, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(self.weights))
         if self.B < 1:
             raise ValueError("B must be >= 1")
-        if not self.pairs:
-            raise ValueError("a schedule needs at least one (graph, weights) pair")
-        if len({g.n for g, _ in self.pairs}) != 1:
-            raise ValueError("all graphs in a schedule must have the same size")
-        for g, w in self.pairs:
-            if w.graph is not g and w.graph != g:
-                raise ValueError("weight matrix paired with a different graph")
+        if not self.weights:
+            raise ValueError("a schedule needs at least one weight matrix")
+        if len({wm.n for wm in self.weights}) != 1:
+            raise ValueError("all weight matrices in a schedule must have the same size")
 
     @classmethod
     def static(cls, graph: Digraph, weights: WeightMatrix, B: int = 1) -> "TopologySchedule":
-        return cls(B=B, pairs=((graph, weights),))
-
-    @classmethod
-    def periodic(cls, pairs: Sequence[tuple[Digraph, WeightMatrix]], B: int) -> "TopologySchedule":
-        return cls(B=B, pairs=tuple(pairs))
+        if weights.graph != graph:
+            raise ValueError("weight matrix built on a different graph")
+        return cls(B=B, weights=(weights,))
 
     @property
     def mode(self) -> str:
-        return "static" if len(self.pairs) == 1 else "periodic-list"
+        return "static" if len(self.weights) == 1 else "periodic-list"
 
     @property
     def n_agents(self) -> int:
-        return self.pairs[0][0].n
+        return self.weights[0].n
 
     @property
     def period(self) -> int:
-        return len(self.pairs)
+        return len(self.weights)
 
-    def __getitem__(self, k: int) -> tuple[Digraph, WeightMatrix]:
+    def __getitem__(self, k: int) -> WeightMatrix:
         if k < 1:
             raise IndexError("steps are numbered from 1")
-        return self.pairs[(k - 1) % len(self.pairs)]
+        return self.weights[(k - 1) % len(self.weights)]
 
 
 def partitioned_ring_schedule(
@@ -241,14 +234,11 @@ def partitioned_ring_schedule(
     """
     if not 1 <= period <= n:
         raise ValueError("period must lie in 1..n")
-    pairs = []
-    for r in range(period):
-        links = [(i, i % n + 1) for i in range(1, n + 1) if (i - 1) % period == r]
-        g = from_undirected_pairs(n, links)
-        pairs.append((g, weight_fn(g)))
-    if period == 1:
-        return TopologySchedule.static(*pairs[0])
-    return TopologySchedule.periodic(pairs, B=period)
+    phases = (
+        from_undirected_pairs(n, [(i, i % n + 1) for i in range(1, n + 1) if (i - 1) % period == r])
+        for r in range(period)
+    )
+    return TopologySchedule(B=period, weights=[weight_fn(g) for g in phases])
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +251,21 @@ def _strongly_connected(adj: np.ndarray) -> bool:
 
 @dataclass
 class ValidationReport:
-    """Outcome of the standing-assumption checks on a schedule."""
+    """Outcome of the standing-assumption checks on one period of a schedule.
+
+    Every step of the period starts one window, so ``steps_checked`` also
+    counts the windows.  The entry floor is the smallest positive weight
+    seen, so it always holds; it is reported as ``min_entry``.
+    """
 
     steps_checked: int
-    stochasticity_failures: list[tuple[int, float]]   # (step, worst row/col deviation)
-    kappa: float
+    stochasticity_failures: list[int]   # steps whose weights are not doubly stochastic
     min_entry: float
-    entry_floor_failures: list[int]
-    windows_checked: int
-    failed_windows: list[int]
+    failed_windows: list[int]           # window start steps without strong connectivity
 
     @property
     def stochasticity_ok(self) -> bool:
         return not self.stochasticity_failures
-
-    @property
-    def entry_floor_ok(self) -> bool:
-        return not self.entry_floor_failures
 
     @property
     def connectivity_ok(self) -> bool:
@@ -285,66 +273,41 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        return self.stochasticity_ok and self.entry_floor_ok and self.connectivity_ok
+        return self.stochasticity_ok and self.connectivity_ok
 
     def summary(self) -> str:
         bits = [
             f"steps checked: {self.steps_checked}",
-            f"doubly stochastic: {'ok' if self.stochasticity_ok else f'failed at steps {[s for s, _ in self.stochasticity_failures]}'}",
-            f"entry floor {self.kappa:g}: {'ok' if self.entry_floor_ok else f'failed at steps {self.entry_floor_failures}'} (min entry {self.min_entry:g})",
-            f"connectivity over {self.windows_checked} windows: {'ok' if self.connectivity_ok else f'failed starts {self.failed_windows}'}",
+            f"doubly stochastic: {'ok' if self.stochasticity_ok else f'failed at steps {self.stochasticity_failures}'}",
+            f"entry floor {self.min_entry:g}: ok (min entry {self.min_entry:g})",
+            f"connectivity over {self.steps_checked} windows: {'ok' if self.connectivity_ok else f'failed starts {self.failed_windows}'}",
         ]
         return "; ".join(bits)
 
 
-def validate_c4(
-    schedule: TopologySchedule,
-    kappa: float | None = None,
-    tol: float = 1e-9,
-) -> ValidationReport:
+def validate_c4(schedule: TopologySchedule) -> ValidationReport:
     """Check the standing network assumptions over one period of a schedule.
 
-    Verifies, per step of the period, that the weight matrix is doubly
-    stochastic (within ``tol``) with positive entries no smaller than
-    ``kappa`` (defaults to the smallest positive entry seen, reported), and
-    that the union graph over every window of B consecutive steps, wrapping
-    around the period (the schedule is infinite), is strongly connected.
+    Verifies that each step's weight matrix is doubly stochastic (see
+    :func:`is_doubly_stochastic`), and that the union graph over every
+    window of B consecutive steps, wrapping around the period (the schedule
+    is infinite), is strongly connected.  A window longer than the period
+    sees every step, so its union is the union over one period.
     """
-    pairs = schedule.pairs
-    steps = range(1, len(pairs) + 1)
-
-    stoch_failures: list[tuple[int, float]] = []
-    for k, (_, wm) in zip(steps, pairs):
-        dev_rows = np.abs(wm.w.sum(axis=1) - 1.0).max()
-        dev_cols = np.abs(wm.w.sum(axis=0) - 1.0).max()
-        worst = float(max(dev_rows, dev_cols))
-        if worst > tol:
-            stoch_failures.append((k, worst))
-    min_entry = min(wm.min_positive_entry for _, wm in pairs)
-
-    if kappa is None:
-        kappa = min_entry
-        floor_failures: list[int] = []
-    else:
-        floor_failures = [
-            k for k, (_, wm) in zip(steps, pairs) if wm.min_positive_entry < kappa - 1e-15
-        ]
-
-    failed_windows: list[int] = []
-    for start in steps:
-        union = schedule[start][0]
-        for k in range(start + 1, start + schedule.B):
-            union = union.union(schedule[k][0])
-        if not _strongly_connected(union.adjacency()):
-            failed_windows.append(start)
-
+    weights = schedule.weights
+    steps = range(1, len(weights) + 1)
+    span = min(schedule.B, len(weights))
+    failed_windows = [
+        start
+        for start in steps
+        if not _strongly_connected(
+            np.logical_or.reduce([schedule[k].support for k in range(start, start + span)])
+        )
+    ]
     return ValidationReport(
-        steps_checked=len(pairs),
-        stochasticity_failures=stoch_failures,
-        kappa=float(kappa),
-        min_entry=float(min_entry),
-        entry_floor_failures=floor_failures,
-        windows_checked=len(pairs),
+        steps_checked=len(weights),
+        stochasticity_failures=[k for k, wm in zip(steps, weights) if not is_doubly_stochastic(wm)],
+        min_entry=min(wm.min_positive_entry for wm in weights),
         failed_windows=failed_windows,
     )
 
@@ -365,7 +328,7 @@ def deviation_profile(schedule: TopologySchedule, s: int, max_lag: int) -> np.nd
     out = np.empty(max_lag + 1)
     prod = np.eye(n)
     for lag in range(max_lag + 1):
-        prod = schedule[s + lag][1].w @ prod
+        prod = schedule[s + lag].w @ prod
         out[lag] = np.linalg.norm(prod - avg, 2)
     return out
 
@@ -416,9 +379,9 @@ def dump_schedule(schedule: TopologySchedule, path) -> None:
     written with repr so loading reproduces them bit for bit.
     """
     lines = [f"{schedule.n_agents} {schedule.B} {schedule.mode}"]
-    for idx, (g, wm) in enumerate(schedule.pairs, start=1):
+    for idx, wm in enumerate(schedule.weights, start=1):
         lines.append(f"step {idx}")
-        for j, i in sorted(g.edges):
+        for j, i in sorted(wm.graph.edges):
             lines.append(f"{j} {i} {float(wm.w[i - 1, j - 1])!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -450,18 +413,15 @@ def load_schedule(path) -> TopologySchedule:
             raise ValueError(f"agent id out of range 1..{n} in triple line {ln!r}")
         blocks[-1].append((j, i, float(parts[2])))
 
-    pairs = []
+    weights = []
     for triples in blocks:
         w = np.zeros((n, n))
-        edges = []
         for j, i, wv in triples:
             w[i - 1, j - 1] = wv
-            edges.append((j, i))
-        g = Digraph(n, frozenset(edges))
-        pairs.append((g, WeightMatrix(g, w)))
+        weights.append(WeightMatrix(Digraph(n, frozenset((j, i) for j, i, _ in triples)), w))
 
     if mode not in ("static", "periodic-list"):
         raise ValueError(f"unknown mode {mode!r} in schedule file")
-    if mode == "static" and len(pairs) != 1:
+    if mode == "static" and len(weights) != 1:
         raise ValueError("static schedule must contain exactly one block")
-    return TopologySchedule(B=B, pairs=tuple(pairs))
+    return TopologySchedule(B=B, weights=weights)

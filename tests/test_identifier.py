@@ -107,7 +107,7 @@ def _compare_with_reference(model, sched, steps, seed=2024, gain=1.0, radii="lin
     sigma = snap.sigma.tolist()
     for _ in range(steps):
         k = snap.k
-        w = sched[k][1]
+        w = sched[k]
         nxt = bi.dsaawet_identification_step(snap, w, model, fast, gain, radii)
 
         phi = mine.phi_step(k)

@@ -124,6 +124,33 @@ def test_from_ini_unparseable_value_names_the_field(tmp_path):
         ExperimentConfig.from_ini(path)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("[algorithm]\ngian = 16\n", r"^algorithm\.gian: unknown key$"),
+        ("[topology]\nwindow = 4\n", r"^topology\.window: unknown key$"),
+        ("[noise]\nsigma = 0.1\n", r"^noise\.sigma: unknown key$"),
+        ("[algorithms]\ngain = 16\nradii = doubling\n",
+         r"^algorithms\.gain: unknown key\nalgorithms\.radii: unknown key$"),
+    ],
+)
+def test_from_ini_rejects_unknown_keys(tmp_path, extra, message):
+    path = tmp_path / "typo.ini"
+    path.write_text("[model]\nn_agents = 8\nl = 4\n[run]\nsteps = 10\nseed = 0\n" + extra)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_ini(path)
+
+
+def test_from_ini_reads_keys_case_insensitively(tmp_path):
+    path = tmp_path / "case.ini"
+    path.write_text(
+        "[model]\nN_agents = 8\nl = 4\n[run]\nsteps = 10\nseed = 0\n"
+        "[topology]\nb = 3\n[noise]\nkind = laplace\nScale = 0.3\n"
+    )
+    cfg = ExperimentConfig.from_ini(path)
+    assert cfg.n_agents == 8 and cfg.window == 3 and cfg.noise_params == {"scale": 0.3}
+
+
 def test_from_ini_bad_theta_star(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(
@@ -248,10 +275,9 @@ def test_build_schedule_static_kinds():
     ss = np.random.SeedSequence(0)
     ring = bi.build_schedule(small_config(topology_kind="ring", period=None), ss)
     assert ring.B == 1 and ring.n_agents == 8
-    _, w = ring[1]
-    assert bi.is_doubly_stochastic(w.w)
+    assert bi.is_doubly_stochastic(ring[1])
     comp = bi.build_schedule(small_config(topology_kind="complete", period=None), ss)
-    assert np.allclose(comp[5][1].w, 1.0 / 8)
+    assert np.allclose(comp[5].w, 1.0 / 8)
 
 
 def test_build_schedule_poisson_uses_topology_seed():
@@ -259,8 +285,8 @@ def test_build_schedule_poisson_uses_topology_seed():
     a = bi.build_schedule(cfg, np.random.SeedSequence(1))
     b = bi.build_schedule(cfg, np.random.SeedSequence(1))
     c = bi.build_schedule(cfg, np.random.SeedSequence(2))
-    assert np.array_equal(a[1][1].w, b[1][1].w)
-    assert not np.array_equal(a[1][1].w, c[1][1].w)
+    assert np.array_equal(a[1].w, b[1].w)
+    assert not np.array_equal(a[1].w, c[1].w)
 
 
 def test_build_schedule_partitioned_ring_needs_period():
@@ -272,6 +298,13 @@ def test_build_schedule_window_override():
     cfg = small_config(window=8)
     sched = bi.build_schedule(cfg, np.random.SeedSequence(0))
     assert sched.B == 8
+
+
+@pytest.mark.parametrize("window", [0, -3])
+def test_build_schedule_window_must_be_positive(window):
+    with pytest.raises(ValueError, match=r"^topology\.B: must be >= 1$"):
+        bi.build_schedule(small_config(window=window), np.random.SeedSequence(0))
+    assert "topology.B: must be >= 1" in preflight(small_config(window=window)).errors
 
 
 def test_build_schedule_from_file(tmp_path, datadir):
@@ -387,7 +420,7 @@ def _star_schedule_file(tmp_path):
     g = from_undirected_pairs(3, [(1, 2), (1, 3)])
     w = degree_weights(g)
     assert not bi.is_doubly_stochastic(w)
-    sched = bi.TopologySchedule.periodic([(g, w)] * 3, B=1)
+    sched = bi.TopologySchedule(B=1, weights=[w] * 3)
     path = tmp_path / "star.schedule"
     dump_schedule(sched, path)
     return path

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,12 +44,6 @@ def test_complete_and_ring_shapes():
     ring = bi.ring_graph(5)
     assert ring.is_symmetric
     assert {j for j, i in ring.edges if i == 1} == {1, 2, 5}
-
-
-def test_union_merges_edge_sets():
-    a = bi.from_undirected_pairs(3, [(1, 2)])
-    b = bi.from_undirected_pairs(3, [(2, 3)])
-    assert a.union(b).edges == a.edges | b.edges
 
 
 # ---------------------------------------------------------------------------
@@ -188,26 +183,50 @@ def test_weight_matrix_support_must_match_graph():
         bi.WeightMatrix(g, np.array([[1.0, 0.0], [0.0, 1.0]]))  # zeros on edges
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_weight_matrix_rejects_non_finite_entries(bad):
+    g = bi.from_undirected_pairs(2, [])
+    with pytest.raises(ValueError, match="weights must be finite"):
+        bi.WeightMatrix(g, np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(ValueError, match="weights must be finite"):
+        bi.WeightMatrix(g, np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 # ---------------------------------------------------------------------------
 # schedules and validation
 
 def test_static_schedule_indexing():
     g = bi.complete_graph(3)
     sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
-    assert sched[1][0] is g and sched[10**9][0] is g
+    assert sched[1].graph is g and sched[10**9] is sched[1]
     assert sched.period == 1 and sched.mode == "static"
-    # the mode follows the pair count, however the schedule was built
-    assert bi.TopologySchedule.periodic([sched.pairs[0]], B=1).mode == "static"
+    # the mode follows the matrix count, however the schedule was built
+    assert bi.TopologySchedule(B=1, weights=[sched[1]]).mode == "static"
     with pytest.raises(ValueError, match="at least one"):
-        bi.TopologySchedule.periodic([], B=1)
+        bi.TopologySchedule(B=1, weights=[])
+    with pytest.raises(ValueError, match="B must be >= 1"):
+        bi.TopologySchedule(B=0, weights=[sched[1]])
+
+
+def test_static_schedule_rejects_weights_of_another_graph():
+    g = bi.complete_graph(3)
+    with pytest.raises(ValueError, match="different graph"):
+        bi.TopologySchedule.static(bi.ring_graph(4), bi.metropolis_weights(g))
+    with pytest.raises(ValueError, match="different graph"):
+        bi.TopologySchedule.static(bi.from_undirected_pairs(3, [(1, 2)]), bi.metropolis_weights(g))
+
+
+def test_schedule_rejects_matrices_of_different_sizes():
+    mats = [bi.metropolis_weights(bi.complete_graph(n)) for n in (2, 3)]
+    with pytest.raises(ValueError, match="same size"):
+        bi.TopologySchedule(B=2, weights=mats)
 
 
 def test_periodic_schedule_cycles():
     sched = bi.partitioned_ring_schedule(4, 2)
     assert sched.period == 2 and sched.mode == "periodic-list"
-    assert sched[1][0].edges == sched[3][0].edges
-    assert sched[2][0].edges == sched[4][0].edges
-    assert sched[1][0].edges != sched[2][0].edges
+    assert sched[1] is sched[3] and sched[2] is sched[4]
+    assert sched[1].graph.edges != sched[2].graph.edges
 
 
 def test_schedule_index_starts_at_one():
@@ -220,7 +239,7 @@ def test_schedule_index_starts_at_one():
 def test_validate_c4_static_complete_passes():
     g = bi.complete_graph(4)
     sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
-    report = bi.validate_c4(sched, kappa=0.1)
+    report = bi.validate_c4(sched)
     assert report.passed
     assert "ok" in report.summary()
 
@@ -235,15 +254,31 @@ def test_validate_c4_detects_isolated_agent():
 
 def test_validate_c4_periodic_window():
     sched = bi.partitioned_ring_schedule(3, 2)
-    assert bi.validate_c4(sched, kappa=0.25).passed
-    narrow = bi.TopologySchedule.periodic(tuple(sched.pairs), B=1)
-    assert not bi.validate_c4(narrow, kappa=0.25).passed
+    assert bi.validate_c4(sched).passed
+    narrow = bi.TopologySchedule(B=1, weights=sched.weights)
+    assert not bi.validate_c4(narrow).passed
+    # a window longer than the period sees the whole ring too
+    assert bi.validate_c4(replace(sched, B=7)).passed
 
 
-def test_validate_c4_kappa_floor():
-    g = bi.complete_graph(3)
-    sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
-    assert not bi.validate_c4(sched, kappa=0.9).entry_floor_ok
+def test_validate_c4_summary_text():
+    """The report text that summary.json carries under preflight.network."""
+    g = bi.ring_graph(6)
+    ring = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
+    assert bi.validate_c4(ring).summary() == (
+        "steps checked: 1; doubly stochastic: ok; entry floor 0.333333: ok "
+        "(min entry 0.333333); connectivity over 1 windows: ok"
+    )
+    # phase 1 links agent 1 to both 2 and 5, so degree weights are only row stochastic
+    degree = bi.partitioned_ring_schedule(5, 2, bi.degree_weights)
+    assert bi.validate_c4(degree).summary() == (
+        "steps checked: 2; doubly stochastic: failed at steps [1]; entry floor 0.333333: ok "
+        "(min entry 0.333333); connectivity over 2 windows: ok"
+    )
+    assert bi.validate_c4(replace(degree, B=1)).summary() == (
+        "steps checked: 2; doubly stochastic: failed at steps [1]; entry floor 0.333333: ok "
+        "(min entry 0.333333); connectivity over 2 windows: failed starts [1, 2]"
+    )
 
 
 def test_validate_c4_agrees_with_bfs_oracle():
@@ -271,7 +306,7 @@ def _static(n_or_graph, weight_fn=bi.metropolis_weights):
 def test_instant_averaging_has_zero_deviation():
     # metropolis on the complete graph gives exactly 1/n everywhere
     sched = _static(4)
-    assert np.array_equal(sched[1][1].w, np.full((4, 4), 0.25))
+    assert np.array_equal(sched[1].w, np.full((4, 4), 0.25))
     assert np.array_equal(bi.deviation_profile(sched, 1, 4), np.zeros(5))
 
 
@@ -285,7 +320,7 @@ def test_backward_product_matches_loop_oracle():
     sched = bi.partitioned_ring_schedule(4, 2)
     got = bi.deviation_profile(sched, 2, 4)
     for lag in range(5):
-        mats = [sched[t][1].w.tolist() for t in range(2, 3 + lag)]
+        mats = [sched[t].w.tolist() for t in range(2, 3 + lag)]
         prod = np.array(reference_backward_product(mats))
         want = float(np.linalg.norm(prod - np.full((4, 4), 0.25), 2))
         assert got[lag] == pytest.approx(want, rel=1e-12)
@@ -316,8 +351,8 @@ def test_schedule_round_trip(tmp_path):
     back = bi.load_schedule(path)
     assert back.mode == sched.mode and back.B == sched.B
     for t in range(1, 3):
-        assert back[t][0].edges == sched[t][0].edges
-        assert np.array_equal(back[t][1].w, sched[t][1].w)
+        assert back[t].graph == sched[t].graph
+        assert np.array_equal(back[t].w, sched[t].w)
     # dumping the loaded schedule reproduces the file byte for byte
     again = tmp_path / "again.txt"
     bi.dump_schedule(back, again)
@@ -329,8 +364,8 @@ def test_golden_schedule_file(datadir):
     fresh = bi.partitioned_ring_schedule(4, 2)
     assert back.B == 2
     for t in range(1, 3):
-        assert back[t][0].edges == fresh[t][0].edges
-        assert np.array_equal(back[t][1].w, fresh[t][1].w)
+        assert back[t].graph == fresh[t].graph
+        assert np.array_equal(back[t].w, fresh[t].w)
 
 
 def test_one_block_periodic_file_loads_as_static(tmp_path):

@@ -4,7 +4,13 @@ For each of 19 configs it runs ``run_experiment`` into a temporary
 directory and prints one line: the config name, the SHA-256 of
 ``trajectory.csv`` and the SHA-256 of ``summary.json`` with ``wall_time_s``
 removed.  For each config it also prints the SHA-256 of the JSON of
-``from_ini(to_ini(cfg)).to_dict()``, so the INI path is compared too.  It
+``from_ini(to_ini(cfg)).to_dict()``, so the INI path is compared too, and
+the SHA-256 of its schedule's ``dump_schedule`` bytes and of its
+``validate_c4(...).summary()`` text, so the topology layer is compared too;
+one more schedule line covers ``preset_v`` seed 101 with degree weights,
+whose report lists a stochasticity failure.  One more run line comes from a
+``topology.kind = file`` config that loads the dumped ring schedule (its
+temporary path is replaced by the file name before hashing).  It
 then prints one line per analysis and oracle output on a
 sparse and a dense model: the output's name and the SHA-256 of its array
 bytes.  No golden values are stored, because BLAS may round differently
@@ -103,8 +109,31 @@ def digests(cfg: bi.ExperimentConfig) -> tuple[str, str]:
         trajectory = (Path(tmp) / "trajectory.csv").read_bytes()
         summary = json.loads((Path(tmp) / "summary.json").read_text(encoding="utf-8"))
     summary.pop("wall_time_s")
+    if cfg.schedule_file is not None:
+        summary["config"]["topology"]["file"] = Path(cfg.schedule_file).name
     summary_bytes = json.dumps(summary, indent=2).encode("utf-8")
     return hashlib.sha256(trajectory).hexdigest(), hashlib.sha256(summary_bytes).hexdigest()
+
+
+def schedule_digests(cfg: bi.ExperimentConfig) -> tuple[str, str]:
+    """SHA-256 of the dumped schedule and of its validation report text."""
+    sched = bi.build_schedule(cfg, np.random.SeedSequence(cfg.seed).spawn(2)[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.schedule"
+        bi.dump_schedule(sched, path)
+        dumped = path.read_bytes()
+    report = bi.validate_c4(sched).summary().encode("utf-8")
+    return hashlib.sha256(dumped).hexdigest(), hashlib.sha256(report).hexdigest()
+
+
+def file_run_digests() -> tuple[str, str]:
+    """Digests of a ``topology.kind = file`` run on the dumped ring schedule."""
+    ring = ring_config(1, 3000)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ring.schedule"
+        bi.dump_schedule(bi.build_schedule(ring, None), path)
+        cfg = replace(ring, topology_kind="file", period=None, schedule_file=str(path))
+        return digests(cfg)
 
 
 def ini_round_trip(cfg: bi.ExperimentConfig) -> str:
@@ -147,6 +176,10 @@ def main() -> None:
         print(name, trajectory, summary, flush=True)
     for name, cfg in configs():
         print(f"{name}-ini", ini_round_trip(cfg), flush=True)
+    schedules = configs() + [("preset-v-101-degree", replace(bi.preset_v(seed=101), weights="degree"))]
+    for name, cfg in schedules:
+        print(f"{name}-schedule", *schedule_digests(cfg), flush=True)
+    print("ring-file", *file_run_digests(), flush=True)
     for kind, model in analysis_models():
         for name, arr in analysis_outputs(kind, model):
             print(name, hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest(), flush=True)
