@@ -19,7 +19,39 @@ One private kernel holds the truncated update, and two entry points call
 it.  :func:`dsaawet_identification_step` senses (draws, thresholds, one-bit
 signs) and runs it with gain a/k and radii M_m;
 :func:`generic_dsaawet_step` runs it on user-supplied observation rows with
-a given gain a_k and radius sequence.  Both reset to the origin.
+a given gain a_k and radius sequence.  Both reset to the origin.  When all
+counters agree the kernel takes one path, :func:`_agreeing_update`: mix
+with ``W @ x``, add the innovation and test every norm against the one
+common radius.  The disagreeing-counter update is written once, in
+:func:`_truncated_update`.
+
+:func:`run` drives the recursion through an engine that keeps the state in
+its own buffers and builds frozen snapshots only for its sinks and its
+return value.  It hoists the schedule's weight cycle, ``theta*`` on each
+agent's support, the regressor bound beta, the largest row sum rho of the
+weight matrices, and the squared radius (recomputed when the counters
+move).
+
+- *Quiet step.*  While the counters agree, the engine reads the raw draw
+  columns (:meth:`ModelStreams.columns`, the same banks as ``phi_step`` and
+  ``noise_step``), computes outputs, thresholds and sensor bits into
+  preallocated buffers and calls :func:`_agreeing_update` into a second
+  state buffer.  The arithmetic is the kernel's, so every value is the
+  identification step's bit for bit.
+- *Norm bound.*  Weights are nonnegative, so with agreeing counters each
+  new row obeys ``||x'_i|| <= sum_j w_ij ||x_j|| + a_k ||phi_i||
+  <= rho max_j ||x_j|| + a_k beta``.  The engine carries
+  ``B <- (rho B + a_k beta)(1 + 1e-9)``; the margin covers the rounding of
+  the product, the innovation and the norms.  While ``B < M (1 - 1e-9)`` no
+  row can leave the ball of radius M, so the exact test is skipped.
+  Otherwise (a NaN B included) the exact test runs and B becomes the
+  largest norm found, times the same margin.  A truncation, a counter move
+  or a general step resets B to infinity.
+- *General path.*  A step that starts from disagreeing counters calls
+  :func:`dsaawet_identification_step` on a snapshot of the state.
+
+:class:`InvariantMonitor` checks the counters at every counter move, and
+checks the balls over windows of up to 64 steps with one ``einsum``.
 """
 
 from __future__ import annotations
@@ -191,36 +223,69 @@ def truncation_radii(levels: np.ndarray, radii: str = "linear") -> np.ndarray:
 # ---------------------------------------------------------------------------
 # single-step updates
 
-def _truncated_update(x, sigma, sigma_uniform, weights, phi, signs, a_k, radii):
+def _agreeing_update(x, out, w, a_k, bits, draws, flat, r_sq, scratch=None):
+    """The update for agreeing counters, written into ``out``.
+
+    ``out = W x + a_k phi_i s_i`` row by row, with ``s_i = -1`` where the
+    sensor bit is set (``bits``) and +1 elsewhere.  The regressors are the
+    sparse amplitudes ``draws`` (n,), with ``flat`` the flat index of each
+    agent's active slot in ``out``, or the dense rows ``draws`` (n, l) with
+    ``flat`` None.  ``out`` is a C-contiguous (n, l) array other than ``x``;
+    ``scratch``, if given, has the shape of ``draws``.
+
+    With ``r_sq`` (the squared radius of the common counter) the rows whose
+    squared norm exceeds it are reset to the origin; ``r_sq`` None skips the
+    test.  Returns the mask of reset rows (None when none was) and the
+    largest squared norm before any reset (NaN when untested).
+    """
+    np.matmul(w, x, out=out)
+    if flat is not None:
+        # (-eta) a_k == -(eta a_k) exactly, so this is (eta s) a_k bit for bit
+        delta = np.multiply(draws, a_k, out=scratch)
+        np.negative(delta, out=delta, where=bits)
+        out.reshape(-1)[flat] += delta
+    else:
+        coef = np.where(bits, -a_k, a_k)
+        out += np.multiply(draws, coef[:, None], out=scratch)
+    if r_sq is None:
+        return None, math.nan
+    norms_sq = np.einsum("ij,ij->i", out, out)
+    top = norms_sq.max()
+    if not top > r_sq:
+        return None, top
+    exceeded = norms_sq > r_sq
+    out[exceeded] = 0.0
+    return exceeded, top
+
+
+def _truncated_update(x, sigma, sigma_uniform, weights, phi, bits, a_k, radii):
     """The truncated recursion shared by both step functions.
 
     Mixes over the neighbourhood-max counter (lagging agents contribute the
-    origin), adds ``a_k phi_i signs_i`` (``phi`` a :class:`PhiBatch`), zeroes
-    lagging agents and resets to the origin outside the radius of the
-    adopted counter.  Returns ``(x_next, sigma_next, n_truncated)``.
+    origin), adds ``a_k phi_i s_i`` (``phi`` a :class:`PhiBatch`, ``s_i = -1``
+    where ``bits`` is set and +1 elsewhere), zeroes lagging agents and
+    resets to the origin outside the radius of the adopted counter.
+    Agreeing counters go through :func:`_agreeing_update`.  Returns
+    ``(x_next, sigma_next, n_truncated)``.
     """
     if sigma_uniform:
-        sig_hat = sigma
-        x_prime = weights.w @ x
-    else:
-        sig_hat = np.where(weights.support, sigma[None, :], -1).max(axis=1)
-        x_prime = (weights.w * (sigma[None, :] == sig_hat[:, None])) @ x
+        radius = truncation_radii(sigma[:1], radii)[0]
+        x_next = np.empty(x.shape)
+        draws, flat = (phi.eta, phi.flat) if phi.is_sparse else (phi.dense, None)
+        exceeded, _ = _agreeing_update(
+            x, x_next, weights.w, a_k, bits, draws, flat, radius * radius
+        )
+        if exceeded is None:
+            return x_next, sigma, 0
+        return x_next, sigma + exceeded, int(exceeded.sum())
 
-    phi.add_innovation(x_prime, a_k, signs)
-
-    if not sigma_uniform:
-        x_prime = np.where((sigma == sig_hat)[:, None], x_prime, 0.0)
-
+    sig_hat = np.where(weights.support, sigma[None, :], -1).max(axis=1)
+    x_prime = (weights.w * (sigma[None, :] == sig_hat[:, None])) @ x
+    phi.add_innovation(x_prime, a_k, np.where(bits, -1.0, 1.0))
+    x_prime = np.where((sigma == sig_hat)[:, None], x_prime, 0.0)
     norms_sq = np.einsum("ij,ij->i", x_prime, x_prime)
-    if sigma_uniform:
-        # one counter, one radius: a scalar test settles the quiet steps
-        bound = truncation_radii(sig_hat[:1], radii)[0]
-        if not norms_sq.max() > bound * bound:
-            return x_prime, sig_hat, 0
-    else:
-        bound = truncation_radii(sig_hat, radii)
+    bound = truncation_radii(sig_hat, radii)
     exceeded = norms_sq > bound * bound
-
     if not exceeded.any():
         return x_prime, sig_hat, 0
     x_next = np.where(exceeded[:, None], 0.0, x_prime)
@@ -251,10 +316,10 @@ def dsaawet_identification_step(
     k = s.k
     phi = streams.phi_step(k)
     d = streams.noise_step()
-    signs = np.where(phi.outputs(model.theta_star, d) < phi.thresholds(s.theta), -1.0, 1.0)
+    bits = phi.outputs(model.theta_star, d) < phi.thresholds(s.theta)
 
     theta_next, sigma_next, n_trunc = _truncated_update(
-        s.theta, s.sigma, s.sigma_uniform, weights, phi, signs, gain / k, radii
+        s.theta, s.sigma, s.sigma_uniform, weights, phi, bits, gain / k, radii
     )
     ledger = s.ledger.record(k + 1, s.sigma, sigma_next, n_trunc)
     if sigma_next is s.sigma:
@@ -315,13 +380,16 @@ def generic_dsaawet_step(
         raise ValueError("observations must be finite")
     x_next, sigma_next, _ = _truncated_update(
         state.x, state.sigma, state.sigma_uniform, weights,
-        PhiBatch(l=l, dense=obs), np.ones(n), a_k, radii,
+        PhiBatch(l=l, dense=obs), np.zeros(n, dtype=bool), a_k, radii,
     )
     return EngineState(x=x_next, sigma=sigma_next)
 
 
 # ---------------------------------------------------------------------------
 # multi-step driver
+
+_BOUND_SLACK = 1e-9     # relative margin of the norm bound over rounding
+
 
 def run(
     model: SystemModel,
@@ -340,12 +408,21 @@ def run(
     Draws come from ``streams`` (or a fresh :class:`ModelStreams` built from
     ``seed``), so results are reproducible per seed.  ``gain`` and ``radii``
     select the recursion (gain a/k, radii M_m) as in
-    :func:`dsaawet_identification_step`.  Each sink is invoked as
-    ``sink(previous, new)`` after every step; sinks observe, they cannot
-    alter the run.
+    :func:`dsaawet_identification_step`, whose results the run reproduces
+    bit for bit.  Each sink is invoked as ``sink(previous, new)`` with
+    frozen snapshots after every step; sinks observe, they cannot alter the
+    run.  ``init`` must hold ``(model.n_agents, model.l)`` estimates; with
+    ``steps == 0`` it is returned as it is.
     """
     check_gain(gain)
     check_radii(radii)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if init is not None and init.theta.shape != (model.n_agents, model.l):
+        raise ValueError(
+            f"init: theta has shape {init.theta.shape}, "
+            f"the model needs ({model.n_agents}, {model.l})"
+        )
     if streams is None:
         if seed is None:
             raise ValueError("provide streams= or seed=")
@@ -353,20 +430,94 @@ def run(
     if schedule.n_agents != model.n_agents:
         raise ValueError("schedule and model disagree on the number of agents")
     snap = init if init is not None else NetworkSnapshot.initial(model.n_agents, model.l)
-    sinks = tuple(sinks)
+    if steps == 0:
+        return snap
+    return _run_steps(model, schedule, streams, snap, steps, tuple(sinks), gain, radii)
+
+
+def _run_steps(model, schedule, streams, snap, steps, sinks, gain, radii):
+    """The engine behind :func:`run`: quiet steps in place, the rest general.
+
+    Keeps the state in its own buffers and builds snapshots only for the
+    sinks and the return value (see the module docstring).
+    """
+    cycle = schedule.weights
+    mats = [wm.w for wm in cycle]
+    period = len(cycle)
+    rho = max(float(w.sum(axis=1).max()) for w in mats)
+    beta = float(model.regressor.bound)
+    grow = 1.0 + _BOUND_SLACK
+    n = model.n_agents
+    sparse = model.supports is not None
+    if sparse:
+        star = model.theta_star[model.supports]
+        flat = np.arange(n) * model.l + model.supports
+    else:
+        star, flat = model.theta_star, None
+
+    k, sigma, uniform, ledger = snap.k, snap.sigma, snap.sigma_uniform, snap.ledger
+    x = np.array(snap.theta)
+    out = np.empty_like(x)
+    y, c = np.empty(n), np.empty(n)
+    bits = np.empty(n, dtype=bool)
+    scratch = np.empty(n) if sparse else np.empty_like(x)
+    bound = math.inf        # bounds every row norm of x while counters agree
+    radius_of = None        # the counters r_sq and r_cut belong to
     for _ in range(steps):
-        weights = schedule[snap.k]
-        new = dsaawet_identification_step(snap, weights, model, streams, gain, radii)
-        for sink in sinks:
-            sink(snap, new)
-        snap = new
-    return snap
+        if uniform:
+            if sigma is not radius_of:
+                radius = float(truncation_radii(sigma[:1], radii)[0])
+                r_sq, r_cut, radius_of = radius * radius, radius * (1.0 - _BOUND_SLACK), sigma
+            draws, d = streams.columns()
+            if sparse:
+                np.multiply(draws, star, out=y)
+                np.multiply(draws, x.reshape(-1)[flat], out=c)
+            else:
+                np.matmul(draws, star, out=y)
+                np.einsum("ij,ij->i", draws, x, out=c)
+            np.add(y, d, out=y)
+            np.less(y, c, out=bits)
+            a_k = gain / k
+            bound = (rho * bound + a_k * beta) * grow
+            exact = not bound < r_cut          # a NaN bound takes the exact test
+            exceeded, top = _agreeing_update(
+                x, out, mats[(k - 1) % period], a_k, bits, draws, flat,
+                r_sq if exact else None, scratch,
+            )
+            del draws, d        # views pin their block: let the next refill free it
+            x, out = out, x
+            k += 1
+            if exceeded is None:
+                if exact:
+                    bound = math.sqrt(top) * grow
+                new = snap._successor(x.copy(), ledger) if sinks else None
+            else:
+                moved = sigma + exceeded
+                ledger = ledger.record(k, sigma, moved, int(exceeded.sum()))
+                sigma, uniform, bound = moved, bool((moved == moved[0]).all()), math.inf
+                new = NetworkSnapshot(k=k, theta=x, sigma=sigma, ledger=ledger) if sinks else None
+        else:
+            prev = snap if sinks else NetworkSnapshot(k=k, theta=x, sigma=sigma, ledger=ledger)
+            new = dsaawet_identification_step(
+                prev, cycle[(k - 1) % period], model, streams, gain, radii
+            )
+            np.copyto(x, new.theta)
+            k, sigma, uniform, ledger = new.k, new.sigma, new.sigma_uniform, new.ledger
+            bound = math.inf
+        if sinks:
+            for sink in sinks:
+                sink(snap, new)
+            snap = new
+    if sinks:
+        return snap
+    return NetworkSnapshot(k=k, theta=x, sigma=sigma, ledger=ledger)
 
 
 # ---------------------------------------------------------------------------
 # invariant monitoring
 
 _MAX_RECORDED_VIOLATIONS = 10      # messages kept; ``count`` has them all
+_MONITOR_WINDOW = 64               # steps whose ball checks share one einsum
 
 
 class InvariantMonitor:
@@ -378,25 +529,49 @@ class InvariantMonitor:
     ``||theta_i|| <= M_sigma_i`` for the run's radius sequence ``radii``
     (truncated rows are zero, kept rows passed exactly this comparison
     inside the step).
+
+    The counter checks run at once whenever the counter array changes.  The
+    ball check is deferred: a copy of each step's estimates waits in a
+    buffer of at most 64 steps that share one counter array, and one
+    ``einsum`` judges them all.  The buffer is flushed when it is full,
+    before a counter move is judged and whenever ``ok``, ``count`` or
+    ``violations`` is read, so every message keeps its own step ``k`` and
+    the messages stay in step order.
     """
 
     def __init__(self, radii: str = "linear"):
         check_radii(radii)
         self.radii = radii
-        self.violations: list[str] = []
-        self.count = 0
         self.steps = 0
-        self._sigma = None          # counters the cached squared radii belong to
+        self._violations: list[str] = []
+        self._count = 0
+        self._sigma = None          # counters of the pending steps
         self._radii_sq = None
+        self._pending = None        # (window, n, l) estimates awaiting the ball check
+        self._ks: list[int] = []    # step index of each pending row
 
     def _record(self, msg: str) -> None:
-        self.count += 1
-        if len(self.violations) < _MAX_RECORDED_VIOLATIONS:
-            self.violations.append(msg)
+        self._count += 1
+        if len(self._violations) < _MAX_RECORDED_VIOLATIONS:
+            self._violations.append(msg)
+
+    def _flush(self) -> None:
+        if not self._ks:
+            return
+        block = self._pending[: len(self._ks)]
+        norms_sq = np.einsum("kij,kij->ki", block, block)
+        outside = (norms_sq > self._radii_sq).any(axis=1)
+        for k, bad in zip(self._ks, outside.tolist()):
+            if bad:
+                self._record(f"k={k}: estimate outside its truncation ball")
+        self._ks.clear()
 
     def __call__(self, prev: NetworkSnapshot, new: NetworkSnapshot) -> None:
         self.steps += 1
-        if new.sigma is not prev.sigma:
+        moved = new.sigma is not prev.sigma
+        if moved or new.sigma is not self._sigma or len(self._ks) == _MONITOR_WINDOW:
+            self._flush()
+        if moved:
             if np.any(new.sigma < prev.sigma):
                 self._record(f"k={new.k}: a truncation counter decreased")
             rose = new.sigma > prev.sigma
@@ -405,13 +580,20 @@ class InvariantMonitor:
         if new.sigma is not self._sigma:
             radii = truncation_radii(new.sigma, self.radii)
             self._sigma, self._radii_sq = new.sigma, radii * radii
-        norms_sq = np.einsum("ij,ij->i", new.theta, new.theta)
-        if new.sigma_uniform:
-            outside = norms_sq.max() > self._radii_sq[0]
-        else:
-            outside = np.any(norms_sq > self._radii_sq)
-        if outside:
-            self._record(f"k={new.k}: estimate outside its truncation ball")
+        if self._pending is None or self._pending.shape[1:] != new.theta.shape:
+            self._pending = np.empty((_MONITOR_WINDOW,) + new.theta.shape)
+        self._pending[len(self._ks)] = new.theta
+        self._ks.append(new.k)
+
+    @property
+    def count(self) -> int:
+        self._flush()
+        return self._count
+
+    @property
+    def violations(self) -> list[str]:
+        self._flush()
+        return self._violations
 
     @property
     def ok(self) -> bool:

@@ -130,3 +130,13 @@ class ModelStreams:
     def noise_step(self) -> np.ndarray:
         """Noise draw for every agent: shape ``(n,)``."""
         return self._noise_bank.column()
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Next step's raw regressor column and noise column, with no batch.
+
+        The regressor column holds the sparse amplitudes ``(n,)`` or the
+        dense rows ``(n, l)``.  Both come from the banks behind
+        :meth:`phi_step` and :meth:`noise_step`, so the three calls can be
+        mixed step by step and every drawn value stays the same.
+        """
+        return self._phi_bank.column(), self._noise_bank.column()

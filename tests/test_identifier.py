@@ -169,6 +169,99 @@ def test_step_matches_reference_on_random_networks(seed, n, l, dense, recursion)
     assert final.k == k0 + 30
 
 
+def _near_radius_init(rng, n, l, sigma0, radii, k0):
+    """Snapshot in which about half the rows sit at 0.9-1.0 of their radius."""
+    radius0 = bi.truncation_radii(sigma0, radii)
+    theta0 = rng.uniform(-1.0, 1.0, (n, l)) * (radius0[:, None] / np.sqrt(l))
+    near = rng.normal(size=(n, l))
+    near *= (rng.uniform(0.9, 1.0, n) * radius0 / np.linalg.norm(near, axis=1))[:, None]
+    rows = rng.random(n) < 0.5
+    theta0[rows] = near[rows]
+    return bi.NetworkSnapshot(
+        k=k0, theta=theta0, sigma=sigma0, ledger=bi.TruncationLedger.initial(n, k0)
+    )
+
+
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4), st.booleans(),
+    st.sampled_from([(1.0, "linear"), (16.0, "doubling")]), st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_run_matches_reference_on_random_networks(seed, n, l, dense, recursion, agreeing):
+    # the engine behind run (quiet in-place steps, the norm bound that skips
+    # the exact ball test, general steps for disagreeing counters) against
+    # the loop-by-loop reference, step by step through a sink
+    gain, radii = recursion
+    rng = np.random.default_rng(seed)
+    regressors = (
+        bi.DenseUniformRegressors(l, bound=rng.uniform(0.5, 3.0)) if dense
+        else bi.SparseUniformRegressors(l)
+    )
+    model = bi.SystemModel(
+        rng.normal(0.0, 2.0, l), regressors, bi.GaussianNoise(rng.uniform(0.01, 1.0)), n
+    )
+    g = bi.generate_poisson_graph(n, rng.uniform(0.2, 0.8), rng)
+    sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
+    sigma0 = np.full(n, rng.integers(1, 4)) if agreeing else rng.integers(1, 4, n)
+    k0 = int(rng.integers(1, 200))
+    init = _near_radius_init(rng, n, l, sigma0, radii, k0)
+
+    mine = bi.ModelStreams(model, seed)
+    ref = {"theta": init.theta.tolist(), "sigma": init.sigma.tolist()}
+    w = sched[1].w.tolist()
+
+    def check(prev, new):
+        k = prev.k
+        assert new.k == k + 1
+        phi = mine.phi_step(k)
+        d = mine.noise_step()
+        rows = phi.rows().tolist()
+        y = [sum(rows[i][m] * model.theta_star[m] for m in range(l)) + d[i] for i in range(n)]
+        ref["theta"], ref["sigma"], _ = reference_step(
+            ref["theta"], ref["sigma"], w, rows, y, gain / k, RADIUS[radii]
+        )
+        assert np.array_equal(new.sigma, ref["sigma"])
+        assert np.allclose(new.theta, ref["theta"], rtol=1e-10, atol=1e-12)
+        assert not new.theta.flags.writeable and not new.sigma.flags.writeable
+
+    steps = 40
+    kwargs = dict(init=init, gain=gain, radii=radii)
+    final = bi.run(model, sched, steps, seed=seed, sinks=(check,), **kwargs)
+    assert final.k == k0 + steps
+    quiet = bi.run(model, sched, steps, seed=seed, **kwargs)
+    assert np.array_equal(quiet.theta, final.theta)
+    assert np.array_equal(quiet.sigma, final.sigma)
+    for field in ("first_hit", "first_hit_agent", "sigma_max", "truncation_events", "last_change"):
+        assert getattr(quiet.ledger, field) == getattr(final.ledger, field)
+
+
+def test_run_takes_both_the_bound_skip_and_the_exact_ball_test(monkeypatch):
+    # rows near their radius force exact tests; later small gains let the
+    # norm bound skip them, and the run still matches the step function
+    rng = np.random.default_rng(3)
+    n, l = 6, 3
+    model = _sparse_model(n, l, star=np.array([0.4, -0.3, 0.2]))
+    g = bi.generate_poisson_graph(n, 0.6, rng)
+    sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
+    init = _near_radius_init(rng, n, l, np.full(n, 2), "linear", 150)
+    tests = []
+    kernel = bi.identifier._agreeing_update
+
+    def counting(*args):
+        tests.append(args[7] is not None)
+        return kernel(*args)
+
+    monkeypatch.setattr(bi.identifier, "_agreeing_update", counting)
+    final = bi.run(model, sched, 400, init=init, seed=8)
+    assert any(tests) and not all(tests)
+
+    snap, streams = init, bi.ModelStreams(model, 8)
+    for _ in range(400):
+        snap = bi.dsaawet_identification_step(snap, sched[snap.k], model, streams)
+    assert np.array_equal(final.theta, snap.theta)
+    assert np.array_equal(final.sigma, snap.sigma)
+
+
 def test_reference_is_order_independent():
     # processing agents in any order reads only pre-step state
     rng = np.random.default_rng(0)
@@ -359,6 +452,25 @@ def test_run_zero_steps_returns_init():
     assert out is init
 
 
+def test_run_rejects_negative_steps():
+    model = _sparse_model(3, 2)
+    g = bi.complete_graph(3)
+    sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        bi.run(model, sched, -3, seed=0)
+
+
+def test_run_rejects_init_of_the_wrong_shape():
+    model = _sparse_model(3, 2)
+    g = bi.complete_graph(3)
+    sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
+    for n, l in ((3, 5), (4, 2)):
+        init = bi.NetworkSnapshot.initial(n, l)
+        for steps in (0, 10):
+            with pytest.raises(ValueError, match=r"init: theta has shape \(%d, %d\)" % (n, l)):
+                bi.run(model, sched, steps, init=init, seed=0)
+
+
 def test_run_requires_seed_or_streams():
     model = _sparse_model(2, 2)
     g = bi.complete_graph(2)
@@ -452,6 +564,70 @@ def test_monitor_judges_each_agent_against_its_own_radius():
     assert mon.count == 3
     mon(prev, bad)
     assert mon.count == 4
+
+
+def _feed(mon, norms_by_step, sigma=(2, 2), k0=2):
+    """Hand the monitor one step per row of agent norms, as run does.
+
+    Consecutive snapshots share one counter array (a step that moves no
+    counter keeps its parent's), so the ball checks wait in one window.
+    Returns the last snapshot.
+    """
+    ledger = bi.TruncationLedger.initial(len(sigma))
+    prev = bi.NetworkSnapshot(k=k0, theta=np.zeros((len(sigma), 1)), sigma=sigma, ledger=ledger)
+    for norms in norms_by_step:
+        new = prev._successor(np.array(norms, dtype=np.float64)[:, None], ledger)
+        mon(prev, new)
+        prev = new
+    return prev
+
+
+def test_monitor_reports_deferred_ball_violations_in_step_order():
+    # linear radii, counters (2, 2): norm 2.5 is outside, 1.5 inside
+    # call i judges step k = i + 3; the first window holds calls 0-63 and
+    # the second 64-127, so the planted steps straddle a window boundary,
+    # close the second window and wait in the third when the counters move
+    steps = [[1.5, 1.5]] * 130
+    for i in (63, 64, 127, 129):
+        steps[i] = [1.5, -2.5]
+    mon = bi.InvariantMonitor()
+    last = _feed(mon, steps)
+    # a counter move: agent 1 bumps to 3 but keeps a nonzero estimate
+    moved = bi.NetworkSnapshot(
+        k=last.k + 1, theta=np.array([[0.5], [0.0]]), sigma=np.array([3, 2]), ledger=last.ledger
+    )
+    mon(last, moved)
+    assert mon.steps == 131
+    assert mon.violations == [
+        "k=66: estimate outside its truncation ball",
+        "k=67: estimate outside its truncation ball",
+        "k=130: estimate outside its truncation ball",
+        "k=132: estimate outside its truncation ball",
+        "k=133: nonzero estimate right after a counter bump",
+    ]
+    assert mon.count == 5 and not mon.ok
+
+
+def test_monitor_flushes_pending_steps_when_read():
+    mon = bi.InvariantMonitor()
+    _feed(mon, [[1.0, 1.0], [3.0, 0.0], [1.0, 1.0]])
+    assert mon.count == 1            # the pending window was judged on read
+    _feed(mon, [[1.0, 1.0], [0.0, -3.0]], k0=10)
+    assert mon.count == 2
+    assert mon.violations == [
+        "k=4: estimate outside its truncation ball",
+        "k=12: estimate outside its truncation ball",
+    ]
+
+
+def test_monitor_caps_messages_but_counts_every_violation():
+    mon = bi.InvariantMonitor()
+    steps = [[3.0, 0.0] if i % 7 == 0 else [1.0, 1.0] for i in range(200)]
+    _feed(mon, steps)
+    bad = [i for i in range(200) if i % 7 == 0]
+    assert mon.count == len(bad) == 29
+    assert mon.violations == [f"k={i + 3}: estimate outside its truncation ball" for i in bad[:10]]
+    assert mon.steps == 200
 
 
 def test_step_freezes_theta_and_shares_counters_that_did_not_move():

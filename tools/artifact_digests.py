@@ -10,7 +10,10 @@ the SHA-256 of its schedule's ``dump_schedule`` bytes and of its
 one more schedule line covers ``preset_v`` seed 101 with degree weights,
 whose report lists a stochasticity failure.  One more run line comes from a
 ``topology.kind = file`` config that loads the dumped ring schedule (its
-temporary path is replaced by the file name before hashing).  It
+temporary path is replaced by the file name before hashing).  Two
+``-nosink`` lines hash the final estimates, counters and truncation ledger
+of ``run`` called without sinks (the path ``run_experiment`` never takes),
+on ``preset_v`` seed 101 and on ``ring-dense-1``.  It
 then prints one line per analysis and oracle output on a
 sparse and a dense model: the output's name and the SHA-256 of its array
 bytes.  No golden values are stored, because BLAS may round differently
@@ -136,6 +139,28 @@ def file_run_digests() -> tuple[str, str]:
         return digests(cfg)
 
 
+def no_sink_digests(cfg: bi.ExperimentConfig) -> tuple[str, str, str]:
+    """SHA-256 of the final theta, sigma and ledger of ``run`` without sinks."""
+    pre = bi.preflight(cfg)
+    streams = bi.ModelStreams(pre.model, np.random.SeedSequence(cfg.seed).spawn(2)[1])
+    final = bi.run(
+        pre.model, pre.schedule, cfg.steps, streams=streams, gain=cfg.gain, radii=cfg.radii
+    )
+    led = final.ledger
+    ledger = {
+        "first_hit": sorted(led.first_hit.items()),
+        "first_hit_agent": sorted([i, m, k] for (i, m), k in led.first_hit_agent.items()),
+        "sigma_max": led.sigma_max,
+        "truncation_events": led.truncation_events,
+        "last_change": led.last_change,
+    }
+    return (
+        hashlib.sha256(final.theta.tobytes()).hexdigest(),
+        hashlib.sha256(final.sigma.tobytes()).hexdigest(),
+        hashlib.sha256(json.dumps(ledger).encode("utf-8")).hexdigest(),
+    )
+
+
 def ini_round_trip(cfg: bi.ExperimentConfig) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.ini"
@@ -180,6 +205,9 @@ def main() -> None:
     for name, cfg in schedules:
         print(f"{name}-schedule", *schedule_digests(cfg), flush=True)
     print("ring-file", *file_run_digests(), flush=True)
+    for name, cfg in configs():
+        if name in ("preset-v-101", "ring-dense-1"):
+            print(f"{name}-nosink", *no_sink_digests(cfg), flush=True)
     for kind, model in analysis_models():
         for name, arr in analysis_outputs(kind, model):
             print(name, hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest(), flush=True)
