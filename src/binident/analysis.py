@@ -10,6 +10,14 @@ For the sparse one-coordinate-per-agent regressor kind f decouples per
 coordinate and is evaluated by Gauss-Legendre quadrature; the dense kind
 falls back to Monte Carlo.  Also here: consensus/error metrics and the strided
 trajectory recorder used by runs.
+
+Each run metric (theta_bar, consensus gap, per-agent errors, mean error) is
+one batch kernel over a stack of estimate arrays of shape (rows, n, l); the
+per-snapshot functions call it on a stack of one, so ``summary.json`` and
+``trajectory.csv`` share one copy of each formula.  The recorder copies each
+recorded row's estimates into a 64-row window and reduces a full window with
+one call per kernel, so it holds at most 64 n l floats beyond its columns.
+``runner.write_trajectory_csv`` then formats these columns in one pass.
 """
 
 from __future__ import annotations
@@ -185,28 +193,53 @@ def regression_function_mc(
 
 # ---------------------------------------------------------------------------
 # run metrics
+#
+# Each formula is written once, over a stack ``T`` of R estimate arrays of
+# shape (R, n, l), and the per-snapshot functions call it on one row.  Every
+# reduction runs along the same axis, in the same order, in both uses, so a
+# row of a batch is bit-equal to the snapshot value.  The mean error takes
+# the stacked ``matmul`` (one dot per row, like ``d @ d``): a batched
+# ``einsum("ri,ri->r")`` sums in another order and rounds differently.
+
+def _theta_bar_rows(T: np.ndarray) -> np.ndarray:
+    return T.mean(axis=1)
+
+
+def _consensus_gap_rows(T: np.ndarray, bar: np.ndarray) -> np.ndarray:
+    dev = T - bar[:, None, :]
+    return np.sqrt((dev * dev).reshape(len(T), -1).sum(axis=1))
+
+
+def _agent_error_rows(T: np.ndarray, theta_star: np.ndarray) -> np.ndarray:
+    diff = T - theta_star
+    return np.sqrt(np.einsum("rij,rij->ri", diff, diff))
+
+
+def _mean_error_rows(bar: np.ndarray, theta_star: np.ndarray) -> np.ndarray:
+    d = bar - theta_star
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).reshape(len(d)))
+
 
 def mean_estimate(s) -> np.ndarray:
     """Network-average estimate theta_bar."""
-    return s.theta.mean(axis=0)
+    return _theta_bar_rows(s.theta[None])[0]
 
 
 def consensus_gap(s) -> float:
     """Root of the summed squared distances to the network average."""
-    dev = s.theta - s.theta.mean(axis=0, keepdims=True)
-    return float(np.sqrt((dev * dev).sum()))
+    T = s.theta[None]
+    return float(_consensus_gap_rows(T, _theta_bar_rows(T))[0])
 
 
 def estimation_errors(s, theta_star: np.ndarray) -> np.ndarray:
     """Per-agent distances ``||theta_i - theta_star||``."""
-    diff = s.theta - np.asarray(theta_star, dtype=np.float64)[None, :]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return _agent_error_rows(s.theta[None], np.asarray(theta_star, dtype=np.float64))[0]
 
 
 def mean_error(s, theta_star: np.ndarray) -> float:
     """Distance of the network-average estimate from the true parameter."""
-    diff = s.theta.mean(axis=0) - np.asarray(theta_star, dtype=np.float64)
-    return float(np.sqrt(diff @ diff))
+    bar = _theta_bar_rows(s.theta[None])
+    return float(_mean_error_rows(bar, np.asarray(theta_star, dtype=np.float64))[0])
 
 
 @dataclass(eq=False)
@@ -256,12 +289,20 @@ class Metrics:
         return True
 
 
+_RECORDER_WINDOW = 64              # rows whose metrics share one kernel call
+
+
 class TrajectoryRecorder:
     """Run sink keeping strided metric rows (always including first/last).
 
     Appends a row at the initial snapshot, at every step k divisible by
     ``stride``, and at the final snapshot handed to :meth:`metrics` (for a
     zero-step run that is the initial snapshot, so there is always a row).
+
+    A row's step and largest counter are kept at once; a copy of its
+    estimates waits in a buffer of at most 64 rows, and each full buffer is
+    reduced by one call of each metric kernel into column chunks.
+    :meth:`metrics` reduces what is left and joins the chunks.
     """
 
     def __init__(
@@ -277,37 +318,52 @@ class TrajectoryRecorder:
         self.stride = int(stride)
         self.record_agent_errors = record_agent_errors
         self.record_theta_bar = record_theta_bar
-        self._rows: list[tuple] = []
+        self._ks: list[int] = []
+        self._sigma_max: list[int] = []
+        self._window = None          # (window, n, l) estimates of unreduced rows
+        self._pending = 0            # unreduced rows in the window
+        self._chunks: dict[str, list[np.ndarray]] = {
+            "consensus_gap": [], "mean_error": [], "agent_errors": [], "theta_bar": [],
+        }
+
+    def _flush(self) -> None:
+        if not self._pending:
+            return
+        T = self._window[: self._pending]
+        bar = _theta_bar_rows(T)
+        chunks = self._chunks
+        chunks["consensus_gap"].append(_consensus_gap_rows(T, bar))
+        chunks["mean_error"].append(_mean_error_rows(bar, self.theta_star))
+        if self.record_agent_errors:
+            chunks["agent_errors"].append(_agent_error_rows(T, self.theta_star))
+        if self.record_theta_bar:
+            chunks["theta_bar"].append(bar)
+        self._pending = 0
 
     def _append(self, snap) -> None:
-        row = [
-            snap.k,
-            snap.ledger.sigma_max,
-            consensus_gap(snap),
-            mean_error(snap, self.theta_star),
-        ]
-        if self.record_agent_errors:
-            row.append(estimation_errors(snap, self.theta_star))
-        if self.record_theta_bar:
-            row.append(mean_estimate(snap))
-        self._rows.append(tuple(row))
+        if self._window is None:
+            self._window = np.empty((_RECORDER_WINDOW,) + snap.theta.shape)
+        elif self._pending == _RECORDER_WINDOW:
+            self._flush()
+        self._window[self._pending] = snap.theta
+        self._pending += 1
+        self._ks.append(snap.k)
+        self._sigma_max.append(snap.ledger.sigma_max)
 
     def __call__(self, prev, new) -> None:
-        if not self._rows:
+        if not self._ks:
             self._append(prev)
         if new.k % self.stride == 0:
             self._append(new)
 
     def metrics(self, final) -> Metrics:
         """Recorded columns, closed by the run's ``final`` snapshot."""
-        if not self._rows or final.k > self._rows[-1][0]:
+        if not self._ks or final.k > self._ks[-1]:
             self._append(final)
-        cols = list(zip(*self._rows))
+        self._flush()
+        cols = {name: np.concatenate(c) if c else None for name, c in self._chunks.items()}
         return Metrics(
-            k=np.array(cols[0], dtype=np.int64),
-            sigma_max=np.array(cols[1], dtype=np.int64),
-            consensus_gap=np.array(cols[2]),
-            mean_error=np.array(cols[3]),
-            agent_errors=np.stack(cols[4]) if self.record_agent_errors else None,
-            theta_bar=np.stack(cols[-1]) if self.record_theta_bar else None,
+            k=np.array(self._ks, dtype=np.int64),
+            sigma_max=np.array(self._sigma_max, dtype=np.int64),
+            **cols,
         )

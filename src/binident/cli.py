@@ -87,9 +87,10 @@ def _execute(cfg: ExperimentConfig) -> int:
     for line in result.preflight.lines():
         print(line)
     fin = result.summary["final"]
+    rel = fin["relative_mean_error"]   # None when theta* = 0
     print(
         f"finished k={fin['k']}: mean error {fin['mean_error']:.6g} "
-        f"(relative {fin['relative_mean_error']:.6g}), "
+        f"(relative {'n/a' if rel is None else format(rel, '.6g')}), "
         f"max agent error {fin['max_agent_error']:.6g}, "
         f"consensus gap {fin['consensus_gap']:.6g}, "
         f"truncations {fin['truncation_events']}"

@@ -409,25 +409,26 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
 # trajectory CSV
 
 def write_trajectory_csv(metrics: Metrics, path) -> None:
-    """Write metric rows; floats use repr so parsing restores them exactly."""
+    """Write metric rows; floats use repr so parsing restores them exactly.
+
+    The float columns are stacked side by side and converted to Python
+    floats by one ``tolist``, whose floats have the same ``repr`` as
+    ``float(np.float64)``; each row is then one join.
+    """
     cols = ["k", "sigma_max", "consensus_gap", "mean_error"]
-    n_err = metrics.agent_errors.shape[1] if metrics.agent_errors is not None else 0
-    n_bar = metrics.theta_bar.shape[1] if metrics.theta_bar is not None else 0
-    cols += [f"err_{i}" for i in range(1, n_err + 1)]
-    cols += [f"theta_bar_{j}" for j in range(1, n_bar + 1)]
+    floats = [metrics.consensus_gap[:, None], metrics.mean_error[:, None]]
+    if metrics.agent_errors is not None:
+        cols += [f"err_{i}" for i in range(1, metrics.agent_errors.shape[1] + 1)]
+        floats.append(metrics.agent_errors)
+    if metrics.theta_bar is not None:
+        cols += [f"theta_bar_{j}" for j in range(1, metrics.theta_bar.shape[1] + 1)]
+        floats.append(metrics.theta_bar)
+    rows = np.hstack(floats, dtype=np.float64).tolist()
     lines = [",".join(cols)]
-    for r in range(metrics.n_rows):
-        parts = [
-            str(int(metrics.k[r])),
-            str(int(metrics.sigma_max[r])),
-            repr(float(metrics.consensus_gap[r])),
-            repr(float(metrics.mean_error[r])),
-        ]
-        if n_err:
-            parts += [repr(float(v)) for v in metrics.agent_errors[r]]
-        if n_bar:
-            parts += [repr(float(v)) for v in metrics.theta_bar[r]]
-        lines.append(",".join(parts))
+    lines += [
+        f"{k},{s}," + ",".join(map(repr, row))
+        for k, s, row in zip(metrics.k.tolist(), metrics.sigma_max.tolist(), rows)
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -513,9 +514,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "final": {
             "k": int(final.k),
             "mean_error": mean_err,
-            "relative_mean_error": mean_err / norm_star if norm_star else float("nan"),
+            "relative_mean_error": mean_err / norm_star if norm_star else None,
             "max_agent_error": float(errs.max()),
-            "relative_max_agent_error": float(errs.max()) / norm_star if norm_star else float("nan"),
+            "relative_max_agent_error": float(errs.max()) / norm_star if norm_star else None,
             "consensus_gap": consensus_gap(final),
             "peak_consensus_gap": float(metrics.consensus_gap.max()),
             "theta_bar": [float(v) for v in mean_estimate(final)],
@@ -544,9 +545,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         result.trajectory_path = out_dir / "trajectory.csv"
         result.summary_path = out_dir / "summary.json"
         write_trajectory_csv(metrics, result.trajectory_path)
+        # Strict JSON: a non-finite value raises here, before the file opens.
+        text = json.dumps(summary, indent=2, sort_keys=False, allow_nan=False)
         with open(result.summary_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=False)
-            fh.write("\n")
+            fh.write(text + "\n")
     return result
 
 

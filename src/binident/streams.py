@@ -71,12 +71,20 @@ class StreamBank:
         self._pos = 0
 
     def _refill(self) -> None:
-        # Step-major, so each step's column is one contiguous row.  A refill
-        # binds a new array and never writes into the old one, so views
-        # handed out earlier keep their values.
-        rows = [self._draw(g, self._block) for g in self._gens]
-        self._cache = np.stack(rows, axis=1)
-        self._cache.flags.writeable = False
+        # Step-major, so each step's column is one contiguous row, filled
+        # agent by agent so that only one agent's draws exist beside the new
+        # block; the old block is released first unless a view still holds
+        # it.  A refill binds a new array and never writes into the old one,
+        # so views handed out earlier keep their values.
+        self._cache = cache = None
+        for i, g in enumerate(self._gens):
+            draws = self._draw(g, self._block)
+            if cache is None:
+                shape = (self._block, len(self._gens)) + draws.shape[1:]
+                cache = np.empty(shape, dtype=draws.dtype)
+            cache[:, i] = draws
+        cache.flags.writeable = False
+        self._cache = cache
         self._pos = 0
 
     def column(self) -> np.ndarray:

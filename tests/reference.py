@@ -132,3 +132,83 @@ class ScriptedStreams:
         d = self.noise[self._i]
         self._i += 1
         return d
+
+
+class ReferenceTrajectoryRecorder:
+    """The row-at-a-time trajectory recorder, each metric from one snapshot.
+
+    Same sink contract as ``TrajectoryRecorder``: a row at the initial
+    snapshot, at every step divisible by ``stride`` and at the final
+    snapshot.  Each row is reduced on its own with the per-snapshot
+    formulas, written out here rather than imported.
+    """
+
+    def __init__(self, theta_star, stride=1, record_agent_errors=False,
+                 record_theta_bar=False):
+        self.theta_star = np.array(theta_star, dtype=np.float64)
+        self.stride = int(stride)
+        self.record_agent_errors = record_agent_errors
+        self.record_theta_bar = record_theta_bar
+        self._rows = []
+
+    def _append(self, snap):
+        theta = snap.theta
+        dev = theta - theta.mean(axis=0, keepdims=True)
+        bar_diff = theta.mean(axis=0) - self.theta_star
+        row = [
+            snap.k,
+            snap.ledger.sigma_max,
+            float(np.sqrt((dev * dev).sum())),
+            float(np.sqrt(bar_diff @ bar_diff)),
+        ]
+        if self.record_agent_errors:
+            diff = theta - self.theta_star[None, :]
+            row.append(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+        if self.record_theta_bar:
+            row.append(theta.mean(axis=0))
+        self._rows.append(tuple(row))
+
+    def __call__(self, prev, new):
+        if not self._rows:
+            self._append(prev)
+        if new.k % self.stride == 0:
+            self._append(new)
+
+    def metrics(self, final):
+        from binident import Metrics
+
+        if not self._rows or final.k > self._rows[-1][0]:
+            self._append(final)
+        cols = list(zip(*self._rows))
+        return Metrics(
+            k=np.array(cols[0], dtype=np.int64),
+            sigma_max=np.array(cols[1], dtype=np.int64),
+            consensus_gap=np.array(cols[2]),
+            mean_error=np.array(cols[3]),
+            agent_errors=np.stack(cols[4]) if self.record_agent_errors else None,
+            theta_bar=np.stack(cols[-1]) if self.record_theta_bar else None,
+        )
+
+
+def reference_write_trajectory_csv(metrics, path):
+    """Trajectory CSV written value by value with ``repr(float(v))``."""
+    cols = ["k", "sigma_max", "consensus_gap", "mean_error"]
+    n_err = metrics.agent_errors.shape[1] if metrics.agent_errors is not None else 0
+    n_bar = metrics.theta_bar.shape[1] if metrics.theta_bar is not None else 0
+    cols += [f"err_{i}" for i in range(1, n_err + 1)]
+    cols += [f"theta_bar_{j}" for j in range(1, n_bar + 1)]
+    lines = [",".join(cols)]
+    for r in range(metrics.n_rows):
+        parts = [
+            str(int(metrics.k[r])),
+            str(int(metrics.sigma_max[r])),
+            repr(float(metrics.consensus_gap[r])),
+            repr(float(metrics.mean_error[r])),
+        ]
+        if n_err:
+            parts += [repr(float(v)) for v in metrics.agent_errors[r]]
+        if n_bar:
+            parts += [repr(float(v)) for v in metrics.theta_bar[r]]
+        lines.append(",".join(parts))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

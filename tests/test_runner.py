@@ -710,3 +710,20 @@ def test_preset_v_trajectory_columns_and_drift(tmp_path):
     m = res.metrics
     assert np.all(m.theta_bar[-1] > 0)
     assert m.mean_error[-1] < m.mean_error[0]
+
+
+def test_summary_is_strict_json_when_theta_star_is_zero(tmp_path):
+    cfg = ExperimentConfig(
+        n_agents=8, l=4, steps=50, seed=1, theta_star=(0, 0, 0, 0), topology_kind="ring",
+        out=str(tmp_path),
+    )
+    bi.run_experiment(cfg)
+
+    def reject(token):
+        raise ValueError(f"non-finite token {token} in summary.json")
+
+    text = (tmp_path / "summary.json").read_text(encoding="utf-8")
+    fin = json.loads(text, parse_constant=reject)["final"]
+    assert fin["relative_mean_error"] is None
+    assert fin["relative_max_agent_error"] is None
+    assert fin["mean_error"] >= 0.0

@@ -116,3 +116,27 @@ def test_model_streams_different_seeds_differ():
     a = bi.ModelStreams(model, 1)
     b = bi.ModelStreams(model, 2)
     assert not np.array_equal(a.phi_step(1).eta, b.phi_step(1).eta)
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense"])
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_stream_bank_columns_equal_the_stacked_block_layout(kind, block):
+    gen = _model(n_agents=5, l=3, kind=kind).regressor
+    seqs = bi.spawn_agent_sequences(31, 5)["regressor"]
+    bank = bi.StreamBank(seqs, gen.draw, block=block)
+    gens = [bi.as_generator(s) for s in seqs]
+    for _ in range(3):  # three refills
+        want = np.stack([gen.draw(g, block) for g in gens], axis=1)
+        got = np.array([bank.column() for _ in range(block)])
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_stream_bank_old_column_keeps_its_values_after_a_refill():
+    seqs = bi.spawn_agent_sequences(8, 4)["noise"]
+    bank = bi.StreamBank(seqs, lambda g, size: g.normal(0.0, 1.0, size), block=2)
+    first = bank.column()
+    kept = first.copy()
+    for _ in range(5):  # two more refills
+        bank.column()
+    assert np.array_equal(first, kept)

@@ -1,6 +1,6 @@
 """Print artifact digests for a fixed set of runs, to check a refactor.
 
-For each of 19 configs it runs ``run_experiment`` into a temporary
+For each of 21 configs it runs ``run_experiment`` into a temporary
 directory and prints one line: the config name, the SHA-256 of
 ``trajectory.csv`` and the SHA-256 of ``summary.json`` with ``wall_time_s``
 removed.  For each config it also prints the SHA-256 of the JSON of
@@ -34,7 +34,12 @@ The configs:
 - the same ring at 3000 steps, seeds 1-5, with sparse regressors, stride 10
   and per-agent errors recorded;
 - the same ring at 3000 steps, seeds 1-5, with dense regressors, Laplace
-  noise, gain 3, doubling radii and stride 1.
+  noise, gain 3, doubling radii and stride 1;
+- the same ring at 1000 steps, seed 202, with dense regressors, stride 1,
+  per-agent errors and theta_bar recorded (the benchmark's small-dense
+  shape);
+- ``preset_v`` seed 101 at 2e4 steps with per-agent errors recorded too
+  (202 rows of 100 agent errors and 8 theta_bar columns).
 
 The analysis and oracle outputs, each at a fixed seed, on the ring model
 (sparse regressors) and on its dense/Laplace variant: ``regression_function_mc``
@@ -80,6 +85,17 @@ def ring_config(seed: int, steps: int) -> bi.ExperimentConfig:
     )
 
 
+def small_dense_config(seed: int) -> bi.ExperimentConfig:
+    """The benchmark's small-dense shape: every step and every column recorded."""
+    return replace(
+        ring_config(seed, 1000),
+        stride=1,
+        regressor_kind="dense-uniform",
+        record_agent_errors=True,
+        record_theta_bar=True,
+    )
+
+
 def configs() -> list[tuple[str, bi.ExperimentConfig]]:
     out = [(f"preset-v-{s}", bi.preset_v(seed=s, steps=20_000)) for s in (101, 202, 303)]
     out.append(("preset-v-7-gain1-linear", replace(bi.preset_v(seed=7, steps=20_000), gain=1.0, radii="linear")))
@@ -103,6 +119,13 @@ def configs() -> list[tuple[str, bi.ExperimentConfig]]:
         )
         for s in range(1, 6)
     ]
+    out.append(("small-dense-202", small_dense_config(202)))
+    out.append(
+        (
+            "preset-v-101-all-columns",
+            replace(bi.preset_v(seed=101, steps=20_000), record_agent_errors=True),
+        )
+    )
     return out
 
 
