@@ -6,6 +6,10 @@ This module holds the true system (parameter, one regressor generator and
 one noise model shared by every agent) and the sensor arithmetic; each
 built-in generator writes its sampling law once, in its ``draw`` method.
 Nothing here knows about the network or the identification recursion.
+
+Only ``GaussianNoise.cdf`` needs scipy (``scipy.special.ndtr``), and it
+imports it on first call: sampling and the simulation itself use numpy
+alone.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +28,8 @@ class NoiseModel:
 
     Concrete models expose the CDF and density (both vectorised), direct
     sampling, and a ``kind`` tag used by config files.  All built-in models
-    are symmetric about zero, so ``cdf(0) == 0.5`` holds exactly.
+    are symmetric about zero, so ``cdf(0) == 0.5`` holds exactly wherever
+    ``pdf(0) > 0``; their parameters must be positive and finite.
     """
 
     kind = "abstract"
@@ -49,14 +53,16 @@ class GaussianNoise(NoiseModel):
     kind = "gaussian"
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
 
     @property
     def sigma(self) -> float:
         return math.sqrt(self.sigma2)
 
     def cdf(self, x):
+        from scipy.special import ndtr  # loaded on first use; simulation never calls it
+
         return ndtr(np.asarray(x, dtype=np.float64) / self.sigma)
 
     def pdf(self, x):
@@ -76,8 +82,8 @@ class LaplaceNoise(NoiseModel):
     kind = "laplace"
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -100,8 +106,8 @@ class UniformNoise(NoiseModel):
     kind = "uniform"
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width!r}")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -5,7 +5,8 @@ Directed graphs with mandatory self-loops, weight matrix constructions
 list of weight matrices, validation of the standing network assumptions
 (per-step double stochasticity and windowed joint strong connectivity),
 and backward products of the weight matrices whose deviation from the
-averaging matrix decays geometrically on validated schedules.
+averaging matrix decays geometrically on validated schedules.  Everything
+here, the strong-connectivity search included, runs on numpy alone.
 
 Agent ids are 1-based in the public API.  An edge ``(j, i)`` means agent i
 receives from agent j; matrices are indexed ``w[i-1, j-1]``.
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .streams import as_generator
 
@@ -245,8 +244,20 @@ def partitioned_ring_schedule(
 # validation
 
 def _strongly_connected(adj: np.ndarray) -> bool:
-    ncomp, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
-    return int(ncomp) == 1
+    """Whether the boolean adjacency ``adj`` (``adj[i, j]``: edge j -> i) is
+    strongly connected: agent 1 reaches every agent and every agent reaches
+    agent 1.  Each direction is one frontier search, O(n^2) in all.
+    """
+    for a in (adj, adj.T):
+        seen = np.zeros(a.shape[0], dtype=bool)
+        seen[0] = True
+        frontier = seen
+        while frontier.any():
+            frontier = a[:, frontier].any(axis=1) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
 
 
 @dataclass

@@ -1,12 +1,18 @@
 """Command-line entry points, exercised through ``main(argv)``."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from binident import runner
 from binident.cli import build_parser, main
 from binident.runner import ExperimentConfig
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 STAR4 = (0.5, -0.4, 0.3, -0.35)
 
@@ -244,3 +250,59 @@ def test_analyze_rejects_garbage_theta(small_ini, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error: --theta: cannot parse")
+
+
+_IMPORT_CONTRACT = """
+import sys
+import numpy as np
+import binident as bi
+from binident.cli import main
+
+out, *inis = sys.argv[1:]
+assert main(["preset-v", "--seed", "101", "--steps", "50", "--out", out + "/preset-v"]) == 0
+for i, ini in enumerate(inis):
+    assert main(["simulate", "--config", ini, "--out", f"{out}/simulate-{i}"]) == 0
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.special", "scipy.sparse")))
+assert not loaded, loaded
+
+model = bi.build_model(bi.ExperimentConfig.from_ini(inis[0]))
+value = bi.regression_function(bi.RegressionContext(model), np.zeros(model.l))
+assert np.isfinite(value).all(), value
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_simulation_commands_load_neither_scipy_special_nor_sparse(tmp_path):
+    """The run path is numpy only; the Gaussian CDF loads scipy.special on
+    first use (checked in a fresh interpreter, since this one has both)."""
+    inis = []
+    for kind, params in (
+        ("gaussian", {"sigma2": 0.01}),
+        ("laplace", {"scale": 0.1}),
+        ("uniform", {"half_width": 0.2}),
+    ):
+        cfg = ExperimentConfig(
+            n_agents=8,
+            l=4,
+            steps=50,
+            seed=7,
+            theta_star=STAR4,
+            topology_kind="partitioned-ring",
+            period=4,
+            noise_kind=kind,
+            noise_params=params,
+        )
+        inis.append(str(tmp_path / f"{kind}.ini"))
+        cfg.to_ini(inis[-1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CONTRACT, str(tmp_path), *inis],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -521,6 +521,34 @@ def test_preflight_rejects_biased_noise():
     assert "noise: median is not zero" in rep.errors
 
 
+class _NanMedianNoise(_ShiftedNoise):
+    def cdf(self, x):
+        return np.full_like(np.asarray(x, dtype=float), np.nan)
+
+
+class _BiasedGaussian(bi.GaussianNoise):
+    def cdf(self, x):
+        return super().cdf(x) + 0.1
+
+
+@pytest.mark.parametrize(
+    "noise", [_NanMedianNoise(), _BiasedGaussian(1.0)], ids=["nan-median", "gaussian-subclass"]
+)
+def test_preflight_checks_the_median_of_custom_noise(noise):
+    """A NaN median fails, and a subclass of a built-in kind is a custom model."""
+    model = bi.SystemModel(np.array(STAR4), bi.SparseUniformRegressors(4), noise, 8)
+    rep = preflight(small_config(), model=model)
+    assert rep.errors == ["noise: median is not zero"]
+
+
+@pytest.mark.parametrize(
+    "kind, param", [("gaussian", "sigma2"), ("laplace", "scale"), ("uniform", "half_width")]
+)
+def test_preflight_rejects_infinite_noise_parameters(kind, param):
+    rep = preflight(small_config(noise_kind=kind, noise_params={param: float("inf")}))
+    assert rep.errors == [f"noise: {param} must be positive and finite, got inf"]
+
+
 # ---------------------------------------------------------------------------
 # trajectory CSV
 

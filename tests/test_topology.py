@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import binident as bi
+from binident.topology import _strongly_connected
 from reference import (
     reference_backward_product,
     reference_strongly_connected,
@@ -288,6 +289,39 @@ def test_validate_c4_agrees_with_bfs_oracle():
         sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
         report = bi.validate_c4(sched)
         assert report.connectivity_ok == reference_strongly_connected(8, g.edges)
+
+
+@st.composite
+def directed_adjacency(draw):
+    """Random boolean adjacency (``adj[i, j]``: edge j -> i) of one of four
+    shapes: any digraph, a one-way chain (closed into a cycle or not), or a
+    strongly connected digraph with one agent turned into a sink or a source."""
+    n = draw(st.sampled_from(range(1, 41)))
+    shape = draw(st.sampled_from(["random", "chain", "sink", "source"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = rng.random((n, n)) < draw(st.floats(0.0, 0.3))
+    order = rng.permutation(n)
+    if shape == "chain":
+        adj[:] = False
+        adj[order[1:], order[:-1]] = True
+        if draw(st.booleans()):
+            adj[order[0], order[-1]] = True
+    elif shape in ("sink", "source"):
+        adj[order, np.roll(order, 1)] = True
+        agent = order[0]
+        if shape == "sink":
+            adj[:, agent] = False
+        else:
+            adj[agent, :] = False
+        adj[agent, agent] = draw(st.booleans())
+    return adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(directed_adjacency())
+def test_strongly_connected_agrees_with_bfs_oracle_on_digraphs(adj):
+    edges = [(j + 1, i + 1) for i, j in np.argwhere(adj)]
+    assert _strongly_connected(adj) == reference_strongly_connected(len(adj), edges)
 
 
 def test_partitioned_ring_needs_valid_period():
