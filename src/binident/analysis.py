@@ -14,9 +14,9 @@ trajectory recorder used by runs.
 Each run metric (theta_bar, consensus gap, per-agent errors, mean error) is
 one batch kernel over a stack of estimate arrays of shape (rows, n, l); the
 per-snapshot functions call it on a stack of one, so ``summary.json`` and
-``trajectory.csv`` share one copy of each formula.  The recorder copies each
-recorded row's estimates into a 64-row window and reduces a full window with
-one call per kernel, so it holds at most 64 n l floats beyond its columns.
+``trajectory.csv`` share one copy of each formula.  The recorder reduces the
+stride rows of each of the run engine's windows in place, with one call per
+kernel, so it holds no estimates beyond its columns.
 ``runner.write_trajectory_csv`` then formats these columns in one pass.
 """
 
@@ -289,9 +289,6 @@ class Metrics:
         return True
 
 
-_RECORDER_WINDOW = 64              # rows whose metrics share one kernel call
-
-
 class TrajectoryRecorder:
     """Run sink keeping strided metric rows (always including first/last).
 
@@ -299,10 +296,10 @@ class TrajectoryRecorder:
     ``stride``, and at the final snapshot handed to :meth:`metrics` (for a
     zero-step run that is the initial snapshot, so there is always a row).
 
-    A row's step and largest counter are kept at once; a copy of its
-    estimates waits in a buffer of at most 64 rows, and each full buffer is
-    reduced by one call of each metric kernel into column chunks.
-    :meth:`metrics` reduces what is left and joins the chunks.
+    As a window observer of ``run`` it reduces a window's stride rows in
+    place, with one call of each metric kernel on a strided view; called
+    per step as ``recorder(prev, new)`` it reduces each recorded row as it
+    comes.  :meth:`metrics` joins the column chunks.
     """
 
     def __init__(
@@ -320,16 +317,12 @@ class TrajectoryRecorder:
         self.record_theta_bar = record_theta_bar
         self._ks: list[int] = []
         self._sigma_max: list[int] = []
-        self._window = None          # (window, n, l) estimates of unreduced rows
-        self._pending = 0            # unreduced rows in the window
         self._chunks: dict[str, list[np.ndarray]] = {
             "consensus_gap": [], "mean_error": [], "agent_errors": [], "theta_bar": [],
         }
 
-    def _flush(self) -> None:
-        if not self._pending:
-            return
-        T = self._window[: self._pending]
+    def _add(self, T: np.ndarray, ks, sigma_max: int) -> None:
+        """Reduce the estimates ``T`` (rows, n, l) of steps ``ks`` into the columns."""
         bar = _theta_bar_rows(T)
         chunks = self._chunks
         chunks["consensus_gap"].append(_consensus_gap_rows(T, bar))
@@ -338,29 +331,31 @@ class TrajectoryRecorder:
             chunks["agent_errors"].append(_agent_error_rows(T, self.theta_star))
         if self.record_theta_bar:
             chunks["theta_bar"].append(bar)
-        self._pending = 0
+        self._ks.extend(ks)
+        self._sigma_max.extend([sigma_max] * len(T))
 
-    def _append(self, snap) -> None:
-        if self._window is None:
-            self._window = np.empty((_RECORDER_WINDOW,) + snap.theta.shape)
-        elif self._pending == _RECORDER_WINDOW:
-            self._flush()
-        self._window[self._pending] = snap.theta
-        self._pending += 1
-        self._ks.append(snap.k)
-        self._sigma_max.append(snap.ledger.sigma_max)
+    def window(self, rows, k, sigma, ledger, radii) -> None:
+        """Window observer: rows ``k .. k + len(rows) - 1`` of a run."""
+        if not self._ks:        # the run's opening window holds its initial row
+            self._add(rows[:1], [k], ledger.sigma_max)
+        first = -k % self.stride or self.stride
+        if first < len(rows):
+            self._add(
+                rows[first :: self.stride],
+                range(k + first, k + len(rows), self.stride),
+                ledger.sigma_max,
+            )
 
     def __call__(self, prev, new) -> None:
         if not self._ks:
-            self._append(prev)
+            self._add(prev.theta[None], [prev.k], prev.ledger.sigma_max)
         if new.k % self.stride == 0:
-            self._append(new)
+            self._add(new.theta[None], [new.k], new.ledger.sigma_max)
 
     def metrics(self, final) -> Metrics:
         """Recorded columns, closed by the run's ``final`` snapshot."""
         if not self._ks or final.k > self._ks[-1]:
-            self._append(final)
-        self._flush()
+            self._add(final.theta[None], [final.k], final.ledger.sigma_max)
         cols = {name: np.concatenate(c) if c else None for name, c in self._chunks.items()}
         return Metrics(
             k=np.array(self._ks, dtype=np.int64),

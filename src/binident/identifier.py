@@ -25,19 +25,37 @@ with ``W @ x``, add the innovation and test every norm against the one
 common radius.  The disagreeing-counter update is written once, in
 :func:`_truncated_update`.
 
-:func:`run` drives the recursion through an engine that keeps the state in
-its own buffers and builds frozen snapshots only for its sinks and its
-return value.  It hoists the schedule's weight cycle, ``theta*`` on each
-agent's support, the regressor bound beta, the largest row sum rho of the
-weight matrices, and the squared radius (recomputed when the counters
-move).
+:func:`run` drives the recursion through a window engine.  It hoists the
+schedule's weight cycle, ``theta*`` on each agent's support, the regressor
+bound beta, the largest row sum rho of the weight matrices, and the squared
+radius (recomputed when the counters move).
 
+- *Window.*  The state lives in one preallocated ``(65, n, l)`` buffer.
+  Slot 0 holds the row before the window, and each step writes its result
+  into the next slot.  All rows after slot 0 share one counter array and
+  one ledger.  A window closes when 64 steps are in it, before a row whose
+  counters moved (that row and its predecessor become slots 1 and 0 of the
+  next window), and at the end of the run.
+- *Observers.*  A sink with a ``window(rows, k, sigma, ledger, radii)``
+  method receives each closed window as a read-only view, before its slots
+  are reused: ``rows[i]`` is the state at step ``k + i``, ``sigma`` and
+  ``ledger`` belong to ``rows[1:]`` and ``radii`` is the run's radius
+  sequence.  Row 0's counters are those of the previous window; the first
+  call is the opening window, the initial state alone.  Plain callables
+  ``sink(prev, new)`` keep their per-step contract through one adapter that
+  builds their frozen snapshots from the window rows, so the engine has a
+  single observer path and builds snapshots only at counter moves, for
+  plain sinks and for its return value.
 - *Quiet step.*  While the counters agree, the engine reads the raw draw
   columns (:meth:`ModelStreams.columns`, the same banks as ``phi_step`` and
-  ``noise_step``), computes outputs, thresholds and sensor bits into
-  preallocated buffers and calls :func:`_agreeing_update` into a second
-  state buffer.  The arithmetic is the kernel's, so every value is the
-  identification step's bit for bit.
+  ``noise_step``), computes outputs and thresholds into preallocated
+  buffers and calls :func:`_agreeing_update` from one slot into the next,
+  through flat views of the slots made once.  The sensor's signed gain is
+  ``copysign(a_k, y - c)``: this is ``-a_k`` exactly where the bit
+  ``y < c`` is set, as long as ``y - c`` is neither -0.0 nor NaN.  It is
+  -0.0 only when a noise draw is -0.0, which no built-in noise law returns
+  (each adds its location 0.0).  So every value is the identification
+  step's bit for bit.
 - *Norm bound.*  Weights are nonnegative, so with agreeing counters each
   new row obeys ``||x'_i|| <= sum_j w_ij ||x_j|| + a_k ||phi_i||
   <= rho max_j ||x_j|| + a_k beta``.  The engine carries
@@ -48,10 +66,15 @@ move).
   largest norm found, times the same margin.  A truncation, a counter move
   or a general step resets B to infinity.
 - *General path.*  A step that starts from disagreeing counters calls
-  :func:`dsaawet_identification_step` on a snapshot of the state.
+  :func:`dsaawet_identification_step` on a snapshot of the state and
+  writes its result into the next slot.
 
-:class:`InvariantMonitor` checks the counters at every counter move, and
-checks the balls over windows of up to 64 steps with one ``einsum``.
+:class:`InvariantMonitor` judges every row's ball with one ``einsum`` per
+window and runs its counter checks at every counter move, on snapshots of
+the two rows around the move.  The acceptance suite's "per-step
+invariants" therefore still judge every step: each step's ball, and the
+counters at every step where they moved (at a step where no counter moved,
+"never decrease" and "zero after a bump" have nothing to check).
 """
 
 from __future__ import annotations
@@ -223,15 +246,16 @@ def truncation_radii(levels: np.ndarray, radii: str = "linear") -> np.ndarray:
 # ---------------------------------------------------------------------------
 # single-step updates
 
-def _agreeing_update(x, out, w, a_k, bits, draws, flat, r_sq, scratch=None):
+def _agreeing_update(x, out, w, coef, draws, flat, out_flat, r_sq, scratch=None):
     """The update for agreeing counters, written into ``out``.
 
-    ``out = W x + a_k phi_i s_i`` row by row, with ``s_i = -1`` where the
-    sensor bit is set (``bits``) and +1 elsewhere.  The regressors are the
-    sparse amplitudes ``draws`` (n,), with ``flat`` the flat index of each
-    agent's active slot in ``out``, or the dense rows ``draws`` (n, l) with
-    ``flat`` None.  ``out`` is a C-contiguous (n, l) array other than ``x``;
-    ``scratch``, if given, has the shape of ``draws``.
+    ``out = W x + coef_i phi_i`` row by row, with ``coef`` the signed gain
+    ``a_k s_i`` (n,).  The regressors are the sparse amplitudes ``draws``
+    (n,), with ``flat`` the flat index of each agent's active slot and
+    ``out_flat`` the flat view of ``out``, or the dense rows ``draws`` (n, l)
+    with ``flat`` and ``out_flat`` None.  ``out`` is a C-contiguous (n, l)
+    array other than ``x``; ``scratch``, if given, has the shape of
+    ``draws``.
 
     With ``r_sq`` (the squared radius of the common counter) the rows whose
     squared norm exceeds it are reset to the origin; ``r_sq`` None skips the
@@ -240,12 +264,9 @@ def _agreeing_update(x, out, w, a_k, bits, draws, flat, r_sq, scratch=None):
     """
     np.matmul(w, x, out=out)
     if flat is not None:
-        # (-eta) a_k == -(eta a_k) exactly, so this is (eta s) a_k bit for bit
-        delta = np.multiply(draws, a_k, out=scratch)
-        np.negative(delta, out=delta, where=bits)
-        out.reshape(-1)[flat] += delta
+        # eta (+-a_k) == +-(eta a_k) exactly: the sign of a product is exact
+        out_flat[flat] += np.multiply(draws, coef, out=scratch)
     else:
-        coef = np.where(bits, -a_k, a_k)
         out += np.multiply(draws, coef[:, None], out=scratch)
     if r_sq is None:
         return None, math.nan
@@ -271,9 +292,13 @@ def _truncated_update(x, sigma, sigma_uniform, weights, phi, bits, a_k, radii):
     if sigma_uniform:
         radius = truncation_radii(sigma[:1], radii)[0]
         x_next = np.empty(x.shape)
-        draws, flat = (phi.eta, phi.flat) if phi.is_sparse else (phi.dense, None)
+        coef = np.where(bits, -a_k, a_k)
+        if phi.is_sparse:
+            draws, flat, out_flat = phi.eta, phi.flat, x_next.reshape(-1)
+        else:
+            draws, flat, out_flat = phi.dense, None, None
         exceeded, _ = _agreeing_update(
-            x, x_next, weights.w, a_k, bits, draws, flat, radius * radius
+            x, x_next, weights.w, coef, draws, flat, out_flat, radius * radius
         )
         if exceeded is None:
             return x_next, sigma, 0
@@ -389,6 +414,18 @@ def generic_dsaawet_step(
 # multi-step driver
 
 _BOUND_SLACK = 1e-9     # relative margin of the norm bound over rounding
+_WINDOW = 64            # steps per engine window, judged and reduced together
+
+
+def _check_streams(streams, model) -> None:
+    """Reject streams drawn for a model with another shape or law."""
+    theirs = streams.model
+    for name in ("n_agents", "l", "regressor", "noise"):
+        got, want = getattr(theirs, name), getattr(model, name)
+        if got != want:
+            raise ValueError(
+                f"streams: built for a model with {name} {got!r}, the run's model has {want!r}"
+            )
 
 
 def run(
@@ -406,13 +443,17 @@ def run(
     """Iterate the identification step ``steps`` times.
 
     Draws come from ``streams`` (or a fresh :class:`ModelStreams` built from
-    ``seed``), so results are reproducible per seed.  ``gain`` and ``radii``
-    select the recursion (gain a/k, radii M_m) as in
-    :func:`dsaawet_identification_step`, whose results the run reproduces
-    bit for bit.  Each sink is invoked as ``sink(previous, new)`` with
-    frozen snapshots after every step; sinks observe, they cannot alter the
-    run.  ``init`` must hold ``(model.n_agents, model.l)`` estimates; with
-    ``steps == 0`` it is returned as it is.
+    ``seed``); streams built for a model with another agent count,
+    dimension, regressor law or noise law are rejected.  Results are
+    reproducible per seed.  ``gain`` and ``radii`` select the recursion
+    (gain a/k, radii M_m) as in :func:`dsaawet_identification_step`, whose
+    results the run reproduces bit for bit.
+
+    Sinks observe, they cannot alter the run.  A sink with a ``window``
+    method is a window observer (see the module docstring); any other sink
+    is called as ``sink(previous, new)`` with frozen snapshots after every
+    step, in order.  ``init`` must hold ``(model.n_agents, model.l)``
+    estimates; with ``steps == 0`` it is returned as it is.
     """
     check_gain(gain)
     check_radii(radii)
@@ -427,19 +468,54 @@ def run(
         if seed is None:
             raise ValueError("provide streams= or seed=")
         streams = ModelStreams(model, seed)
+    else:
+        _check_streams(streams, model)
     if schedule.n_agents != model.n_agents:
         raise ValueError("schedule and model disagree on the number of agents")
     snap = init if init is not None else NetworkSnapshot.initial(model.n_agents, model.l)
     if steps == 0:
         return snap
+    streams.expect(steps)
     return _run_steps(model, schedule, streams, snap, steps, tuple(sinks), gain, radii)
 
 
-def _run_steps(model, schedule, streams, snap, steps, sinks, gain, radii):
-    """The engine behind :func:`run`: quiet steps in place, the rest general.
+class _StepSinks:
+    """Plain ``sink(prev, new)`` callables served from the engine's windows.
 
-    Keeps the state in its own buffers and builds snapshots only for the
-    sinks and the return value (see the module docstring).
+    Builds one frozen snapshot per step from the window rows; a row whose
+    counter array did not change shares its parent's ``sigma``.
+    """
+
+    def __init__(self, sinks, init: NetworkSnapshot):
+        self._sinks = sinks
+        self._snap = init
+        self._sigma = init.sigma      # the engine's counter array of ``_snap``
+
+    def window(self, rows, k, sigma, ledger, radii) -> None:
+        snap = self._snap
+        for i in range(1, len(rows)):
+            if sigma is self._sigma:
+                new = snap._successor(rows[i].copy(), ledger)
+            else:
+                new = NetworkSnapshot(k=k + i, theta=rows[i], sigma=sigma, ledger=ledger)
+                self._sigma = sigma
+            for sink in self._sinks:
+                sink(snap, new)
+            snap = new
+        self._snap = snap
+
+
+def _deliver(observers, rows, k, sigma, ledger, radii) -> None:
+    rows.flags.writeable = False
+    for ob in observers:
+        ob.window(rows, k, sigma, ledger, radii)
+
+
+def _run_steps(model, schedule, streams, snap, steps, sinks, gain, radii):
+    """The engine behind :func:`run`: steps written into one window buffer.
+
+    See the module docstring for the window, the quiet step, the norm bound
+    and the observer protocol.
     """
     cycle = schedule.weights
     mats = [wm.w for wm in cycle]
@@ -454,16 +530,25 @@ def _run_steps(model, schedule, streams, snap, steps, sinks, gain, radii):
         flat = np.arange(n) * model.l + model.supports
     else:
         star, flat = model.theta_star, None
+    observers = [s for s in sinks if hasattr(s, "window")]
+    plain = [s for s in sinks if not hasattr(s, "window")]
+    if plain:
+        observers.append(_StepSinks(plain, snap))
 
+    win = np.empty((_WINDOW + 1, n, model.l))
+    slots = list(win)
+    flats = [row.reshape(-1) for row in slots] if sparse else [None] * len(slots)
+    win[0] = snap.theta
     k, sigma, uniform, ledger = snap.k, snap.sigma, snap.sigma_uniform, snap.ledger
-    x = np.array(snap.theta)
-    out = np.empty_like(x)
-    y, c = np.empty(n), np.empty(n)
-    bits = np.empty(n, dtype=bool)
-    scratch = np.empty(n) if sparse else np.empty_like(x)
-    bound = math.inf        # bounds every row norm of x while counters agree
+    _deliver(observers, win[:1], k, sigma, ledger, radii)
+    k0, j = k, 0            # the step of slot 0, and the steps written after it
+    y, coef = np.empty(n), np.empty(n)
+    scratch = np.empty(n) if sparse else np.empty((n, model.l))
+    bound = math.inf        # bounds every row norm of the state while counters agree
     radius_of = None        # the counters r_sq and r_cut belong to
     for _ in range(steps):
+        x, out = slots[j], slots[j + 1]
+        moved = None
         if uniform:
             if sigma is not radius_of:
                 radius = float(truncation_radii(sigma[:1], radii)[0])
@@ -471,53 +556,61 @@ def _run_steps(model, schedule, streams, snap, steps, sinks, gain, radii):
             draws, d = streams.columns()
             if sparse:
                 np.multiply(draws, star, out=y)
-                np.multiply(draws, x.reshape(-1)[flat], out=c)
+                c = np.multiply(draws, flats[j][flat], out=coef)
             else:
                 np.matmul(draws, star, out=y)
-                np.einsum("ij,ij->i", draws, x, out=c)
+                c = np.einsum("ij,ij->i", draws, x, out=coef)
             np.add(y, d, out=y)
-            np.less(y, c, out=bits)
             a_k = gain / k
+            # sign(y - c) is the sensor's -1 where y < c, +1 elsewhere: no
+            # draw of a built-in noise law is -0.0, so y - c never is
+            np.copysign(a_k, np.subtract(y, c, out=y), out=coef)
             bound = (rho * bound + a_k * beta) * grow
             exact = not bound < r_cut          # a NaN bound takes the exact test
             exceeded, top = _agreeing_update(
-                x, out, mats[(k - 1) % period], a_k, bits, draws, flat,
+                x, out, mats[(k - 1) % period], coef, draws, flat, flats[j + 1],
                 r_sq if exact else None, scratch,
             )
             del draws, d        # views pin their block: let the next refill free it
-            x, out = out, x
             k += 1
             if exceeded is None:
                 if exact:
                     bound = math.sqrt(top) * grow
-                new = snap._successor(x.copy(), ledger) if sinks else None
             else:
                 moved = sigma + exceeded
-                ledger = ledger.record(k, sigma, moved, int(exceeded.sum()))
-                sigma, uniform, bound = moved, bool((moved == moved[0]).all()), math.inf
-                new = NetworkSnapshot(k=k, theta=x, sigma=sigma, ledger=ledger) if sinks else None
+                moved.flags.writeable = False
+                new_ledger = ledger.record(k, sigma, moved, int(exceeded.sum()))
+                uniform, bound = bool((moved == moved[0]).all()), math.inf
         else:
-            prev = snap if sinks else NetworkSnapshot(k=k, theta=x, sigma=sigma, ledger=ledger)
+            prev = NetworkSnapshot(k=k, theta=x, sigma=sigma, ledger=ledger)
             new = dsaawet_identification_step(
                 prev, cycle[(k - 1) % period], model, streams, gain, radii
             )
-            np.copyto(x, new.theta)
-            k, sigma, uniform, ledger = new.k, new.sigma, new.sigma_uniform, new.ledger
+            np.copyto(out, new.theta)
+            k += 1
+            if not np.array_equal(new.sigma, sigma):
+                moved, new_ledger, uniform = new.sigma, new.ledger, new.sigma_uniform
             bound = math.inf
-        if sinks:
-            for sink in sinks:
-                sink(snap, new)
-            snap = new
-    if sinks:
-        return snap
-    return NetworkSnapshot(k=k, theta=x, sigma=sigma, ledger=ledger)
+        if moved is not None:
+            if j:               # the window's rows share one counter array
+                _deliver(observers, win[: j + 1], k0, sigma, ledger, radii)
+                win[:2] = win[j : j + 2]
+                k0, j = k0 + j, 0
+            sigma, ledger = moved, new_ledger
+        j += 1
+        if j == _WINDOW:
+            _deliver(observers, win[: j + 1], k0, sigma, ledger, radii)
+            win[0] = win[j]
+            k0, j = k0 + j, 0
+    if j:
+        _deliver(observers, win[: j + 1], k0, sigma, ledger, radii)
+    return NetworkSnapshot(k=k, theta=slots[j], sigma=sigma, ledger=ledger)
 
 
 # ---------------------------------------------------------------------------
 # invariant monitoring
 
 _MAX_RECORDED_VIOLATIONS = 10      # messages kept; ``count`` has them all
-_MONITOR_WINDOW = 64               # steps whose ball checks share one einsum
 
 
 class InvariantMonitor:
@@ -526,78 +619,74 @@ class InvariantMonitor:
     Violations are collected rather than raised so a long run reports all
     breakage at the end: counters never decrease, any agent whose counter
     rose holds an exactly-zero estimate, and every estimate satisfies
-    ``||theta_i|| <= M_sigma_i`` for the run's radius sequence ``radii``
+    ``||theta_i|| <= M_sigma_i`` for the radius sequence ``radii``
     (truncated rows are zero, kept rows passed exactly this comparison
-    inside the step).
+    inside the step).  ``violations`` keeps the first 10 messages, in step
+    order; ``count`` counts them all.
 
-    The counter checks run at once whenever the counter array changes.  The
-    ball check is deferred: a copy of each step's estimates waits in a
-    buffer of at most 64 steps that share one counter array, and one
-    ``einsum`` judges them all.  The buffer is flushed when it is full,
-    before a counter move is judged and whenever ``ok``, ``count`` or
-    ``violations`` is read, so every message keeps its own step ``k`` and
-    the messages stay in step order.
+    As a window observer of :func:`run` it judges the balls of every row of
+    a window with one ``einsum``.  When a window's counter array differs
+    from the previous window's, the counters moved between its first two
+    rows: those two rows become snapshots and go through :meth:`__call__`,
+    the per-step check, which runs the counter checks.  A run whose radius
+    sequence is not the monitor's is rejected before its first step.
     """
 
     def __init__(self, radii: str = "linear"):
         check_radii(radii)
         self.radii = radii
         self.steps = 0
-        self._violations: list[str] = []
-        self._count = 0
-        self._sigma = None          # counters of the pending steps
+        self.count = 0
+        self.violations: list[str] = []
+        self._sigma = None          # the counter array ``_radii_sq`` belongs to
         self._radii_sq = None
-        self._pending = None        # (window, n, l) estimates awaiting the ball check
-        self._ks: list[int] = []    # step index of each pending row
+        self._last = None           # (sigma, ledger) of the last window's rows
+
+    @property
+    def ok(self) -> bool:
+        return self.count == 0
 
     def _record(self, msg: str) -> None:
-        self._count += 1
-        if len(self._violations) < _MAX_RECORDED_VIOLATIONS:
-            self._violations.append(msg)
+        self.count += 1
+        if len(self.violations) < _MAX_RECORDED_VIOLATIONS:
+            self.violations.append(msg)
 
-    def _flush(self) -> None:
-        if not self._ks:
-            return
-        block = self._pending[: len(self._ks)]
-        norms_sq = np.einsum("kij,kij->ki", block, block)
-        outside = (norms_sq > self._radii_sq).any(axis=1)
-        for k, bad in zip(self._ks, outside.tolist()):
-            if bad:
-                self._record(f"k={k}: estimate outside its truncation ball")
-        self._ks.clear()
+    def _judge(self, rows, ks, sigma) -> None:
+        """Ball check of ``rows`` (steps ``ks``) against the radii of ``sigma``."""
+        if sigma is not self._sigma:
+            radii = truncation_radii(sigma, self.radii)
+            self._sigma, self._radii_sq = sigma, radii * radii
+        norms_sq = np.einsum("kij,kij->ki", rows, rows)
+        for i in np.flatnonzero((norms_sq > self._radii_sq).any(axis=1)).tolist():
+            self._record(f"k={ks[i]}: estimate outside its truncation ball")
+
+    def window(self, rows, k, sigma, ledger, radii) -> None:
+        """Window observer: rows ``k .. k + len(rows) - 1`` of a run (see :func:`run`)."""
+        if radii != self.radii:
+            raise ValueError(
+                f"radii: the monitor checks {self.radii!r} balls, the run uses {radii!r}"
+            )
+        first = 1
+        if self._last is not None and sigma is not self._last[0] and len(rows) > 1:
+            self(
+                NetworkSnapshot(k=k, theta=rows[0], sigma=self._last[0], ledger=self._last[1]),
+                NetworkSnapshot(k=k + 1, theta=rows[1], sigma=sigma, ledger=ledger),
+            )
+            first = 2
+        self._last = (sigma, ledger)
+        if first < len(rows):
+            self._judge(rows[first:], range(k + first, k + len(rows)), sigma)
+            self.steps += len(rows) - first
 
     def __call__(self, prev: NetworkSnapshot, new: NetworkSnapshot) -> None:
         self.steps += 1
-        moved = new.sigma is not prev.sigma
-        if moved or new.sigma is not self._sigma or len(self._ks) == _MONITOR_WINDOW:
-            self._flush()
-        if moved:
+        if new.sigma is not prev.sigma:
             if np.any(new.sigma < prev.sigma):
                 self._record(f"k={new.k}: a truncation counter decreased")
             rose = new.sigma > prev.sigma
             if np.any(rose) and new.theta[rose].any():
                 self._record(f"k={new.k}: nonzero estimate right after a counter bump")
-        if new.sigma is not self._sigma:
-            radii = truncation_radii(new.sigma, self.radii)
-            self._sigma, self._radii_sq = new.sigma, radii * radii
-        if self._pending is None or self._pending.shape[1:] != new.theta.shape:
-            self._pending = np.empty((_MONITOR_WINDOW,) + new.theta.shape)
-        self._pending[len(self._ks)] = new.theta
-        self._ks.append(new.k)
-
-    @property
-    def count(self) -> int:
-        self._flush()
-        return self._count
-
-    @property
-    def violations(self) -> list[str]:
-        self._flush()
-        return self._violations
-
-    @property
-    def ok(self) -> bool:
-        return self.count == 0
+        self._judge(new.theta[None], (new.k,), new.sigma)
 
 
 def sigma_settled(final: NetworkSnapshot, total_steps: int, fraction: float = 0.5) -> bool:

@@ -150,6 +150,16 @@ class ProbeReport:
         return out
 
 
+class _Touched:
+    """Window observer of a one-agent run: coordinates that ever left zero."""
+
+    def __init__(self, l: int):
+        self.touched = np.zeros(l, dtype=bool)
+
+    def window(self, rows, k, sigma, ledger, radii) -> None:
+        self.touched |= (rows[1:, 0] != 0.0).any(axis=0)
+
+
 def identifiability_probe(
     model: SystemModel,
     agent: int,
@@ -175,12 +185,9 @@ def identifiability_probe(
     g = complete_graph(1)
     schedule = TopologySchedule.static(g, metropolis_weights(g))
 
-    touched = np.zeros(model.l, dtype=bool)
-
-    def watch(_prev, new):
-        np.logical_or(touched, new.theta[0] != 0.0, out=touched)
-
+    watch = _Touched(model.l)
     final = run(submodel, schedule, steps, streams=ModelStreams(submodel, seed), sinks=(watch,))
+    touched = watch.touched
     errors = np.abs(final.theta[0] - model.theta_star)
     identifiable = tuple(int(m) for m in range(1, model.l + 1) if errors[m - 1] < threshold)
     stalled = tuple(int(m) for m in range(1, model.l + 1) if not touched[m - 1])

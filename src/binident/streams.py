@@ -6,7 +6,9 @@ Draws are served one network column per step, sliced out of a block cache
 filled by the model's own samplers (the regressor's ``draw`` and the
 noise's ``sample``); numpy generators produce identical values whether
 drawn one at a time or in batches, so the cache is purely a speed
-optimisation and never changes the stream.
+optimisation and never changes the stream.  A caller that knows how many
+steps it will read says so (:meth:`ModelStreams.expect`), and the last
+refill then draws only those steps instead of a whole block.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class StreamBank:
         samples; every agent draws with the same callable from its own
         generator.
     block:
-        Steps cached per refill.  Has no effect on the values served.
+        Steps cached per refill (at most; see :meth:`expect`).  Has no
+        effect on the values served.
     """
 
     def __init__(self, sequences: Sequence[SeedLike], draw: Callable, block: int = 4096):
@@ -69,6 +72,16 @@ class StreamBank:
         self._block = int(block)
         self._cache: np.ndarray | None = None
         self._pos = 0
+        self._end = 0           # columns in the cache
+        self._budget = 0        # announced columns not drawn yet (0: none announced)
+
+    def expect(self, count: int) -> None:
+        """Announce that ``count`` more columns will be read.
+
+        Refills draw no further than that, so the last one is sized to what
+        is still needed; reads beyond it draw whole blocks again.
+        """
+        self._budget = max(0, int(count) - (self._end - self._pos))
 
     def _refill(self) -> None:
         # Step-major, so each step's column is one contiguous row, filled
@@ -76,16 +89,20 @@ class StreamBank:
         # block; the old block is released first unless a view still holds
         # it.  A refill binds a new array and never writes into the old one,
         # so views handed out earlier keep their values.
+        size = self._block
+        if self._budget:
+            size = min(size, self._budget)
+            self._budget -= size
         self._cache = cache = None
         for i, g in enumerate(self._gens):
-            draws = self._draw(g, self._block)
+            draws = self._draw(g, size)
             if cache is None:
-                shape = (self._block, len(self._gens)) + draws.shape[1:]
+                shape = (size, len(self._gens)) + draws.shape[1:]
                 cache = np.empty(shape, dtype=draws.dtype)
             cache[:, i] = draws
         cache.flags.writeable = False
         self._cache = cache
-        self._pos = 0
+        self._pos, self._end = 0, size
 
     def column(self) -> np.ndarray:
         """Next step's draw for every agent: shape ``(n,)`` or ``(n, width)``.
@@ -93,7 +110,7 @@ class StreamBank:
         The result is a read-only view into the block cache; it keeps its
         values after later refills.
         """
-        if self._cache is None or self._pos == self._block:
+        if self._pos == self._end:
             self._refill()
         col = self._cache[self._pos]
         self._pos += 1
@@ -148,3 +165,8 @@ class ModelStreams:
         mixed step by step and every drawn value stays the same.
         """
         return self._phi_bank.column(), self._noise_bank.column()
+
+    def expect(self, steps: int) -> None:
+        """Announce that ``steps`` more steps will be drawn (see :meth:`StreamBank.expect`)."""
+        self._phi_bank.expect(steps)
+        self._noise_bank.expect(steps)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import binident as bi
-from reference import ScriptedStreams, reference_step
+from reference import ReferenceTrajectoryRecorder, ScriptedStreams, reference_step
 
 STAR4 = np.array([0.5, -0.4, 0.3, -0.35])
 
@@ -260,6 +260,228 @@ def test_run_takes_both_the_bound_skip_and_the_exact_ball_test(monkeypatch):
         snap = bi.dsaawet_identification_step(snap, sched[snap.k], model, streams)
     assert np.array_equal(final.theta, snap.theta)
     assert np.array_equal(final.sigma, snap.sigma)
+
+
+# ---------------------------------------------------------------------------
+# the window engine and its observers
+
+class _ReferenceObserver:
+    """Window observer checking every row against the loop-by-loop reference."""
+
+    def __init__(self, model, seed, sched, init, gain, radii):
+        self.model, self.sched, self.gain, self.radii = model, sched, gain, radii
+        self.streams = bi.ModelStreams(model, seed)
+        self.k = init.k
+        self.theta, self.sigma = init.theta.tolist(), init.sigma.tolist()
+        self.last = init.theta
+        self.windows = []
+
+    def window(self, rows, k, sigma, ledger, radii):
+        assert not rows.flags.writeable and not sigma.flags.writeable
+        assert radii == self.radii and k == self.k
+        assert np.array_equal(rows[0], self.last)     # row 0 is the last row seen
+        n, l = self.model.n_agents, self.model.l
+        for row in rows[1:]:
+            phi = self.streams.phi_step(self.k)
+            d = self.streams.noise_step()
+            vals = phi.rows().tolist()
+            y = [sum(vals[i][m] * self.model.theta_star[m] for m in range(l)) + d[i]
+                 for i in range(n)]
+            self.theta, self.sigma, _ = reference_step(
+                self.theta, self.sigma, self.sched[self.k].w.tolist(), vals, y,
+                self.gain / self.k, RADIUS[self.radii],
+            )
+            assert np.array_equal(sigma, self.sigma)
+            assert np.allclose(row, self.theta, rtol=1e-10, atol=1e-12)
+            self.k += 1
+        self.last = rows[-1].copy()
+        self.windows.append(len(rows) - 1)
+
+
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4), st.booleans(),
+    st.sampled_from([(1.0, "linear"), (16.0, "doubling")]), st.booleans(),
+    st.sampled_from([1, 63, 64, 65, 129]),
+)
+@settings(max_examples=40, deadline=None)
+def test_window_rows_match_reference_on_random_networks(seed, n, l, dense, recursion, agreeing,
+                                                        steps):
+    # the twin of test_run_matches_reference_on_random_networks one level
+    # down: a window observer reads every row in place and checks it
+    gain, radii = recursion
+    rng = np.random.default_rng(seed)
+    regressors = (
+        bi.DenseUniformRegressors(l, bound=rng.uniform(0.5, 3.0)) if dense
+        else bi.SparseUniformRegressors(l)
+    )
+    model = bi.SystemModel(
+        rng.normal(0.0, 2.0, l), regressors, bi.GaussianNoise(rng.uniform(0.01, 1.0)), n
+    )
+    g = bi.generate_poisson_graph(n, rng.uniform(0.2, 0.8), rng)
+    sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
+    sigma0 = np.full(n, rng.integers(1, 4)) if agreeing else rng.integers(1, 4, n)
+    k0 = int(rng.integers(1, 200))
+    init = _near_radius_init(rng, n, l, sigma0, radii, k0)
+
+    ref = _ReferenceObserver(model, seed, sched, init, gain, radii)
+    final = bi.run(model, sched, steps, init=init, seed=seed, sinks=(ref,), gain=gain, radii=radii)
+    assert ref.k == final.k == k0 + steps
+    assert np.array_equal(final.sigma, ref.sigma) and np.array_equal(final.theta, ref.last)
+    assert ref.windows[0] == 0 and sum(ref.windows) == steps
+    assert all(1 <= m <= 64 for m in ref.windows[1:])
+
+
+class _KickedStreams(bi.ModelStreams):
+    """Real noise; every agent's regressor amplitude is 0, or 1 at the kicked steps.
+
+    Counted in steps of the run (the first step read is step 1).
+    """
+
+    def __init__(self, model, seed, kicks):
+        super().__init__(model, seed)
+        self._kicks, self._read = frozenset(kicks), 0
+
+    def _eta(self):
+        self._read += 1
+        return np.full(self.model.n_agents, float(self._read in self._kicks))
+
+    def columns(self):
+        return self._eta(), super().columns()[1]
+
+    def phi_step(self, k):
+        return bi.PhiBatch(l=self.model.l, eta=self._eta(), support=self.model.supports)
+
+
+class _WindowLog:
+    def __init__(self):
+        self.windows = []
+
+    def window(self, rows, k, sigma, ledger, radii):
+        self.windows.append((k, len(rows) - 1, sigma))
+
+
+@pytest.mark.parametrize("steps, kicks, split", [
+    (1, {1}, [1]),
+    (63, {63}, [62, 1]),
+    (64, {64}, [63, 1]),          # a move where the window's last slot would be
+    (65, {65}, [64, 1]),          # a move on the first slot after a full window
+    (65, {64, 65}, [63, 1, 1]),
+    (129, {1, 64, 65, 129}, [63, 1, 64, 1]),
+    (129, {128}, [64, 63, 2]),
+    (129, set(), [64, 64, 1]),
+])
+def test_window_boundaries_at_counter_moves(steps, kicks, split):
+    # a kick (amplitude 1 at gain 1000) pushes every agent out of its ball
+    # at once, so the counters move together exactly at the kicked steps
+    n, l = 4, 2
+    model = _sparse_model(n, l)
+    sched = bi.partitioned_ring_schedule(n, 2)
+    init = bi.NetworkSnapshot(
+        k=1, theta=np.zeros((n, l)), sigma=np.ones(n, dtype=np.int64),
+        ledger=bi.TruncationLedger.initial(n),
+    )
+    log, mon = _WindowLog(), bi.InvariantMonitor()
+    rec = bi.TrajectoryRecorder(model.theta_star, stride=1, record_theta_bar=True)
+    slow = ReferenceTrajectoryRecorder(model.theta_star, stride=1, record_theta_bar=True)
+    seen = []
+
+    def plain(prev, new):
+        assert new.k == prev.k + 1 and not new.theta.flags.writeable
+        assert (new.sigma is prev.sigma) == (new.k - 1 not in kicks)
+        seen.append((new.k, new.theta, new.sigma))
+
+    streams = _KickedStreams(model, 3, kicks)
+    final = bi.run(model, sched, steps, init=init, streams=streams, gain=1000.0,
+                   sinks=(log, mon, rec, plain, slow))
+    assert [m for _, m, _ in log.windows] == [0] + split
+    assert [k for k, _, _ in log.windows] == list(np.cumsum([1, 0] + split[:-1]))
+    assert final.ledger.truncation_events == n * len(kicks)
+    assert sorted(final.ledger.first_hit) == [0] + list(range(2, len(kicks) + 2))
+    assert mon.ok and mon.steps == steps
+    assert rec.metrics(final).equals(slow.metrics(final))
+
+    snap, streams = init, _KickedStreams(model, 3, kicks)
+    for k, theta, sigma in seen:
+        snap = bi.dsaawet_identification_step(snap, sched[snap.k], model, streams, 1000.0)
+        assert snap.k == k and np.array_equal(snap.theta, theta)
+        assert np.array_equal(snap.sigma, sigma)
+    assert len(seen) == steps and np.array_equal(final.theta, snap.theta)
+
+
+def test_plain_sinks_see_every_step_in_order_with_frozen_arrays():
+    model = _sparse_model(5, 3)
+    sched = bi.partitioned_ring_schedule(5, 2)
+    calls = []
+
+    def plain(prev, new):
+        if calls:
+            assert prev is calls[-1][1]
+        calls.append((prev, new))
+
+    mon = bi.InvariantMonitor(radii="doubling")
+    final = bi.run(model, sched, 300, seed=4, sinks=(plain, mon), gain=16.0, radii="doubling")
+    assert mon.ok and mon.steps == 300
+    assert len(calls) == 300 and calls[0][0].k == 1 and calls[-1][1].k == final.k
+    snap, streams = calls[0][0], bi.ModelStreams(model, 4)
+    for prev, new in calls:
+        assert new.k == prev.k + 1
+        for arr in (new.theta, new.sigma):
+            assert not arr.flags.writeable
+        snap = bi.dsaawet_identification_step(snap, sched[snap.k], model, streams, 16.0, "doubling")
+        assert np.array_equal(new.theta, snap.theta) and np.array_equal(new.sigma, snap.sigma)
+    assert final.ledger.truncation_events == snap.ledger.truncation_events > 0
+
+
+@pytest.mark.parametrize("changes, field", [
+    (dict(regressor=bi.SparseUniformRegressors(4, support=(3, 3, 3, 3))), "regressor"),
+    (dict(regressor=bi.DenseUniformRegressors(4)), "regressor"),
+    (dict(n_agents=5), "n_agents"),
+    (dict(theta_star=np.ones(5), regressor=bi.SparseUniformRegressors(5)), "l"),
+    (dict(noise=bi.LaplaceNoise(0.3)), "noise"),
+])
+def test_run_rejects_streams_of_another_model(changes, field):
+    base = dict(theta_star=STAR4, regressor=bi.SparseUniformRegressors(4),
+                noise=bi.GaussianNoise(0.09), n_agents=4)
+    model = bi.SystemModel(**base)
+    other = bi.SystemModel(**{**base, **changes})
+    g = bi.complete_graph(4)
+    sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
+    with pytest.raises(ValueError, match=f"^streams: built for a model with {field} "):
+        bi.run(model, sched, 50, streams=bi.ModelStreams(other, 1))
+    # streams of an equal model (another theta_star) are fine
+    same = bi.SystemModel(**{**base, "theta_star": -STAR4})
+    assert bi.run(model, sched, 50, streams=bi.ModelStreams(same, 1)).k == 51
+
+
+def test_monitor_rejects_a_run_with_other_radii():
+    model = _sparse_model(4, 3)
+    g = bi.complete_graph(4)
+    sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
+    for checks, runs, gain in (("linear", "doubling", 16.0), ("doubling", "linear", 1.0)):
+        mon = bi.InvariantMonitor(radii=checks)
+        with pytest.raises(ValueError, match=f"^radii: the monitor checks '{checks}' balls"):
+            bi.run(model, sched, 300, seed=1, sinks=(mon,), gain=gain, radii=runs)
+        assert mon.steps == 0        # rejected before the first step
+
+
+def test_run_reads_a_sensor_tie_as_a_zero_bit():
+    # theta* = 0 and noise-free draws: y = 0 == c = 0 at the origin, where
+    # the quiet step must push along +phi as the step function does
+    class NoNoise(bi.GaussianNoise):
+        def sample(self, rng, size=None):
+            return np.zeros(size)
+
+    model = bi.SystemModel(np.zeros(2), bi.SparseUniformRegressors(2), NoNoise(1.0), 3)
+    g = bi.complete_graph(3)
+    sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
+    init = bi.NetworkSnapshot(k=8, theta=np.zeros((3, 2)), sigma=np.full(3, 2),
+                              ledger=bi.TruncationLedger.initial(3))
+    final = bi.run(model, sched, 1, init=init, seed=6)
+    step = bi.dsaawet_identification_step(init, sched[8], model, bi.ModelStreams(model, 6))
+    want = np.zeros((3, 2))
+    want[np.arange(3), model.supports] = bi.ModelStreams(model, 6).phi_step(8).eta * (1 / 8)
+    assert np.array_equal(step.theta, want)
+    assert np.array_equal(final.theta, want)
 
 
 def test_reference_is_order_independent():
@@ -570,8 +792,7 @@ def _feed(mon, norms_by_step, sigma=(2, 2), k0=2):
     """Hand the monitor one step per row of agent norms, as run does.
 
     Consecutive snapshots share one counter array (a step that moves no
-    counter keeps its parent's), so the ball checks wait in one window.
-    Returns the last snapshot.
+    counter keeps its parent's).  Returns the last snapshot.
     """
     ledger = bi.TruncationLedger.initial(len(sigma))
     prev = bi.NetworkSnapshot(k=k0, theta=np.zeros((len(sigma), 1)), sigma=sigma, ledger=ledger)

@@ -28,6 +28,42 @@ def test_density_positive_at_zero(noise):
     assert noise.pdf(0.0) > 0.0
 
 
+def _generator_whose_next_output_is(raw: int) -> np.random.Generator:
+    """A PCG64 generator set up so that its next 64-bit output is ``raw``.
+
+    PCG64 steps its 128-bit LCG state and outputs the xor of the state's two
+    words rotated by its top 6 bits: a post-step state of ``raw`` (high word
+    0) outputs ``raw``, and the pre-step state is one LCG step back.
+    """
+    mult, inc = (2549297995355413924 << 64) + 4865540595714422341, 0x3039 * 2 + 1
+    before = ((raw - inc) * pow(mult, -1, 1 << 128)) % (1 << 128)
+    bits = np.random.PCG64()
+    state = bits.state
+    state["state"] = {"state": before, "inc": inc}
+    bits.state = state
+    return np.random.Generator(bits)
+
+
+@pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.kind)
+def test_builtin_noise_never_draws_negative_zero(noise):
+    # The run's quiet step reads the sensor bit ``y < c`` as the sign of
+    # ``y - c``, which differs only where ``y - c`` is -0.0, and that needs a
+    # noise draw of -0.0.  Each raw output below drives its sampler to a zero:
+    # the ziggurat's sign bit with a zero magnitude (standard normal -0.0),
+    # and a unit draw of exactly 0.5 (Laplace's log(2 - 2u) term and the
+    # uniform's midpoint).  The samplers add their location 0.0, so the zero
+    # is +0.0.
+    raw = (1 << 8) if noise.kind == "gaussian" else (1 << 63)
+    if noise.kind == "gaussian":
+        z = _generator_whose_next_output_is(raw).standard_normal()
+        assert z == 0.0 and math.copysign(1.0, z) == -1.0
+    else:
+        assert _generator_whose_next_output_is(raw).random() == 0.5
+    for draw in (noise.sample(_generator_whose_next_output_is(raw)),
+                 noise.sample(_generator_whose_next_output_is(raw), 3)[0]):
+        assert draw == 0.0 and math.copysign(1.0, draw) == 1.0
+
+
 def test_gaussian_density_at_zero_closed_form():
     noise = bi.GaussianNoise(0.09)
     assert noise.pdf(0.0) == pytest.approx(1.329807601338109, abs=1e-15)

@@ -1,7 +1,8 @@
 """The windowed recorder and the one-pass CSV writer against row-at-a-time references.
 
-``TrajectoryRecorder`` reduces its rows in windows of 64 with one call of
-each metric kernel, and ``write_trajectory_csv`` formats a row in one join.
+``TrajectoryRecorder`` reduces the stride rows of each run window with one
+call of each metric kernel (per step, one row at a time), and
+``write_trajectory_csv`` formats a row in one join.
 Both must give exactly what the row-at-a-time recorder and the
 value-by-value writer in ``reference.py`` give: the same ``Metrics`` bit for
 bit and the same file bytes.

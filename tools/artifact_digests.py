@@ -13,13 +13,15 @@ whose report lists a stochasticity failure.  One more run line comes from a
 temporary path is replaced by the file name before hashing).  Two
 ``-nosink`` lines hash the final estimates, counters and truncation ledger
 of ``run`` called without sinks (the path ``run_experiment`` never takes),
-on ``preset_v`` seed 101 and on ``ring-dense-1``.  It
-then prints one line per analysis and oracle output on a
-sparse and a dense model: the output's name and the SHA-256 of its array
-bytes.  No golden values are stored, because BLAS may round differently
-on another host.  To check that a change keeps the artifacts, run the
-script in a checkout of the parent and in the change, on the same machine,
-and diff the two outputs:
+on ``preset_v`` seed 101 and on ``ring-dense-1``, and two ``-steps`` lines
+hash every ``(k, theta, sigma)`` that a plain ``sink(prev, new)`` callable
+receives on the same two runs (the per-step path, which ``run_experiment``
+does not take either).  It then prints one line per analysis and oracle
+output on a sparse and a dense model: the output's name and the SHA-256 of
+its array bytes.  That makes 79 lines.  No golden values are stored,
+because BLAS may round differently on another host.  To check that a
+change keeps the artifacts, run the script in a checkout of the parent and
+in the change, on the same machine, and diff the two outputs:
 
     python3 tools/artifact_digests.py > before.txt    # in the parent
     python3 tools/artifact_digests.py > after.txt     # in the change
@@ -184,6 +186,29 @@ def no_sink_digests(cfg: bi.ExperimentConfig) -> tuple[str, str, str]:
     )
 
 
+def step_digest(cfg: bi.ExperimentConfig) -> str:
+    """SHA-256 of every state a plain per-step sink of ``run`` receives."""
+    pre = bi.preflight(cfg)
+    streams = bi.ModelStreams(pre.model, np.random.SeedSequence(cfg.seed).spawn(2)[1])
+    digest = hashlib.sha256()
+
+    def feed(snap):
+        digest.update(np.int64(snap.k).tobytes())
+        digest.update(snap.theta.tobytes())
+        digest.update(snap.sigma.tobytes())
+
+    def sink(prev, new):
+        if prev.k == 1:         # the first call: the initial state
+            feed(prev)
+        feed(new)
+
+    bi.run(
+        pre.model, pre.schedule, cfg.steps, streams=streams, sinks=(sink,),
+        gain=cfg.gain, radii=cfg.radii,
+    )
+    return digest.hexdigest()
+
+
 def ini_round_trip(cfg: bi.ExperimentConfig) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.ini"
@@ -231,6 +256,7 @@ def main() -> None:
     for name, cfg in configs():
         if name in ("preset-v-101", "ring-dense-1"):
             print(f"{name}-nosink", *no_sink_digests(cfg), flush=True)
+            print(f"{name}-steps", step_digest(cfg), flush=True)
     for kind, model in analysis_models():
         for name, arr in analysis_outputs(kind, model):
             print(name, hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest(), flush=True)
