@@ -7,8 +7,9 @@ The mean correction field driving the recursion is
 with F the CDF of the noise model all agents share.  Its unique root is
 the true parameter, which is what makes the one-bit scheme consistent.
 For the sparse one-coordinate-per-agent regressor kind f decouples per
-coordinate and is evaluated by Gauss-Legendre quadrature; the dense kind
-falls back to Monte Carlo.  Also here: consensus/error metrics and the strided
+coordinate and is evaluated by Gauss-Legendre quadrature, with the noise
+law evaluated once per coordinate rather than once per agent; the dense
+kind falls back to Monte Carlo.  Also here: consensus/error metrics and the strided
 trajectory recorder used by runs.
 
 Each run metric (theta_bar, consensus gap, per-agent errors, mean error) is
@@ -57,13 +58,42 @@ class RegressionContext:
     mc_fallback_seed: int = 0
 
     def __post_init__(self):
-        if self.quad_nodes < 2:
+        nodes = self.quad_nodes
+        if isinstance(nodes, bool) or not isinstance(nodes, (int, np.integer)):
+            raise ValueError(f"quad_nodes must be an integer, got {nodes!r}")
+        if nodes < 2:
             raise ValueError("quad_nodes must be >= 2")
         object.__setattr__(self, "closed_form", self.model.supports is not None)
 
     @property
     def l(self) -> int:
         return self.model.l
+
+
+def _check_theta(ctx: RegressionContext, theta, name: str) -> np.ndarray:
+    """``theta`` as a float ``(l,)`` array; a wrong shape or a non-finite
+    entry is a ``ValueError`` that names the argument."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (ctx.l,):
+        raise ValueError(f"{name} must have shape ({ctx.l},)")
+    if not np.isfinite(theta).all():
+        raise ValueError(f"{name} must be finite, got {theta}")
+    return theta
+
+
+def _sum_over_agents(ctx: RegressionContext, per: np.ndarray, wq: np.ndarray) -> np.ndarray:
+    """Quadrature of each agent's row of ``per`` (l, nodes), summed into its
+    coordinate.
+
+    The integrand of an agent depends only on its coordinate, so ``per`` is
+    evaluated once per coordinate; gathering it to one row per agent keeps
+    the (agents, nodes) product and the summation order of a per-agent
+    evaluation, so the result is bit-identical to one.
+    """
+    sup = ctx.model.supports
+    out = np.zeros(ctx.l)
+    np.add.at(out, sup, per.take(sup, axis=0) @ wq)
+    return out
 
 
 def regression_function(ctx: RegressionContext, theta: np.ndarray) -> np.ndarray:
@@ -73,9 +103,7 @@ def regression_function(ctx: RegressionContext, theta: np.ndarray) -> np.ndarray
     decreasing in ``theta_m`` around the root, which is what the solver and
     the descent diagnostics rely on.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (ctx.l,):
-        raise ValueError(f"theta must have shape ({ctx.l},)")
+    theta = _check_theta(ctx, theta, "theta")
     if not ctx.closed_form:
         warnings.warn(
             "no closed form for this regressor kind; using Monte Carlo fallback",
@@ -85,14 +113,10 @@ def regression_function(ctx: RegressionContext, theta: np.ndarray) -> np.ndarray
             ctx, theta, ctx.mc_fallback_samples, np.random.default_rng(ctx.mc_fallback_seed)
         )
         return est.value
-    sup = ctx.model.supports
     x, wq = _gauss_legendre(ctx.quad_nodes)
-    delta = theta[sup] - ctx.model.theta_star[sup]
-    out = np.zeros(ctx.l)
-    args = np.outer(delta, x)                               # (agents, nodes)
-    vals = (1.0 - 2.0 * ctx.model.noise.cdf(args)) * (0.5 * x)
-    np.add.at(out, sup, vals @ wq)
-    return out
+    args = (theta - ctx.model.theta_star)[:, None] * x      # (l, nodes)
+    per = (1.0 - 2.0 * ctx.model.noise.cdf(args)) * (0.5 * x)
+    return _sum_over_agents(ctx, per, wq)
 
 
 def regression_jacobian(ctx: RegressionContext, theta: np.ndarray) -> np.ndarray:
@@ -104,14 +128,11 @@ def regression_jacobian(ctx: RegressionContext, theta: np.ndarray) -> np.ndarray
     """
     if not ctx.closed_form:
         raise ValueError("general-theta Jacobian needs the sparse regressor kind")
-    theta = np.asarray(theta, dtype=np.float64)
-    sup = ctx.model.supports
+    theta = _check_theta(ctx, theta, "theta")
     x, wq = _gauss_legendre(ctx.quad_nodes)
-    delta = theta[sup] - ctx.model.theta_star[sup]
-    diag = np.zeros(ctx.l)
-    args = np.outer(delta, x)
-    np.add.at(diag, sup, (ctx.model.noise.pdf(args) * (x * x)) @ wq)
-    return np.diag(diag)
+    args = (theta - ctx.model.theta_star)[:, None] * x      # (l, nodes)
+    per = ctx.model.noise.pdf(args) * (x * x)
+    return np.diag(_sum_over_agents(ctx, per, wq))
 
 
 def jacobian_at_root(ctx: RegressionContext) -> np.ndarray:
@@ -158,7 +179,7 @@ def regression_function_mc(
     consumed agent by agent within each chunk, noise before regressor
     (deterministic given ``rng``, unrelated to run streams).
     """
-    theta = np.asarray(theta, dtype=np.float64)
+    theta = _check_theta(ctx, theta, "theta")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = as_generator(rng)

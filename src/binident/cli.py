@@ -139,6 +139,8 @@ def _cmd_analyze(args) -> int:
         raise ValueError(f"--theta: cannot parse {args.theta!r}") from None
     if theta.shape != (model.l,):
         raise ValueError(f"--theta: expected {model.l} values, got {theta.size}")
+    if not np.isfinite(theta).all():
+        raise ValueError(f"--theta: values must be finite, got {args.theta!r}")
     ctx = RegressionContext(model)
     fval = regression_function(ctx, theta)
     eigs = np.linalg.eigvalsh(jacobian_at_root(ctx))

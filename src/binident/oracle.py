@@ -86,9 +86,12 @@ def solve_root(
     overshoot deeper into saturation strictly increases ``|f_m|`` and gets
     halved away instead of dragging the iterate where the density
     quadrature underflows.  Raises :class:`RootSolveError` after
-    ``max_iter`` iterations or a stalled line search.
+    ``max_iter`` iterations or a stalled line search, and ``ValueError``
+    for a non-finite ``theta_init``.
     """
     theta = np.array(theta_init, dtype=np.float64)
+    if not np.isfinite(theta).all():
+        raise ValueError(f"theta_init must be finite, got {theta}")
     fval = regression_function(ctx, theta)
     for _ in range(max_iter):
         fnorm = float(np.linalg.norm(fval))

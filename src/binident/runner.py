@@ -352,8 +352,8 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
     The noise must have median zero and a positive density at zero.  The
     built-in noise kinds are symmetric by construction (``cdf(0) == 0.5``
     wherever ``pdf(0) > 0``), so only a custom model's CDF is evaluated;
-    a NaN median fails.  This keeps the Gaussian CDF, and with it
-    ``scipy.special``, off the simulation path.
+    a NaN median fails.  This keeps CDF evaluations off the simulation
+    path.
     """
     errors: list[str] = []
     warnings_: list[str] = []

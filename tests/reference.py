@@ -212,3 +212,32 @@ def reference_write_trajectory_csv(metrics, path):
         lines.append(",".join(parts))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _per_agent_grid(model, theta, nodes):
+    x, wq = np.polynomial.legendre.leggauss(nodes)
+    sup = model.supports
+    delta = np.asarray(theta, dtype=np.float64)[sup] - model.theta_star[sup]
+    return np.outer(delta, x), x, wq, sup
+
+
+def reference_regression_function(model, theta, nodes):
+    """The mean correction field of a sparse model on the (agents, nodes) grid.
+
+    Each agent's quadrature row is evaluated on its own, then summed into
+    its coordinate.  Vectorised on purpose: this is the per-agent form the
+    per-coordinate evaluation must match bit for bit, so it keeps that
+    form's product and summation order.
+    """
+    args, x, wq, sup = _per_agent_grid(model, theta, nodes)
+    out = np.zeros(model.l)
+    np.add.at(out, sup, ((1.0 - 2.0 * model.noise.cdf(args)) * (0.5 * x)) @ wq)
+    return out
+
+
+def reference_regression_jacobian(model, theta, nodes):
+    """-df/dtheta of a sparse model on the (agents, nodes) grid (see above)."""
+    args, x, wq, sup = _per_agent_grid(model, theta, nodes)
+    diag = np.zeros(model.l)
+    np.add.at(diag, sup, (model.noise.pdf(args) * (x * x)) @ wq)
+    return np.diag(diag)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import binident as bi
-from reference import reference_consensus_gap
+from reference import (
+    reference_consensus_gap,
+    reference_regression_function,
+    reference_regression_jacobian,
+)
 
 DENSITY_AT_ZERO = 1.329807601338109  # gaussian sigma^2 = 0.09
 
@@ -64,6 +68,60 @@ def test_wide_uniform_noise_matches_hand_integral():
     for delta in (-3.0, -0.25, 0.5, 4.0):
         val = bi.regression_function(ctx, np.array([2.0 + delta]))[0]
         assert val == pytest.approx(-delta / (3 * a), abs=1e-14)
+
+
+@pytest.mark.parametrize("nodes", [16, 64, 65])
+@pytest.mark.parametrize(
+    "noise",
+    [bi.GaussianNoise(0.09), bi.LaplaceNoise(0.4), bi.UniformNoise(0.3)],
+    ids=lambda n: n.kind,
+)
+def test_per_coordinate_quadrature_is_bit_identical_to_per_agent(noise, nodes):
+    rng = np.random.default_rng(nodes)
+    # (agents, l, pinned): n a multiple of l, n not, pinned supports that
+    # leave coordinates unexcited or excite one many times
+    for n, l, pinned in ((100, 8, False), (13, 5, False), (7, 3, True), (29, 6, True)):
+        support = tuple(int(m) for m in rng.integers(1, l + 1, n)) if pinned else None
+        model = bi.SystemModel(
+            theta_star=rng.normal(0.0, 2.0, l),
+            regressor=bi.SparseUniformRegressors(l, support=support),
+            noise=noise,
+            n_agents=n,
+        )
+        ctx = bi.RegressionContext(model, quad_nodes=nodes)
+        for scale in (0.05, 0.5, 3.0, 30.0):
+            theta = model.theta_star + rng.normal(0.0, scale, l)
+            got = bi.regression_function(ctx, theta)
+            assert np.array_equal(got, reference_regression_function(model, theta, nodes))
+            jac = bi.regression_jacobian(ctx, theta)
+            assert np.array_equal(jac, reference_regression_jacobian(model, theta, nodes))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_theta_rejected(bad):
+    ctx = _ctx(8, 4, star=np.array([0.8, -0.3, 1.2, 0.0]))
+    theta = np.array([0.0, bad, 0.0, 0.0])
+    for call in (
+        lambda: bi.regression_function(ctx, theta),
+        lambda: bi.regression_jacobian(ctx, theta),
+        lambda: bi.regression_function_mc(ctx, theta, 10, 0),
+    ):
+        with pytest.raises(ValueError, match="^theta must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("nodes", [10.5, 64.0, True, "64", None])
+def test_quad_nodes_must_be_an_integer(nodes):
+    model = _ctx(4, 2, star=np.zeros(2)).model
+    with pytest.raises(ValueError, match="quad_nodes must be an integer"):
+        bi.RegressionContext(model, quad_nodes=nodes)
+
+
+def test_quad_nodes_accepts_numpy_integers():
+    model = _ctx(4, 2, star=np.array([0.3, -0.2])).model
+    a = bi.regression_function(bi.RegressionContext(model, quad_nodes=np.int64(32)), np.zeros(2))
+    b = bi.regression_function(bi.RegressionContext(model, quad_nodes=32), np.zeros(2))
+    assert np.array_equal(a, b)
 
 
 def test_quadrature_self_convergence():

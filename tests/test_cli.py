@@ -252,29 +252,60 @@ def test_analyze_rejects_garbage_theta(small_ini, capsys):
     assert captured.err.startswith("error: --theta: cannot parse")
 
 
+@pytest.mark.parametrize("theta", ["nan,0,0,0", "0,inf,0,0", "0,0,-inf,0"])
+def test_analyze_rejects_non_finite_theta(small_ini, capsys, theta):
+    rc = main(["analyze", "--config", str(small_ini), "--theta", theta])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: --theta: values must be finite")
+    assert captured.out == ""
+
+
 _IMPORT_CONTRACT = """
 import sys
 import numpy as np
 import binident as bi
 from binident.cli import main
 
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
 out, *inis = sys.argv[1:]
 assert main(["preset-v", "--seed", "101", "--steps", "50", "--out", out + "/preset-v"]) == 0
 for i, ini in enumerate(inis):
     assert main(["simulate", "--config", ini, "--out", f"{out}/simulate-{i}"]) == 0
-loaded = sorted(m for m in sys.modules if m.startswith(("scipy.special", "scipy.sparse")))
-assert not loaded, loaded
+assert not scipy_modules(), scipy_modules()
 
-model = bi.build_model(bi.ExperimentConfig.from_ini(inis[0]))
-value = bi.regression_function(bi.RegressionContext(model), np.zeros(model.l))
+model = bi.build_model(bi.ExperimentConfig.from_ini(inis[0]))    # gaussian noise
+ctx = bi.RegressionContext(model)
+value = bi.regression_function(ctx, np.zeros(model.l))
 assert np.isfinite(value).all(), value
-assert "scipy.special" in sys.modules
+root = bi.solve_root(ctx, np.zeros(model.l))
+assert np.abs(root - model.theta_star).max() < 1e-10, root
+assert main(["analyze", "--config", inis[0], "--theta", "0,0,0,0"]) == 0
+assert not scipy_modules(), scipy_modules()
 """
 
 
-def test_simulation_commands_load_neither_scipy_special_nor_sparse(tmp_path):
-    """The run path is numpy only; the Gaussian CDF loads scipy.special on
-    first use (checked in a fresh interpreter, since this one has both)."""
+def _fresh_interpreter(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_simulation_and_analysis_load_no_scipy(tmp_path):
+    """Every command and the analysis path are numpy only (checked in a
+    fresh interpreter, since this one has scipy loaded)."""
     inis = []
     for kind, params in (
         ("gaussian", {"sigma2": 0.01}),
@@ -294,15 +325,19 @@ def test_simulation_commands_load_neither_scipy_special_nor_sparse(tmp_path):
         )
         inis.append(str(tmp_path / f"{kind}.ini"))
         cfg.to_ini(inis[-1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_CONTRACT, str(tmp_path), *inis],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _fresh_interpreter(_IMPORT_CONTRACT, str(tmp_path), *inis)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_binident_runs_where_scipy_cannot_be_imported():
+    script = """
+import sys
+sys.modules["scipy"] = None          # any scipy import now raises ImportError
+import numpy as np
+import binident as bi
+ctx = bi.RegressionContext(bi.build_model(bi.preset_v(seed=101, steps=0)))
+root = bi.solve_root(ctx, np.zeros(ctx.l))
+assert np.abs(root - ctx.model.theta_star).max() < 1e-10, root
+"""
+    proc = _fresh_interpreter(script)
     assert proc.returncode == 0, proc.stderr

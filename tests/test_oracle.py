@@ -100,6 +100,15 @@ def test_solver_survives_far_saturated_start():
     assert np.abs(root - ctx.model.theta_star).max() < 1e-8
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_solver_rejects_non_finite_start(bad):
+    ctx = bi.RegressionContext(_model())
+    start = np.zeros(8)
+    start[3] = bad
+    with pytest.raises(ValueError, match="^theta_init must be finite"):
+        bi.solve_root(ctx, start)
+
+
 def test_solver_reports_singular_curvature():
     # a single agent leaves every other coordinate without curvature
     ctx = bi.RegressionContext(_model(1, 4, star=STAR4))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr
 
 import binident as bi
 
@@ -70,6 +71,31 @@ def test_gaussian_density_at_zero_closed_form():
     # cross-check against a symmetric difference quotient of the cdf
     h = 1e-6
     assert noise.pdf(0.0) == pytest.approx((noise.cdf(h) - noise.cdf(-h)) / (2 * h), abs=1e-6)
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 0.09], ids=["unit", "preset"])
+def test_gaussian_cdf_matches_ndtr(sigma2):
+    # scipy.special.ndtr is the test-only reference: the package's Gaussian CDF
+    # is a numpy port of the same Cephes routine
+    noise = bi.GaussianNoise(sigma2)
+    x = np.linspace(-40.0, 40.0, 800_001) * noise.sigma
+    got, want = noise.cdf(x), ndtr(x / noise.sigma)
+    assert np.abs(got - want).max() <= 2.0**-52
+    live = want > 1e-300
+    assert (np.abs(got - want)[live] / want[live]).max() <= 1e-13
+    assert np.array_equal(got + noise.cdf(-x), np.ones_like(x))
+
+
+def test_gaussian_cdf_special_values():
+    for noise in (bi.GaussianNoise(1.0), bi.GaussianNoise(0.01), bi.GaussianNoise(1e6)):
+        assert noise.cdf(0.0) == 0.5 and noise.cdf(-0.0) == 0.5
+        assert noise.cdf(-np.inf) == 0.0 and noise.cdf(np.inf) == 1.0
+        assert np.isnan(noise.cdf(np.nan))
+        # no RuntimeWarning (the suite turns them into errors) at the extremes
+        huge = noise.cdf(np.array([-1e308, -1e300, 1e300, 1e308, 5e-324, -5e-324]))
+        assert np.array_equal(huge, [0.0, 0.0, 1.0, 1.0, 0.5, 0.5])
+        assert type(noise.cdf(0.3)) is np.float64
+        assert noise.cdf(np.zeros((2, 3))).shape == (2, 3)
 
 
 def test_uniform_cdf_values():

@@ -18,7 +18,7 @@ hash every ``(k, theta, sigma)`` that a plain ``sink(prev, new)`` callable
 receives on the same two runs (the per-step path, which ``run_experiment``
 does not take either).  It then prints one line per analysis and oracle
 output on a sparse and a dense model: the output's name and the SHA-256 of
-its array bytes.  That makes 79 lines.  No golden values are stored,
+its array bytes.  That makes 81 lines.  No golden values are stored,
 because BLAS may round differently on another host.  To check that a
 change keeps the artifacts, run the script in a checkout of the parent and
 in the change, on the same machine, and diff the two outputs:
@@ -47,7 +47,9 @@ The analysis and oracle outputs, each at a fixed seed, on the ring model
 (sparse regressors) and on its dense/Laplace variant: ``regression_function_mc``
 (value and standard error), ``regression_function``, ``jacobian_at_root``,
 ``centralized_baseline`` and ``identifiability_probe`` (final estimate and
-errors) for agent 2.
+errors) for agent 2; for the sparse model also ``solve_root`` from the
+origin and from all-fives, and ``regression_jacobian`` at the point where
+``regression_function`` is evaluated.
 
 The script imports ``binident`` from the ``src`` directory next to it.
 """
@@ -226,13 +228,20 @@ def analysis_outputs(kind: str, model: bi.SystemModel) -> list[tuple[str, np.nda
         warnings.simplefilter("ignore")  # the dense kind falls back to Monte Carlo
         quad = bi.regression_function(ctx, theta)
     probe = bi.identifiability_probe(model, 2, 2000, 5)
-    return [
+    out = [
         (f"{kind}-regression_function_mc", np.concatenate([mc.value, mc.stderr])),
         (f"{kind}-regression_function", quad),
         (f"{kind}-jacobian_at_root", bi.jacobian_at_root(ctx)),
         (f"{kind}-centralized_baseline", bi.centralized_baseline(model, 2000, 9, record_every=50)),
         (f"{kind}-identifiability_probe", np.concatenate([probe.final_theta, probe.errors])),
     ]
+    if ctx.closed_form:
+        starts = (np.zeros(model.l), np.full(model.l, 5.0))
+        out += [
+            (f"{kind}-solve_root", np.concatenate([bi.solve_root(ctx, s) for s in starts])),
+            (f"{kind}-regression_jacobian", bi.regression_jacobian(ctx, theta)),
+        ]
+    return out
 
 
 def analysis_models() -> list[tuple[str, bi.SystemModel]]:
