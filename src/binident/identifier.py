@@ -15,15 +15,16 @@ truncations converges for any a > 0 and any increasing, unbounded radii;
 the choice only changes how fast.  The defaults are the literal 1/k, M_m = m
 recursion.
 
-One private kernel holds the truncated update, and two entry points call
-it.  :func:`dsaawet_identification_step` senses (draws, thresholds, one-bit
-signs) and runs it with gain a/k and radii M_m;
-:func:`generic_dsaawet_step` runs it on user-supplied observation rows with
-a given gain a_k and radius sequence.  Both reset to the origin.  When all
-counters agree the kernel takes one path, :func:`_agreeing_update`: mix
-with ``W @ x``, add the innovation and test every norm against the one
-common radius.  The disagreeing-counter update is written once, in
-:func:`_truncated_update`.
+One private kernel, :func:`_kernel`, holds the update of every step: mix
+with ``W @ x``, add the innovation ``a_k s_i phi_i`` and reset to the
+origin each row whose norm exceeds its radius.  :func:`_truncated_update`
+runs it from any counters, with ``W`` masked to the neighbours that hold
+each agent's neighbourhood-max counter, agents below that counter zeroed
+and per-row radii.  Two entry points call it:
+:func:`dsaawet_identification_step` senses (draws, thresholds, one-bit
+signs) and runs it with gain a/k and radii M_m; :func:`generic_dsaawet_step`
+runs it on user-supplied observation rows with a given gain a_k and radius
+sequence.
 
 :func:`run` drives the recursion through a window engine.  It hoists the
 schedule's weight cycle, ``theta*`` on each agent's support, the regressor
@@ -49,13 +50,13 @@ radius (recomputed when the counters move).
 - *Quiet step.*  While the counters agree, the engine reads the raw draw
   columns (:meth:`ModelStreams.columns`, the same banks as ``phi_step`` and
   ``noise_step``), computes outputs and thresholds into preallocated
-  buffers and calls :func:`_agreeing_update` from one slot into the next,
-  through flat views of the slots made once.  The sensor's signed gain is
-  ``copysign(a_k, y - c)``: this is ``-a_k`` exactly where the bit
-  ``y < c`` is set, as long as ``y - c`` is neither -0.0 nor NaN.  It is
-  -0.0 only when a noise draw is -0.0, which no built-in noise law returns
-  (each adds its location 0.0).  So every value is the identification
-  step's bit for bit.
+  buffers and calls :func:`_kernel` with the common radius from one slot
+  into the next, through flat views of the slots made once.  The sensor's
+  signed gain is ``copysign(a_k, y - c)``: this is ``-a_k`` exactly where
+  the bit ``y < c`` is set, as long as ``y - c`` is neither -0.0 nor NaN.
+  It is -0.0 only when a noise draw is -0.0, which no built-in noise law
+  returns (each adds its location 0.0).  So every value is the
+  identification step's bit for bit.
 - *Norm bound.*  Weights are nonnegative, so with agreeing counters each
   new row obeys ``||x'_i|| <= sum_j w_ij ||x_j|| + a_k ||phi_i||
   <= rho max_j ||x_j|| + a_k beta``.  The engine carries
@@ -66,8 +67,9 @@ radius (recomputed when the counters move).
   largest norm found, times the same margin.  A truncation, a counter move
   or a general step resets B to infinity.
 - *General path.*  A step that starts from disagreeing counters calls
-  :func:`dsaawet_identification_step` on a snapshot of the state and
-  writes its result into the next slot.
+  :func:`dsaawet_identification_step` on a snapshot of the state (the same
+  kernel, with masked weights and per-row radii) and writes its result
+  into the next slot.
 
 :class:`InvariantMonitor` judges every row's ball with one ``einsum`` per
 window and runs its counter checks at every counter move, on snapshots of
@@ -85,7 +87,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .plant import PhiBatch, SystemModel
+from .plant import SystemModel
 from .streams import ModelStreams
 from .topology import TopologySchedule, WeightMatrix
 
@@ -246,8 +248,8 @@ def truncation_radii(levels: np.ndarray, radii: str = "linear") -> np.ndarray:
 # ---------------------------------------------------------------------------
 # single-step updates
 
-def _agreeing_update(x, out, w, coef, draws, flat, out_flat, r_sq, scratch=None):
-    """The update for agreeing counters, written into ``out``.
+def _kernel(x, out, w, coef, draws, flat, out_flat, r_sq, scratch=None):
+    """The update of one step, written into ``out``.
 
     ``out = W x + coef_i phi_i`` row by row, with ``coef`` the signed gain
     ``a_k s_i`` (n,).  The regressors are the sparse amplitudes ``draws``
@@ -257,10 +259,12 @@ def _agreeing_update(x, out, w, coef, draws, flat, out_flat, r_sq, scratch=None)
     array other than ``x``; ``scratch``, if given, has the shape of
     ``draws``.
 
-    With ``r_sq`` (the squared radius of the common counter) the rows whose
-    squared norm exceeds it are reset to the origin; ``r_sq`` None skips the
-    test.  Returns the mask of reset rows (None when none was) and the
-    largest squared norm before any reset (NaN when untested).
+    ``r_sq`` is a squared radius: one scalar for every row (the engine's
+    common counter) or one per row (n,) (the step functions' adopted
+    counters).  The rows whose squared norm exceeds it are reset to the
+    origin; ``r_sq`` None skips the test.  Returns the mask of reset rows
+    and NaN, or, when no row was reset, None and the largest squared norm
+    (NaN when untested).
     """
     np.matmul(w, x, out=out)
     if flat is not None:
@@ -271,49 +275,39 @@ def _agreeing_update(x, out, w, coef, draws, flat, out_flat, r_sq, scratch=None)
     if r_sq is None:
         return None, math.nan
     norms_sq = np.einsum("ij,ij->i", out, out)
-    top = norms_sq.max()
-    if not top > r_sq:
-        return None, top
     exceeded = norms_sq > r_sq
-    out[exceeded] = 0.0
-    return exceeded, top
-
-
-def _truncated_update(x, sigma, sigma_uniform, weights, phi, bits, a_k, radii):
-    """The truncated recursion shared by both step functions.
-
-    Mixes over the neighbourhood-max counter (lagging agents contribute the
-    origin), adds ``a_k phi_i s_i`` (``phi`` a :class:`PhiBatch`, ``s_i = -1``
-    where ``bits`` is set and +1 elsewhere), zeroes lagging agents and
-    resets to the origin outside the radius of the adopted counter.
-    Agreeing counters go through :func:`_agreeing_update`.  Returns
-    ``(x_next, sigma_next, n_truncated)``.
-    """
-    if sigma_uniform:
-        radius = truncation_radii(sigma[:1], radii)[0]
-        x_next = np.empty(x.shape)
-        coef = np.where(bits, -a_k, a_k)
-        if phi.is_sparse:
-            draws, flat, out_flat = phi.eta, phi.flat, x_next.reshape(-1)
-        else:
-            draws, flat, out_flat = phi.dense, None, None
-        exceeded, _ = _agreeing_update(
-            x, x_next, weights.w, coef, draws, flat, out_flat, radius * radius
-        )
-        if exceeded is None:
-            return x_next, sigma, 0
-        return x_next, sigma + exceeded, int(exceeded.sum())
-
-    sig_hat = np.where(weights.support, sigma[None, :], -1).max(axis=1)
-    x_prime = (weights.w * (sigma[None, :] == sig_hat[:, None])) @ x
-    phi.add_innovation(x_prime, a_k, np.where(bits, -1.0, 1.0))
-    x_prime = np.where((sigma == sig_hat)[:, None], x_prime, 0.0)
-    norms_sq = np.einsum("ij,ij->i", x_prime, x_prime)
-    bound = truncation_radii(sig_hat, radii)
-    exceeded = norms_sq > bound * bound
     if not exceeded.any():
-        return x_prime, sig_hat, 0
-    x_next = np.where(exceeded[:, None], 0.0, x_prime)
+        return None, norms_sq.max()
+    out[exceeded] = 0.0
+    return exceeded, math.nan
+
+
+def _truncated_update(x, sigma, weights, coef, draws, flat, radii):
+    """One step of the truncated recursion from any counters, by :func:`_kernel`.
+
+    Each agent adopts ``sig_hat``, the largest counter in its neighbourhood,
+    and mixes over the neighbours that hold it; an agent whose own counter
+    is below ``sig_hat`` (lagging) mixes nothing, gets no innovation and
+    ends at +0.0.  Each row is then tested against the radius of its
+    ``sig_hat``.  ``coef``, ``draws`` and ``flat`` are as in
+    :func:`_kernel`; ``coef`` is the caller's own array and its lagging
+    entries are zeroed.  Returns ``(x_next, sigma_next, n_truncated)``,
+    with ``sigma_next`` the caller's ``sigma`` when no counter moved.
+    """
+    sig_hat = np.where(weights.support, sigma[None, :], -1).max(axis=1)
+    lag = sigma < sig_hat
+    w = weights.w * (sigma[None, :] == sig_hat[:, None])
+    w[lag] = 0.0
+    coef[lag] = 0.0
+    r = truncation_radii(sig_hat, radii)
+    x_next = np.empty(x.shape)
+    out_flat = None if flat is None else x_next.reshape(-1)
+    exceeded, _ = _kernel(x, x_next, w, coef, draws, flat, out_flat, r * r)
+    # a zero weight row can still sum to -0.0 (by the BLAS's order of
+    # summation) or NaN (beside a non-finite estimate)
+    x_next[lag] = 0.0
+    if exceeded is None:
+        return x_next, (sig_hat if lag.any() else sigma), 0
     return x_next, sig_hat + exceeded, int(exceeded.sum())
 
 
@@ -342,9 +336,10 @@ def dsaawet_identification_step(
     phi = streams.phi_step(k)
     d = streams.noise_step()
     bits = phi.outputs(model.theta_star, d) < phi.thresholds(s.theta)
-
+    a_k = gain / k
+    draws = phi.eta if phi.is_sparse else phi.dense
     theta_next, sigma_next, n_trunc = _truncated_update(
-        s.theta, s.sigma, s.sigma_uniform, weights, phi, bits, gain / k, radii
+        s.theta, s.sigma, weights, np.where(bits, -a_k, a_k), draws, phi.flat, radii
     )
     ledger = s.ledger.record(k + 1, s.sigma, sigma_next, n_trunc)
     if sigma_next is s.sigma:
@@ -391,8 +386,9 @@ def generic_dsaawet_step(
         x_i  <- x'_i if ||x'_i|| <= M_shat_i else 0,   with counter bump.
 
     This and :func:`dsaawet_identification_step` are two entry points to
-    one kernel: here the rows O_i enter with unit signs, so the same
-    weights and rows give the identification step's result bit for bit.
+    one kernel: here every row O_i enters with the gain a_k itself, where
+    the identification step passes ``+-a_k`` with the regressor row, so
+    rows ``s_i phi_i`` and the same weights give its result bit for bit.
     """
     check_radii(radii)
     if not (math.isfinite(a_k) and a_k > 0):
@@ -404,8 +400,7 @@ def generic_dsaawet_step(
     if not np.isfinite(obs).all():
         raise ValueError("observations must be finite")
     x_next, sigma_next, _ = _truncated_update(
-        state.x, state.sigma, state.sigma_uniform, weights,
-        PhiBatch(l=l, dense=obs), np.zeros(n, dtype=bool), a_k, radii,
+        state.x, state.sigma, weights, np.full(n, a_k), obs, None, radii
     )
     return EngineState(x=x_next, sigma=sigma_next)
 
@@ -567,7 +562,7 @@ def _run_steps(model, schedule, streams, snap, steps, sinks, gain, radii):
             np.copysign(a_k, np.subtract(y, c, out=y), out=coef)
             bound = (rho * bound + a_k * beta) * grow
             exact = not bound < r_cut          # a NaN bound takes the exact test
-            exceeded, top = _agreeing_update(
+            exceeded, top = _kernel(
                 x, out, mats[(k - 1) % period], coef, draws, flat, flats[j + 1],
                 r_sq if exact else None, scratch,
             )

@@ -139,8 +139,11 @@ class GaussianNoise(NoiseModel):
         return _normal_cdf(np.asarray(x, dtype=np.float64), self.sigma)[()]
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.exp(-0.5 * (x / self.sigma) ** 2) / (self.sigma * math.sqrt(2.0 * math.pi))
+        # clipped like the CDF: exp(-0.5 * 40^2) is already 0.0, and no
+        # finite input overflows the square
+        x = np.abs(np.asarray(x, dtype=np.float64))
+        t = np.minimum(x, _CDF_CLIP * self.sigma) / self.sigma
+        return np.exp(-0.5 * t**2) / (self.sigma * math.sqrt(2.0 * math.pi))
 
     def sample(self, rng, size=None):
         return rng.normal(0.0, self.sigma, size)
@@ -160,7 +163,9 @@ class LaplaceNoise(NoiseModel):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
-        return np.where(x < 0, 0.5 * np.exp(x / self.scale), 1.0 - 0.5 * np.exp(-x / self.scale))
+        # one tail for both sides (-|x| == x below 0): no branch overflows
+        tail = 0.5 * np.exp(-np.abs(x) / self.scale)
+        return np.where(x < 0, tail, 1.0 - tail)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -110,6 +110,13 @@ def test_non_finite_theta_rejected(bad):
             call()
 
 
+def test_laplace_field_far_from_the_root_raises_no_warning():
+    # theta = (40, 0) puts quadrature points 1000 scales out on the Laplace CDF
+    model = bi.SystemModel([0.5, -0.4], bi.SparseUniformRegressors(2), bi.LaplaceNoise(0.04), 4)
+    f = bi.regression_function(bi.RegressionContext(model), np.array([40.0, 0.0]))
+    assert np.isfinite(f).all() and f[0] < 0 and f[1] < 0
+
+
 @pytest.mark.parametrize("nodes", [10.5, 64.0, True, "64", None])
 def test_quad_nodes_must_be_an_integer(nodes):
     model = _ctx(4, 2, star=np.zeros(2)).model

@@ -90,6 +90,32 @@ def test_lagging_agent_is_zeroed_before_truncation_test():
     assert nxt.ledger.truncation_events == 0
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_lagging_rows_come_out_positive_zero(dense):
+    # every estimate is negative, so a lagging agent's zeroed weight row
+    # meets only negative entries; its row must still be +0.0, not -0.0
+    n, l = 4, 3
+    regressors = bi.DenseUniformRegressors(l) if dense else bi.SparseUniformRegressors(l)
+    model = bi.SystemModel(np.full(l, -1.0), regressors, bi.GaussianNoise(0.09), n)
+    w = bi.metropolis_weights(bi.complete_graph(n))
+    sigma, lag = np.array([3, 1, 3, 0]), [1, 3]
+    s = bi.NetworkSnapshot(
+        k=20, theta=np.full((n, l), -0.5), sigma=sigma, ledger=bi.TruncationLedger.initial(n)
+    )
+    nxt = bi.dsaawet_identification_step(s, w, model, bi.ModelStreams(model, 3))
+    assert np.array_equal(nxt.sigma, [3, 3, 3, 3]) and (nxt.theta[[0, 2]] < 0).all()
+    assert np.array_equal(nxt.theta[lag], np.zeros((2, l))) and not np.signbit(nxt.theta[lag]).any()
+    # a lagging agent ends at the origin beside a non-finite estimate too,
+    # where its zero weights meet 0 * -inf
+    x = np.full((n, l), -0.5)
+    for bad in (-0.5, -np.inf):
+        x[0, 0] = bad
+        state = bi.EngineState(x=x, sigma=sigma)
+        with np.errstate(invalid="ignore"):
+            nxt = bi.generic_dsaawet_step(state, w, np.full((n, l), -1.0), a_k=0.05)
+        assert np.array_equal(nxt.x[lag], np.zeros((2, l))) and not np.signbit(nxt.x[lag]).any()
+
+
 # ---------------------------------------------------------------------------
 # agreement with the loop-by-loop reference
 
@@ -245,13 +271,13 @@ def test_run_takes_both_the_bound_skip_and_the_exact_ball_test(monkeypatch):
     sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
     init = _near_radius_init(rng, n, l, np.full(n, 2), "linear", 150)
     tests = []
-    kernel = bi.identifier._agreeing_update
+    kernel = bi.identifier._kernel
 
     def counting(*args):
         tests.append(args[7] is not None)
         return kernel(*args)
 
-    monkeypatch.setattr(bi.identifier, "_agreeing_update", counting)
+    monkeypatch.setattr(bi.identifier, "_kernel", counting)
     final = bi.run(model, sched, 400, init=init, seed=8)
     assert any(tests) and not all(tests)
 
@@ -789,7 +815,8 @@ def test_monitor_judges_each_agent_against_its_own_radius():
 
 
 def _feed(mon, norms_by_step, sigma=(2, 2), k0=2):
-    """Hand the monitor one step per row of agent norms, as run does.
+    """Hand the monitor one step per row of agent norms, through its per-step
+    ``__call__`` (the call plain ``sink(prev, new)`` callers make).
 
     Consecutive snapshots share one counter array (a step that moves no
     counter keeps its parent's).  Returns the last snapshot.
@@ -803,11 +830,10 @@ def _feed(mon, norms_by_step, sigma=(2, 2), k0=2):
     return prev
 
 
-def test_monitor_reports_deferred_ball_violations_in_step_order():
+def test_monitor_reports_ball_violations_in_step_order():
     # linear radii, counters (2, 2): norm 2.5 is outside, 1.5 inside
-    # call i judges step k = i + 3; the first window holds calls 0-63 and
-    # the second 64-127, so the planted steps straddle a window boundary,
-    # close the second window and wait in the third when the counters move
+    # call i judges step k = i + 3 when it is made, so the messages come in
+    # step order, the counter check of the final move last
     steps = [[1.5, 1.5]] * 130
     for i in (63, 64, 127, 129):
         steps[i] = [1.5, -2.5]
@@ -829,10 +855,10 @@ def test_monitor_reports_deferred_ball_violations_in_step_order():
     assert mon.count == 5 and not mon.ok
 
 
-def test_monitor_flushes_pending_steps_when_read():
+def test_monitor_judges_each_step_when_called():
     mon = bi.InvariantMonitor()
     _feed(mon, [[1.0, 1.0], [3.0, 0.0], [1.0, 1.0]])
-    assert mon.count == 1            # the pending window was judged on read
+    assert mon.count == 1            # judged in the call, nothing waits for a window
     _feed(mon, [[1.0, 1.0], [0.0, -3.0]], k0=10)
     assert mon.count == 2
     assert mon.violations == [
@@ -864,6 +890,11 @@ def test_step_freezes_theta_and_shares_counters_that_did_not_move():
     assert not nxt.theta.flags.writeable and nxt.theta.any()
     with pytest.raises(ValueError):
         nxt.theta[0, 0] = 1.0
+    # disagreeing counters on self-loops only: no agent lags and none moves
+    s = bi.NetworkSnapshot(k=50, theta=np.zeros((3, 2)), sigma=[1, 3, 2], ledger=s.ledger)
+    nxt = bi.dsaawet_identification_step(s, _identity_weights(3), model, streams)
+    assert nxt.sigma is s.sigma and nxt.ledger is s.ledger and not nxt.sigma_uniform
+    assert nxt.theta.any()
     # the first step truncates every agent: new counters, validated and frozen
     s0 = bi.NetworkSnapshot.initial(3, 2)
     first = bi.dsaawet_identification_step(s0, w, model, streams)

@@ -113,6 +113,21 @@ def test_laplace_cdf_closed_form():
     assert noise.cdf(-x) == pytest.approx(1.0 - want, abs=1e-15)
 
 
+def test_laplace_cdf_far_tails_raise_no_warning():
+    # exp(|x| / scale) would overflow: the suite turns the RuntimeWarning into an error
+    noise = bi.LaplaceNoise(0.04)
+    assert noise.cdf(1e6) == 1.0 and noise.cdf(-1e6) == 0.0
+    assert np.array_equal(noise.cdf(np.array([-1e6, -np.inf, np.inf, 1e6])), [0.0, 0.0, 1.0, 1.0])
+
+
+def test_gaussian_pdf_special_values_raise_no_warning():
+    noise = bi.GaussianNoise(1.0)
+    assert noise.pdf(1e200) == 0.0 and noise.pdf(-1e200) == 0.0
+    assert noise.pdf(np.inf) == 0.0 and noise.pdf(-np.inf) == 0.0
+    assert np.isnan(noise.pdf(np.nan))
+    assert type(noise.pdf(0.3)) is np.float64
+
+
 @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.kind)
 def test_cdf_monotone_on_grid(noise):
     grid = np.linspace(-5.0, 5.0, 401)

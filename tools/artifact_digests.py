@@ -16,12 +16,19 @@ of ``run`` called without sinks (the path ``run_experiment`` never takes),
 on ``preset_v`` seed 101 and on ``ring-dense-1``, and two ``-steps`` lines
 hash every ``(k, theta, sigma)`` that a plain ``sink(prev, new)`` callable
 receives on the same two runs (the per-step path, which ``run_experiment``
-does not take either).  It then prints one line per analysis and oracle
-output on a sparse and a dense model: the output's name and the SHA-256 of
-its array bytes.  That makes 81 lines.  No golden values are stored,
-because BLAS may round differently on another host.  To check that a
-change keeps the artifacts, run the script in a checkout of the parent and
-in the change, on the same machine, and diff the two outputs:
+does not take either).  Four ``-direct`` lines hash every ``(theta, sigma)``
+of 2000 direct ``dsaawet_identification_step`` calls on ``ring-sparse-1``
+and on ``ring-dense-1``, each from zero counters and from disagreeing
+counters, and one ``generic-direct`` line does the same for 2000
+``generic_dsaawet_step`` calls on seeded observation rows: ``run`` calls the
+step function only on steps from disagreeing counters, so these lines are
+the ones that cover the step functions on agreeing counters.  It then
+prints one line per analysis and oracle output on a sparse and a dense
+model: the output's name and the SHA-256 of its array bytes.  That makes
+86 lines.  No golden values are stored, because BLAS may round differently
+on another host.  To check that a change keeps the artifacts, run the
+script in a checkout of the parent and in the change, on the same machine,
+and diff the two outputs:
 
     python3 tools/artifact_digests.py > before.txt    # in the parent
     python3 tools/artifact_digests.py > after.txt     # in the change
@@ -211,6 +218,50 @@ def step_digest(cfg: bi.ExperimentConfig) -> str:
     return digest.hexdigest()
 
 
+DISAGREEING = (3, 0, 1, 0, 2, 0, 0, 1)     # counters of the disagreeing starts
+DIRECT_STEPS = 2000
+
+
+def _disagreeing_start(n: int, l: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded estimates inside their balls and the ``DISAGREEING`` counters."""
+    return np.random.default_rng(seed).uniform(-0.5, 0.5, (n, l)), np.array(DISAGREEING)
+
+
+def direct_step_digest(cfg: bi.ExperimentConfig, disagreeing: bool) -> str:
+    """SHA-256 of every state of direct ``dsaawet_identification_step`` calls."""
+    pre = bi.preflight(cfg)
+    model = pre.model
+    streams = bi.ModelStreams(model, np.random.SeedSequence(cfg.seed).spawn(2)[1])
+    snap = bi.NetworkSnapshot.initial(model.n_agents, model.l)
+    if disagreeing:
+        theta, sigma = _disagreeing_start(model.n_agents, model.l, cfg.seed)
+        snap = bi.NetworkSnapshot(k=1, theta=theta, sigma=sigma, ledger=snap.ledger)
+    digest = hashlib.sha256()
+    for _ in range(DIRECT_STEPS):
+        snap = bi.dsaawet_identification_step(
+            snap, pre.schedule[snap.k], model, streams, cfg.gain, cfg.radii
+        )
+        digest.update(snap.theta.tobytes())
+        digest.update(snap.sigma.tobytes())
+    return digest.hexdigest()
+
+
+def generic_step_digest() -> str:
+    """SHA-256 of every state of ``generic_dsaawet_step`` on the ring schedule."""
+    cfg = ring_config(1, DIRECT_STEPS)
+    sched = bi.build_schedule(cfg, None)
+    x, sigma = _disagreeing_start(cfg.n_agents, cfg.l, 2)
+    state = bi.EngineState(x=x, sigma=sigma)
+    rng = np.random.default_rng(5)
+    digest = hashlib.sha256()
+    for k in range(1, DIRECT_STEPS + 1):
+        obs = rng.normal(0.0, 1.0, (cfg.n_agents, cfg.l))
+        state = bi.generic_dsaawet_step(state, sched[k], obs, 2.0 / k, radii="doubling")
+        digest.update(state.x.tobytes())
+        digest.update(state.sigma.tobytes())
+    return digest.hexdigest()
+
+
 def ini_round_trip(cfg: bi.ExperimentConfig) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.ini"
@@ -266,6 +317,12 @@ def main() -> None:
         if name in ("preset-v-101", "ring-dense-1"):
             print(f"{name}-nosink", *no_sink_digests(cfg), flush=True)
             print(f"{name}-steps", step_digest(cfg), flush=True)
+    for name, cfg in configs():
+        if name in ("ring-sparse-1", "ring-dense-1"):
+            for disagreeing in (False, True):
+                start = "disagreeing" if disagreeing else "zero"
+                print(f"{name}-{start}-direct", direct_step_digest(cfg, disagreeing), flush=True)
+    print("generic-direct", generic_step_digest(), flush=True)
     for kind, model in analysis_models():
         for name, arr in analysis_outputs(kind, model):
             print(name, hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest(), flush=True)
