@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import SystemModel, sign_pm
-from .streams import as_generator
+from .streams import _finite, as_generator
 
 
 @functools.lru_cache(maxsize=8)
@@ -177,9 +177,13 @@ def regression_function_mc(
     Independent of the quadrature route: draws raw regressor/noise samples
     and averages ``phi_i * sign(y_i - phi_i' theta)``.  The generator is
     consumed agent by agent within each chunk, noise before regressor
-    (deterministic given ``rng``, unrelated to run streams).
+    (deterministic given ``rng``, unrelated to run streams).  ``samples``
+    must be an integer; a NaN or infinite draw raises ValueError naming its
+    role (``noise`` or ``regressor``).
     """
     theta = _check_theta(ctx, theta, "theta")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = as_generator(rng)
@@ -194,14 +198,14 @@ def regression_function_mc(
         chunk = min(_CHUNK, samples - done)
         x_rows = np.zeros((chunk, l))
         for i in range(model.n_agents):
-            d = noise.sample(rng, chunk)
+            d = _finite(noise.sample(rng, chunk), "noise", i)
             if sup is not None:
                 m = sup[i]
-                eta = gen.draw(rng, chunk)
+                eta = _finite(gen.draw(rng, chunk), "regressor", i)
                 s = sign_pm(eta * tstar[m] + d - eta * theta[m])
                 x_rows[:, m] += eta * s
             else:
-                rows = gen.draw(rng, chunk)
+                rows = _finite(gen.draw(rng, chunk), "regressor", i)
                 s = sign_pm(rows @ (tstar - theta) + d)
                 x_rows += rows * s[:, None]
         total += x_rows.sum(axis=0)

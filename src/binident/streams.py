@@ -9,6 +9,13 @@ drawn one at a time or in batches, so the cache is purely a speed
 optimisation and never changes the stream.  A caller that knows how many
 steps it will read says so (:meth:`ModelStreams.expect`), and the last
 refill then draws only those steps instead of a whole block.
+
+:class:`ModelStreams` seeds its per-agent generators without building the
+per-agent SeedSequences: it runs numpy's SeedSequence hash once on the words
+the agents share and once, vectorised over the agents, on each agent's own
+index, and gets the same PCG64 seeds bit for bit.  Every refill checks each
+agent's draws, so a sampler that returns NaN or an infinity fails at once
+with a ``ValueError`` naming its role.
 """
 
 from __future__ import annotations
@@ -16,12 +23,19 @@ from __future__ import annotations
 from typing import Callable, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import plant
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 _ROLES = ("regressor", "noise")
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
 
 
 def as_generator(seed: SeedLike) -> np.random.Generator:
@@ -31,6 +45,12 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.Generator(np.random.PCG64(seed))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def _role_children(seed: int | np.random.SeedSequence) -> list[np.random.SeedSequence]:
+    """The root's one child per role: the first level of the layout below."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return root.spawn(len(_ROLES))
 
 
 def spawn_agent_sequences(
@@ -43,13 +63,101 @@ def spawn_agent_sequences(
     sequence per agent.  Spawning is deterministic, so the same seed always
     yields the same family of streams.
     """
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(len(_ROLES))
-    return {role: child.spawn(n_agents) for role, child in zip(_ROLES, children)}
+    return {role: child.spawn(n_agents) for role, child in zip(_ROLES, _role_children(seed))}
+
+
+def _words(value: int) -> list[int]:
+    """The uint32 words of a non-negative int, low word first, as SeedSequence reads it."""
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
+
+
+class _PCG64Seed(ISeedSequence):
+    """A PCG64 seed computed ahead, so building the generator hashes nothing."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _agent_generators(child: np.random.SeedSequence, n: int) -> list[np.random.Generator]:
+    """``[as_generator(s) for s in child.spawn(n)]``, without the n SeedSequences.
+
+    The children's hash inputs are the same words but the last, the child's
+    index, so the hash runs once on the shared words (Python ints) and once,
+    vectorised, on the indices; each PCG64 then takes its four seed words
+    ready-made.  Generator 0 is checked against numpy's own construction;
+    on a mismatch (a numpy that hashes differently, or entropy that is not
+    an int) the children are spawned the slow way.
+    """
+    first, ps = child.n_children_spawned, child.pool_size
+    entropy = child.entropy
+    if isinstance(entropy, (int, np.integer)) and 0 < n and first + n <= _M32 + 1:
+        words = _words(int(entropy))
+        words += [0] * (ps - len(words))
+        for k in child.spawn_key:
+            words += _words(int(k))
+        hc = _INIT_A
+
+        def hashmix(value):
+            nonlocal hc
+            value ^= hc
+            hc = hc * _MULT_A & _M32
+            value = value * hc & _M32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+            return r ^ r >> 16
+
+        pool = [hashmix(w) for w in words[:ps]]
+        for src in range(ps):
+            for dst in range(ps):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for w in words[ps:]:
+            for dst in range(ps):
+                pool[dst] = mix(pool[dst], hashmix(w))
+        # the last word, each child's index, into every pool word, as (n, ps)
+        pre = [hc]
+        for _ in range(ps):
+            pre.append(pre[-1] * _MULT_A & _M32)
+        idx = np.arange(first, first + n, dtype=np.uint32)[:, None]
+        v = (idx ^ np.array(pre[:-1], np.uint32)) * np.array(pre[1:], np.uint32)
+        v ^= v >> 16
+        r = np.array(pool, np.uint32) * np.uint32(_MIX_MULT_L) - v * np.uint32(_MIX_MULT_R)
+        r ^= r >> 16
+        # generate_state(4, uint64): eight words cycled from the pool
+        pre = [_INIT_B]
+        for _ in range(8):
+            pre.append(pre[-1] * _MULT_B & _M32)
+        v = (r[:, np.arange(8) % ps] ^ np.array(pre[:-1], np.uint32)) * np.array(pre[1:], np.uint32)
+        v ^= v >> 16
+        seeds = np.ascontiguousarray(v, "<u4").view("<u8").astype(np.uint64)
+        gens = [np.random.Generator(np.random.PCG64(_PCG64Seed(s))) for s in seeds]
+        real = np.random.SeedSequence(entropy, spawn_key=child.spawn_key + (first,), pool_size=ps)
+        if gens[0].bit_generator.state == np.random.PCG64(real).state:
+            return gens
+    return [as_generator(s) for s in child.spawn(n)]
+
+
+def _finite(draws: np.ndarray, role: str, agent: int) -> np.ndarray:
+    """``draws``, or a ValueError naming the role and agent when one is NaN or infinite."""
+    if not np.isfinite(draws).all():
+        bad = draws[~np.isfinite(draws)].flat[0]
+        raise ValueError(f"{role}: the sampler returned {bad} for agent {agent}")
+    return draws
 
 
 class StreamBank:
     """One generator per agent, served as per-step columns.
+
+    Every refill checks each agent's draws, and a NaN or an infinity raises
+    ``ValueError`` (``draws: ...``).
 
     Parameters
     ----------
@@ -63,6 +171,8 @@ class StreamBank:
         Steps cached per refill (at most; see :meth:`expect`).  Has no
         effect on the values served.
     """
+
+    _role = "draws"     # the name errors give the stream
 
     def __init__(self, sequences: Sequence[SeedLike], draw: Callable, block: int = 4096):
         if block < 1:
@@ -95,7 +205,7 @@ class StreamBank:
             self._budget -= size
         self._cache = cache = None
         for i, g in enumerate(self._gens):
-            draws = self._draw(g, size)
+            draws = _finite(self._draw(g, size), self._role, i)
             if cache is None:
                 shape = (size, len(self._gens)) + draws.shape[1:]
                 cache = np.empty(shape, dtype=draws.dtype)
@@ -117,6 +227,14 @@ class StreamBank:
         return col
 
 
+class _RoleBank(StreamBank):
+    """A bank whose errors name its role (``regressor`` or ``noise``)."""
+
+    def __init__(self, role: str, sequences, draw: Callable, block: int):
+        super().__init__(sequences, draw, block)
+        self._role = role
+
+
 class ModelStreams:
     """Regressor and noise streams bound to a system model.
 
@@ -125,16 +243,25 @@ class ModelStreams:
     block-cached through the model's own ``draw`` and ``sample`` methods;
     for the sparse kind each batch carries ``model.supports`` and its flat
     index.
+
+    The streams are those of :func:`spawn_agent_sequences`, all built at
+    construction; the per-agent generators are seeded by a vectorised hash
+    (see the module docstring) instead of n SeedSequence objects per role.
     """
 
     def __init__(self, model, seed: int | np.random.SeedSequence, block: int = 4096):
         self.model = model
-        seqs = spawn_agent_sequences(seed, model.n_agents)
+        regressor, noise = _role_children(seed)
+        n = model.n_agents
         self._support = model.supports
         if self._support is not None:
-            self._flat = np.arange(model.n_agents) * model.l + self._support
-        self._phi_bank = StreamBank(seqs["regressor"], model.regressor.draw, block)
-        self._noise_bank = StreamBank(seqs["noise"], model.noise.sample, block)
+            self._flat = np.arange(n) * model.l + self._support
+        self._phi_bank = _RoleBank(
+            "regressor", _agent_generators(regressor, n), model.regressor.draw, block
+        )
+        self._noise_bank = _RoleBank(
+            "noise", _agent_generators(noise, n), model.noise.sample, block
+        )
 
     def phi_step(self, k: int) -> "plant.PhiBatch":
         """Regressor draws for all agents at step ``k``.

@@ -258,6 +258,21 @@ def test_mc_rejects_empty_sample_budget():
         bi.regression_function_mc(ctx, np.zeros(2), 0, 0)
 
 
+@pytest.mark.parametrize("samples", [True, 2.5, 100.0, "100", None])
+def test_mc_samples_must_be_an_integer(samples):
+    ctx = _ctx(2, 2, star=np.zeros(2))
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        bi.regression_function_mc(ctx, np.zeros(2), samples, 0)
+
+
+def test_mc_samples_accepts_numpy_integers():
+    ctx = _ctx(3, 2, star=np.array([1.0, -1.0]))
+    a = bi.regression_function_mc(ctx, np.zeros(2), np.int64(500), 4)
+    b = bi.regression_function_mc(ctx, np.zeros(2), 500, 4)
+    assert np.array_equal(a.value, b.value) and np.array_equal(a.stderr, b.stderr)
+    assert a.samples == 500
+
+
 def test_mc_deterministic_given_seed():
     ctx = _ctx(3, 2, star=np.array([1.0, -1.0]))
     a = bi.regression_function_mc(ctx, np.zeros(2), 10_000, 42)

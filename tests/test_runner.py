@@ -684,6 +684,41 @@ def test_zero_step_trajectory_reads_back_as_the_recorded_metrics(tmp_path):
     assert read_trajectory_csv(res.trajectory_path).equals(res.metrics)
 
 
+class _NaNNoise(bi.GaussianNoise):
+    """Gaussian noise with NaN in every third slot of each draw."""
+
+    def sample(self, rng, size=None):
+        d = super().sample(rng, size)
+        d[::3] = np.nan
+        return d
+
+
+class _NaNRegressors(bi.SparseUniformRegressors):
+    """Sparse amplitudes with NaN in the first slot of each draw."""
+
+    def draw(self, rng, size):
+        eta = super().draw(rng, size)
+        eta[0] = np.nan
+        return eta
+
+
+@pytest.mark.parametrize("role", ["noise", "regressor"])
+def test_a_nan_sampler_fails_run_baseline_and_monte_carlo(role):
+    model = bi.SystemModel(
+        theta_star=np.array(STAR4),
+        regressor=_NaNRegressors(4) if role == "regressor" else bi.SparseUniformRegressors(4),
+        noise=_NaNNoise(0.01) if role == "noise" else bi.GaussianNoise(0.01),
+        n_agents=8,
+    )
+    sched = bi.build_schedule(small_config(), None)
+    with pytest.raises(ValueError, match=f"^{role}: "):
+        bi.run(model, sched, 3000, seed=1, sinks=(bi.InvariantMonitor(),))
+    with pytest.raises(ValueError, match=f"^{role}: "):
+        bi.centralized_baseline(model, 3000, 1)
+    with pytest.raises(ValueError, match=f"^{role}: .* agent 0"):
+        bi.regression_function_mc(bi.RegressionContext(model), np.zeros(4), 1000, 1)
+
+
 def test_run_experiment_rejects_invalid_config():
     cfg = small_config(n_agents=2, topology_kind="complete", period=None)
     with pytest.raises(ValueError, match="invalid config:"):

@@ -177,3 +177,158 @@ def test_a_run_draws_only_the_steps_it_needs():
     for k in range(101, 200):
         assert np.array_equal(streams.phi_step(k).eta, fresh.phi_step(k).eta)
         assert np.array_equal(streams.noise_step(), fresh.noise_step())
+
+
+# ---------------------------------------------------------------------------
+# per-agent generators are seeded without per-agent SeedSequences
+
+class _CountingSeq(np.random.SeedSequence):
+    """A SeedSequence whose every spawn is logged."""
+
+    log: list = []
+
+    def spawn(self, n_children):
+        type(self).log.append(n_children)
+        return super().spawn(n_children)
+
+
+_SEEDS = [
+    0, 101, 2**40 + 7, 2**200 + 3, np.int64(5),
+    np.random.SeedSequence(9).spawn(2)[1],
+    np.random.SeedSequence(7, pool_size=8),
+    np.random.SeedSequence(2**64 - 1, spawn_key=(2**33, 4)),
+    np.random.SeedSequence([3, 5]),
+]
+
+
+def _copy(seed):
+    if not isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+
+
+@pytest.mark.parametrize("seed", _SEEDS, ids=range(len(_SEEDS)))
+def test_model_streams_seed_the_generators_of_spawn_agent_sequences(seed):
+    model = _model(n_agents=37)
+    streams = bi.ModelStreams(model, _copy(seed))
+    seqs = bi.spawn_agent_sequences(_copy(seed), model.n_agents)
+    for bank, role in ((streams._phi_bank, "regressor"), (streams._noise_bank, "noise")):
+        want = [np.random.PCG64(s).state for s in seqs[role]]
+        assert [g.bit_generator.state for g in bank._gens] == want
+
+
+def test_model_streams_spawn_only_the_root_split():
+    _CountingSeq.log = []
+    bi.ModelStreams(_model(n_agents=100, l=8), _CountingSeq(17))
+    assert _CountingSeq.log == [2]
+
+
+def test_a_hash_mismatch_falls_back_to_spawning(monkeypatch):
+    model = _model(n_agents=9)
+    want = bi.ModelStreams(model, 31)
+    monkeypatch.setattr(bi.streams, "_MIX_MULT_L", 12345)
+    _CountingSeq.log = []
+    got = bi.ModelStreams(model, _CountingSeq(31))
+    assert _CountingSeq.log == [2, 9, 9]    # each role spawned its agents
+    for a, b in zip(got._phi_bank._gens + got._noise_bank._gens,
+                    want._phi_bank._gens + want._noise_bank._gens):
+        assert isinstance(a.bit_generator.seed_seq, np.random.SeedSequence)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def _eager_blocks(model, seed, block, blocks):
+    """The first ``blocks`` blocks of both roles, drawn from eagerly built generators."""
+    seqs = bi.spawn_agent_sequences(seed, model.n_agents)
+    out = {}
+    for role, draw in (("regressor", model.regressor.draw), ("noise", model.noise.sample)):
+        gens = [np.random.Generator(np.random.PCG64(s)) for s in seqs[role]]
+        out[role] = np.concatenate(
+            [np.stack([draw(g, block) for g in gens], axis=1) for _ in range(blocks)]
+        )
+    return out
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense"])
+@pytest.mark.parametrize("through", ["steps", "columns"])
+def test_model_streams_equal_eagerly_spawned_ones(kind, through):
+    model = _model(n_agents=6, l=3, kind=kind)
+    block = 5
+    want = _eager_blocks(model, 2024, block, 2)
+    streams = bi.ModelStreams(model, 2024, block=block)
+    for k in range(1, 2 * block + 1):
+        if through == "columns":
+            phi, noise = streams.columns()
+        else:
+            batch = streams.phi_step(k)
+            phi, noise = (batch.eta if kind == "sparse" else batch.dense), streams.noise_step()
+        assert np.array_equal(phi, want["regressor"][k - 1])
+        assert np.array_equal(noise, want["noise"][k - 1])
+
+
+def test_a_callers_seed_sequence_spawned_after_construction_leaves_the_streams():
+    model = _model(n_agents=5, l=3)
+    ss = np.random.SeedSequence(606)
+    streams = bi.ModelStreams(model, ss)
+    assert ss.n_children_spawned == 2
+    ss.spawn(3)
+    ref = bi.ModelStreams(model, np.random.SeedSequence(606))
+    for k in range(1, 30):
+        assert np.array_equal(streams.phi_step(k).eta, ref.phi_step(k).eta)
+        assert np.array_equal(streams.noise_step(), ref.noise_step())
+
+
+# ---------------------------------------------------------------------------
+# non-finite draws fail loudly
+
+class _NaNNoise(bi.GaussianNoise):
+    """Gaussian noise with NaN in every third slot of each draw."""
+
+    def sample(self, rng, size=None):
+        d = super().sample(rng, size)
+        d[::3] = np.nan
+        return d
+
+
+class _InfRegressors(bi.SparseUniformRegressors):
+    """Sparse amplitudes with +inf in the last slot of each draw."""
+
+    def draw(self, rng, size):
+        eta = super().draw(rng, size)
+        eta[-1] = np.inf
+        return eta
+
+
+def test_a_nan_noise_sampler_fails_the_first_refill():
+    streams = bi.ModelStreams(_model(noise=_NaNNoise(0.25)), 3)
+    with pytest.raises(ValueError, match=r"^noise: the sampler returned nan for agent 0$"):
+        streams.noise_step()
+    with pytest.raises(ValueError, match=r"^noise: "):
+        streams.columns()
+
+
+def test_an_infinite_regressor_sampler_fails_its_refill():
+    model = bi.SystemModel(
+        theta_star=np.arange(1.0, 4.0), regressor=_InfRegressors(3),
+        noise=bi.GaussianNoise(0.25), n_agents=4,
+    )
+    streams = bi.ModelStreams(model, 3, block=8)
+    with pytest.raises(ValueError, match=r"^regressor: the sampler returned inf for agent 0$"):
+        streams.phi_step(1)
+
+
+def test_a_plain_stream_bank_names_its_draws():
+    bank = bi.StreamBank([1, 2], lambda g, size: np.full(size, np.nan))
+    with pytest.raises(ValueError, match=r"^draws: "):
+        bank.column()
+
+
+def test_a_plain_stream_bank_names_the_agent_that_drew_nan():
+    gens = [np.random.default_rng(1), np.random.default_rng(2)]
+    bank = bi.StreamBank(gens, lambda g, size: np.full(size, np.nan if g is gens[1] else 0.0))
+    with pytest.raises(ValueError, match=r"^draws: the sampler returned nan for agent 1$"):
+        bank.column()
+
+
+def test_a_stream_bank_rejects_a_bad_seed_at_construction():
+    with pytest.raises(ValueError):
+        bi.StreamBank([3, -1], lambda g, size: g.standard_normal(size))

@@ -22,11 +22,13 @@ and on ``ring-dense-1``, each from zero counters and from disagreeing
 counters, and one ``generic-direct`` line does the same for 2000
 ``generic_dsaawet_step`` calls on seeded observation rows: ``run`` calls the
 step function only on steps from disagreeing counters, so these lines are
-the ones that cover the step functions on agreeing counters.  It then
-prints one line per analysis and oracle output on a sparse and a dense
-model: the output's name and the SHA-256 of its array bytes.  That makes
-86 lines.  No golden values are stored, because BLAS may round differently
-on another host.  To check that a change keeps the artifacts, run the
+the ones that cover the step functions on agreeing counters.  Two ``-zero``
+lines give the run-line digests of ``preset_v`` seed 101 and of
+``ring-dense-1`` at zero steps, a run that draws nothing.  It then prints
+one line per analysis and oracle output on a sparse and a dense model: the
+output's name and the SHA-256 of its array bytes.  That makes 88 lines.
+No golden values are stored, because BLAS may round differently on
+another host.  To check that a change keeps the artifacts, run the
 script in a checkout of the parent and in the change, on the same machine,
 and diff the two outputs:
 
@@ -317,6 +319,7 @@ def main() -> None:
         if name in ("preset-v-101", "ring-dense-1"):
             print(f"{name}-nosink", *no_sink_digests(cfg), flush=True)
             print(f"{name}-steps", step_digest(cfg), flush=True)
+            print(f"{name}-zero", *digests(replace(cfg, steps=0)), flush=True)
     for name, cfg in configs():
         if name in ("ring-sparse-1", "ring-dense-1"):
             for disagreeing in (False, True):
