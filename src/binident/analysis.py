@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import SystemModel, sign_pm
-from .streams import _finite, as_generator
+from .streams import _finite, _is_integer, as_generator
 
 
 @functools.lru_cache(maxsize=8)
@@ -59,7 +59,7 @@ class RegressionContext:
 
     def __post_init__(self):
         nodes = self.quad_nodes
-        if isinstance(nodes, bool) or not isinstance(nodes, (int, np.integer)):
+        if not _is_integer(nodes):
             raise ValueError(f"quad_nodes must be an integer, got {nodes!r}")
         if nodes < 2:
             raise ValueError("quad_nodes must be >= 2")
@@ -182,7 +182,7 @@ def regression_function_mc(
     role (``noise`` or ``regressor``).
     """
     theta = _check_theta(ctx, theta, "theta")
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+    if not _is_integer(samples):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -88,7 +88,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .plant import SystemModel
-from .streams import ModelStreams
+from .streams import ModelStreams, _is_integer
 from .topology import TopologySchedule, WeightMatrix
 
 
@@ -190,13 +190,13 @@ class NetworkSnapshot:
         _own_state(self, "theta")
 
     @classmethod
-    def initial(cls, n_agents: int, l: int, k: int = 1) -> "NetworkSnapshot":
-        """All-zero starting state (the recursion's canonical origin)."""
+    def initial(cls, n_agents: int, l: int) -> "NetworkSnapshot":
+        """All-zero starting state at step 1 (the recursion's canonical origin)."""
         return cls(
-            k=k,
+            k=1,
             theta=np.zeros((n_agents, l)),
             sigma=np.zeros(n_agents, dtype=np.int64),
-            ledger=TruncationLedger.initial(n_agents, k),
+            ledger=TruncationLedger.initial(n_agents),
         )
 
     def _successor(self, theta: np.ndarray, ledger: TruncationLedger) -> "NetworkSnapshot":
@@ -294,6 +294,8 @@ def _truncated_update(x, sigma, weights, coef, draws, flat, radii):
     entries are zeroed.  Returns ``(x_next, sigma_next, n_truncated)``,
     with ``sigma_next`` the caller's ``sigma`` when no counter moved.
     """
+    if weights.n != len(sigma):
+        raise ValueError(f"weights: a matrix for {weights.n} agents, the state has {len(sigma)}")
     sig_hat = np.where(weights.support, sigma[None, :], -1).max(axis=1)
     lag = sigma < sig_hat
     w = weights.w * (sigma[None, :] == sig_hat[:, None])
@@ -331,13 +333,27 @@ def dsaawet_identification_step(
     is kept iff ``||theta'_i|| <= M_shat_i`` (see :func:`truncation_radii`),
     otherwise the agent resets to zero and its counter becomes
     ``shat_i + 1``.
+
+    Like :func:`run`, it rejects a non-finite or non-positive ``gain``, a
+    snapshot ``s`` or ``weights`` of another size than the model, and
+    ``streams`` whose drawn columns do not fit the model, each with a
+    ``ValueError`` that names the argument.
     """
+    check_gain(gain)
+    n, l = model.n_agents, model.l
+    if s.theta.shape != (n, l):
+        raise ValueError(f"s: theta has shape {s.theta.shape}, the model needs ({n}, {l})")
     k = s.k
     phi = streams.phi_step(k)
     d = streams.noise_step()
+    draws = phi.eta if phi.is_sparse else phi.dense
+    if phi.l != l or draws.shape != ((n,) if phi.is_sparse else (n, l)) or np.shape(d) != (n,):
+        raise ValueError(
+            f"streams: drew regressors of shape {draws.shape} (l = {phi.l}) and noise of "
+            f"shape {np.shape(d)}, the model has {n} agents and l = {l}"
+        )
     bits = phi.outputs(model.theta_star, d) < phi.thresholds(s.theta)
     a_k = gain / k
-    draws = phi.eta if phi.is_sparse else phi.dense
     theta_next, sigma_next, n_trunc = _truncated_update(
         s.theta, s.sigma, weights, np.where(bits, -a_k, a_k), draws, phi.flat, radii
     )
@@ -376,10 +392,11 @@ def generic_dsaawet_step(
     """One step of the general truncated recursion.
 
     ``observations`` holds each agent's raw correction row O_i (shape
-    (n, l), finite); ``a_k`` is the step's gain (finite, positive) and
-    ``radii`` the radius sequence M_m of :func:`truncation_radii`.  Agents
-    behind the neighborhood-max counter contribute the origin in place of
-    their iterate, and truncation resets to the origin:
+    (n, l), finite); ``a_k`` is the step's gain (finite, positive),
+    ``weights`` an (n, n) matrix and ``radii`` the radius sequence M_m of
+    :func:`truncation_radii`.  Agents behind the neighborhood-max counter
+    contribute the origin in place of their iterate, and truncation resets
+    to the origin:
 
         x~_i = sum_j w_ij x_j 1{sigma_j = shat_i} + a_k O_i
         x'_i = x~_i 1{sigma_i = shat_i}
@@ -447,11 +464,14 @@ def run(
     Sinks observe, they cannot alter the run.  A sink with a ``window``
     method is a window observer (see the module docstring); any other sink
     is called as ``sink(previous, new)`` with frozen snapshots after every
-    step, in order.  ``init`` must hold ``(model.n_agents, model.l)``
-    estimates; with ``steps == 0`` it is returned as it is.
+    step, in order.  ``steps`` must be a non-negative integer (a bool is
+    not one).  ``init`` must hold ``(model.n_agents, model.l)`` estimates;
+    with ``steps == 0`` it is returned as it is.
     """
     check_gain(gain)
     check_radii(radii)
+    if not _is_integer(steps):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if init is not None and init.theta.shape != (model.n_agents, model.l):
@@ -684,9 +704,9 @@ class InvariantMonitor:
         self._judge(new.theta[None], (new.k,), new.sigma)
 
 
-def sigma_settled(final: NetworkSnapshot, total_steps: int, fraction: float = 0.5) -> bool:
-    """True if counters are common and unchanged over the trailing fraction."""
-    cutoff = final.k - int(fraction * total_steps)
+def sigma_settled(final: NetworkSnapshot, total_steps: int) -> bool:
+    """True if counters are common and unchanged over the second half of the run."""
+    cutoff = final.k - total_steps // 2
     return bool(final.sigma_uniform and final.ledger.last_change <= cutoff)
 
 

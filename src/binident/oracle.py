@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import RegressionContext, regression_function, regression_jacobian
 from .identifier import run
 from .plant import SparseUniformRegressors, SystemModel
-from .streams import ModelStreams
+from .streams import ModelStreams, _is_integer
 from .topology import TopologySchedule, complete_graph, metropolis_weights
 
 
@@ -29,14 +29,18 @@ def centralized_baseline(model: SystemModel, steps: int, seed, record_every: int
     averaging, this is the natural upper reference for any distributed run
     on the same model and seed streams.
 
+    ``steps`` must be a non-negative integer and ``seed`` an int or a
+    SeedSequence, from which the run's :class:`ModelStreams` are built.
     Returns the trajectory as an array of estimates: the initial zero row,
     every ``record_every``-th step, and the final step.
     """
+    if not _is_integer(steps):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    streams = seed if isinstance(seed, ModelStreams) else ModelStreams(model, seed)
+    streams = ModelStreams(model, seed)
     l = model.l
     theta = np.zeros(l)
     sigma = 0
@@ -71,12 +75,11 @@ class RootSolveError(RuntimeError):
         self.residual_norm = residual_norm
 
 
-def solve_root(
-    ctx: RegressionContext,
-    theta_init,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> np.ndarray:
+_TOL = 1e-10         # residual norm at which the root is accepted
+_MAX_ITER = 200      # Newton iterations before giving up
+
+
+def solve_root(ctx: RegressionContext, theta_init) -> np.ndarray:
     """Zero of the averaged correction field by damped Newton.
 
     Needs the sparse regressor kind, where f decouples per coordinate and
@@ -85,17 +88,17 @@ def solve_root(
     matters far from the root: f_m saturates with a polynomial tail, so any
     overshoot deeper into saturation strictly increases ``|f_m|`` and gets
     halved away instead of dragging the iterate where the density
-    quadrature underflows.  Raises :class:`RootSolveError` after
-    ``max_iter`` iterations or a stalled line search, and ``ValueError``
-    for a non-finite ``theta_init``.
+    quadrature underflows.  Returns once the residual norm is at most
+    1e-10; raises :class:`RootSolveError` after 200 iterations or a stalled
+    line search, and ``ValueError`` for a non-finite ``theta_init``.
     """
     theta = np.array(theta_init, dtype=np.float64)
     if not np.isfinite(theta).all():
         raise ValueError(f"theta_init must be finite, got {theta}")
     fval = regression_function(ctx, theta)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         fnorm = float(np.linalg.norm(fval))
-        if fnorm <= tol:
+        if fnorm <= _TOL:
             return theta
         jac = regression_jacobian(ctx, theta)
         try:
@@ -118,9 +121,9 @@ def solve_root(
             raise RootSolveError("line search stalled", theta, fnorm)
         theta, fval = cand, fcand
     fnorm = float(np.linalg.norm(fval))
-    if fnorm <= tol:
+    if fnorm <= _TOL:
         return theta
-    raise RootSolveError(f"no convergence in {max_iter} iterations", theta, fnorm)
+    raise RootSolveError(f"no convergence in {_MAX_ITER} iterations", theta, fnorm)
 
 
 @dataclass(frozen=True)

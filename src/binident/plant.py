@@ -102,9 +102,11 @@ class NoiseModel:
     """Zero-median sensor noise with a known smooth distribution.
 
     Concrete models expose the CDF and density (both vectorised), direct
-    sampling, and a ``kind`` tag used by config files.  All built-in models
-    are symmetric about zero, so ``cdf(0) == 0.5`` holds exactly wherever
-    ``pdf(0) > 0``; their parameters must be positive and finite.
+    sampling, and a ``kind`` tag used by config files.  A built-in model's
+    parameters are its dataclass fields, the names config files use.  All
+    built-in models are symmetric about zero, so ``cdf(0) == 0.5`` holds
+    exactly wherever ``pdf(0) > 0``; their parameters must be positive and
+    finite.
     """
 
     kind = "abstract"
@@ -116,9 +118,6 @@ class NoiseModel:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size=None):
-        raise NotImplementedError
-
-    def params(self) -> dict:
         raise NotImplementedError
 
 
@@ -148,9 +147,6 @@ class GaussianNoise(NoiseModel):
     def sample(self, rng, size=None):
         return rng.normal(0.0, self.sigma, size)
 
-    def params(self):
-        return {"sigma2": self.sigma2}
-
 
 @dataclass(frozen=True)
 class LaplaceNoise(NoiseModel):
@@ -174,9 +170,6 @@ class LaplaceNoise(NoiseModel):
     def sample(self, rng, size=None):
         return rng.laplace(0.0, self.scale, size)
 
-    def params(self):
-        return {"scale": self.scale}
-
 
 @dataclass(frozen=True)
 class UniformNoise(NoiseModel):
@@ -198,11 +191,8 @@ class UniformNoise(NoiseModel):
     def sample(self, rng, size=None):
         return rng.uniform(-self.half_width, self.half_width, size)
 
-    def params(self):
-        return {"half_width": self.half_width}
 
-
-_NOISE_KINDS = {"gaussian": GaussianNoise, "laplace": LaplaceNoise, "uniform": UniformNoise}
+_NOISE_KINDS = {cls.kind: cls for cls in (GaussianNoise, LaplaceNoise, UniformNoise)}
 
 
 def make_noise(kind: str, **params) -> NoiseModel:
@@ -226,7 +216,6 @@ class RegressorGenerator:
     rows with ``||phi|| <= bound``.
     """
 
-    kind = "abstract"
     l: int
     bound: float
 
@@ -245,7 +234,6 @@ class SparseUniformRegressors(RegressorGenerator):
 
     l: int
     support: tuple[int, ...] | None = None
-    kind = "sparse-uniform"
 
     def __post_init__(self):
         if self.l < 1:
@@ -271,7 +259,6 @@ class DenseUniformRegressors(RegressorGenerator):
 
     l: int
     bound: float = 1.0
-    kind = "dense-uniform"
 
     def __post_init__(self):
         if self.l < 1:

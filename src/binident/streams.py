@@ -145,6 +145,11 @@ def _agent_generators(child: np.random.SeedSequence, n: int) -> list[np.random.G
     return [as_generator(s) for s in child.spawn(n)]
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _finite(draws: np.ndarray, role: str, agent: int) -> np.ndarray:
     """``draws``, or a ValueError naming the role and agent when one is NaN or infinite."""
     if not np.isfinite(draws).all():

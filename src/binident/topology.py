@@ -197,10 +197,10 @@ class TopologySchedule:
             raise ValueError("all weight matrices in a schedule must have the same size")
 
     @classmethod
-    def static(cls, graph: Digraph, weights: WeightMatrix, B: int = 1) -> "TopologySchedule":
+    def static(cls, graph: Digraph, weights: WeightMatrix) -> "TopologySchedule":
         if weights.graph != graph:
             raise ValueError("weight matrix built on a different graph")
-        return cls(B=B, weights=(weights,))
+        return cls(B=1, weights=(weights,))
 
     @property
     def mode(self) -> str:
@@ -357,16 +357,19 @@ class GeometricFit:
         return self.c * self.rho ** np.asarray(lags, dtype=np.float64)
 
 
-def fit_geometric_envelope(deviations: np.ndarray, floor: float = 1e-13) -> GeometricFit:
+_FIT_FLOOR = 1e-13
+
+
+def fit_geometric_envelope(deviations: np.ndarray) -> GeometricFit:
     """Least-squares geometric fit to a deviation profile.
 
-    Fits ``log dev = log c + lag log rho`` over entries above ``floor``
+    Fits ``log dev = log c + lag log rho`` over entries above 1e-13
     (below that, float rounding dominates), then scales c up so the
     envelope dominates every fitted entry.
     """
     dev = np.asarray(deviations, dtype=np.float64)
     lags = np.arange(dev.size)
-    keep = dev > floor
+    keep = dev > _FIT_FLOOR
     if keep.sum() < 2:
         raise ValueError("not enough resolvable deviations to fit")
     x, y = lags[keep], np.log(dev[keep])

@@ -41,6 +41,35 @@ def test_parser_requires_a_subcommand():
         build_parser().parse_args([])
 
 
+def test_main_builds_the_parser_once_and_parses_each_call_afresh(monkeypatch):
+    from binident import cli
+
+    built, seen = [], []
+
+    def counting_build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    record = {name: lambda args: seen.append(vars(args)) or 0 for name in cli._COMMANDS}
+    monkeypatch.setattr(cli, "_COMMANDS", record)
+    cli._parser.cache_clear()
+    try:
+        assert main(["preset-v", "--seed", "3", "--out", "a", "--steps", "5",
+                     "--paper-weights"]) == 0
+        assert main(["simulate", "--config", "c.ini", "--stride", "7"]) == 0
+        assert main(["preset-v", "--seed", "4", "--out", "b"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    common = {"seed": None, "steps": None, "out": None, "stride": None, "paper_weights": False}
+    assert seen == [
+        {**common, "command": "preset-v", "seed": 3, "out": "a", "steps": 5, "paper_weights": True},
+        {**common, "command": "simulate", "config": "c.ini", "stride": 7},
+        {**common, "command": "preset-v", "seed": 4, "out": "b"},
+    ]
+
+
 def test_simulate_prints_preflight_and_final_state(small_ini, capsys):
     rc = main(["simulate", "--config", str(small_ini)])
     out = capsys.readouterr().out

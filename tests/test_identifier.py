@@ -616,6 +616,12 @@ def test_engine_rejects_bad_gain():
             bi.generic_dsaawet_step(state, _identity_weights(2), np.zeros((2, 2)), a_k=a_k)
 
 
+def test_engine_rejects_weights_of_another_size():
+    state = bi.EngineState(x=np.zeros((2, 2)), sigma=[3, 3])
+    with pytest.raises(ValueError, match=r"^weights: a matrix for 3 agents, the state has 2$"):
+        bi.generic_dsaawet_step(state, _identity_weights(3), np.zeros((2, 2)), a_k=1.0)
+
+
 def test_engine_rejects_non_finite_observations():
     state = bi.EngineState(x=np.zeros((2, 2)), sigma=[3, 3])
     for bad in (float("nan"), float("inf")):
@@ -911,6 +917,64 @@ def test_run_rejects_bad_gain_and_radii():
             bi.run(model, sched, 10, seed=0, gain=gain)
     with pytest.raises(ValueError, match="unknown radius sequence"):
         bi.run(model, sched, 10, seed=0, radii="cubic")
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"gain": float("nan")}, "^gain must be finite and positive, got nan$"),
+        ({"gain": float("inf")}, "^gain must be finite and positive, got inf$"),
+        ({"gain": 0.0}, "^gain must be finite and positive, got 0.0$"),
+        ({"gain": -1.0}, "^gain must be finite and positive, got -1.0$"),
+        ({"s": bi.NetworkSnapshot.initial(3, 3)},
+         r"^s: theta has shape \(3, 3\), the model needs \(3, 2\)$"),
+        ({"weights": bi.metropolis_weights(bi.complete_graph(4))},
+         "^weights: a matrix for 4 agents, the state has 3$"),
+        ({"streams": bi.ModelStreams(_sparse_model(4, 2), 0)},
+         r"^streams: drew regressors of shape \(4,\) \(l = 2\) and noise of shape \(4,\), "
+         "the model has 3 agents and l = 2$"),
+        ({"streams": ScriptedStreams(3, [np.zeros((3, 3))], [np.zeros(3)])},
+         r"^streams: drew regressors of shape \(3, 3\) \(l = 3\)"),
+        ({"streams": ScriptedStreams(2, [np.zeros((3, 2))], [np.zeros(2)])},
+         r"^streams: drew regressors of shape \(3, 2\) \(l = 2\) and noise of shape \(2,\)"),
+    ],
+    ids=["gain-nan", "gain-inf", "gain-zero", "gain-negative", "s-wide", "weights-4",
+         "streams-4-agents", "streams-wide-rows", "streams-short-noise"],
+)
+def test_identification_step_rejects_bad_input_by_name(bad, message):
+    """The step function checks what ``run`` checks, each bad argument a
+    ValueError that names it."""
+    model = _sparse_model(3, 2)
+    args = {
+        "s": bi.NetworkSnapshot.initial(3, 2),
+        "weights": bi.metropolis_weights(bi.complete_graph(3)),
+        "streams": bi.ModelStreams(model, 0),
+        "gain": 1.0,
+        **bad,
+    }
+    with pytest.raises(ValueError, match=message):
+        bi.dsaawet_identification_step(
+            args["s"], args["weights"], model, args["streams"], args["gain"]
+        )
+
+
+@pytest.mark.parametrize("steps", [2.5, True, 3.0, "3"])
+def test_run_rejects_non_integer_steps(steps):
+    model = _sparse_model(3, 2)
+    g = bi.complete_graph(3)
+    sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
+    with pytest.raises(ValueError, match="steps must be an integer, got"):
+        bi.run(model, sched, steps, seed=0)
+
+
+def test_run_accepts_numpy_integer_steps():
+    model = _sparse_model(3, 2)
+    g = bi.complete_graph(3)
+    sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
+    got = bi.run(model, sched, np.int64(7), seed=0)
+    want = bi.run(model, sched, 7, seed=0)
+    assert got.k == want.k == 8
+    assert np.array_equal(got.theta, want.theta) and np.array_equal(got.sigma, want.sigma)
 
 
 def test_run_default_recursion_is_gain_one_linear_radii():

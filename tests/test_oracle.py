@@ -46,6 +46,18 @@ def test_baseline_validates_arguments():
         bi.centralized_baseline(m, 5, seed=0, record_every=0)
 
 
+@pytest.mark.parametrize("steps", [2.5, True, 3.0, "3"])
+def test_baseline_rejects_non_integer_steps(steps):
+    with pytest.raises(ValueError, match="steps must be an integer, got"):
+        bi.centralized_baseline(_model(2, 2, star=np.ones(2)), steps, seed=0)
+
+
+def test_baseline_accepts_numpy_integer_steps():
+    m = _model(2, 2, star=np.ones(2))
+    want = bi.centralized_baseline(m, 5, seed=0)
+    assert np.array_equal(bi.centralized_baseline(m, np.int64(5), seed=0), want)
+
+
 def test_baseline_converges_on_benchmark_model():
     traj = bi.centralized_baseline(_model(), 20_000, seed=0)
     err = np.linalg.norm(traj[-1] - bi.graded_theta_star(8))
@@ -116,12 +128,13 @@ def test_solver_reports_singular_curvature():
         bi.solve_root(ctx, np.zeros(4))
 
 
-def test_solver_reports_iteration_budget():
+def test_solver_reports_iteration_budget(monkeypatch):
+    monkeypatch.setattr(bi.oracle, "_MAX_ITER", 1)
     ctx = bi.RegressionContext(_model())
     with pytest.raises(bi.RootSolveError, match="no convergence in 1"):
-        bi.solve_root(ctx, np.zeros(8), max_iter=1)
+        bi.solve_root(ctx, np.zeros(8))
     try:
-        bi.solve_root(ctx, np.zeros(8), max_iter=1)
+        bi.solve_root(ctx, np.zeros(8))
     except bi.RootSolveError as e:
         assert e.theta.shape == (8,)
         assert e.residual_norm > 0.0

@@ -276,7 +276,8 @@ def test_block_draw_equals_successive_samples(gen):
         block = gen.draw(np.random.default_rng(seed), m)
         rng = np.random.default_rng(seed)
         single = np.stack([gen.draw(rng) for _ in range(m)])
-        assert block.shape == ((m,) if gen.kind == "sparse-uniform" else (m, gen.l))
+        sparse = isinstance(gen, bi.SparseUniformRegressors)
+        assert block.shape == ((m,) if sparse else (m, gen.l))
         assert np.array_equal(single, block)
 
 

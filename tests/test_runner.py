@@ -250,7 +250,7 @@ def test_from_ini_rejects_bad_boolean(tmp_path):
 def test_build_model_sparse_default():
     model = bi.build_model(small_config())
     assert isinstance(model.regressor, bi.SparseUniformRegressors)
-    assert model.noise.params() == {"sigma2": 0.01}
+    assert model.noise == bi.GaussianNoise(0.01)
 
 
 def test_build_model_dense_bound():
@@ -349,6 +349,17 @@ def test_preflight_negative_steps_and_bad_stride():
     rep = preflight(small_config(steps=-1, stride=0))
     assert "run.steps: must be >= 0" in rep.errors
     assert "run.stride: must be >= 1" in rep.errors
+
+
+@pytest.mark.parametrize("steps", [2.5, True, "300"])
+def test_preflight_rejects_non_integer_steps(steps):
+    assert preflight(small_config(steps=steps)).errors == ["run.steps: must be an integer"]
+    with pytest.raises(ValueError, match="run.steps: must be an integer"):
+        bi.run_experiment(small_config(steps=steps))
+
+
+def test_preflight_accepts_numpy_integer_steps():
+    assert preflight(small_config(steps=np.int64(300))).ok
 
 
 def test_preflight_rejects_bad_gain_and_radii():

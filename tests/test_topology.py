@@ -405,7 +405,7 @@ def test_golden_schedule_file(datadir):
 def test_one_block_periodic_file_loads_as_static(tmp_path):
     g = bi.complete_graph(3)
     path = tmp_path / "one.txt"
-    bi.dump_schedule(bi.TopologySchedule.static(g, bi.metropolis_weights(g), B=2), path)
+    bi.dump_schedule(bi.TopologySchedule(B=2, weights=(bi.metropolis_weights(g),)), path)
     text = path.read_text()
     assert text.startswith("3 2 static\n")
     periodic = tmp_path / "periodic.txt"
