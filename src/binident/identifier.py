@@ -54,9 +54,10 @@ radius (recomputed when the counters move).
   into the next, through flat views of the slots made once.  The sensor's
   signed gain is ``copysign(a_k, y - c)``: this is ``-a_k`` exactly where
   the bit ``y < c`` is set, as long as ``y - c`` is neither -0.0 nor NaN.
-  It is -0.0 only when a noise draw is -0.0, which no built-in noise law
-  returns (each adds its location 0.0).  So every value is the
-  identification step's bit for bit.
+  It is -0.0 only when a noise draw is -0.0, which a :class:`StreamBank`
+  refill never serves (it adds 0.0 to every draw).  So with the banks of
+  :class:`ModelStreams` every value is the identification step's bit for
+  bit; a caller's own ``columns()`` must serve no -0.0 noise to keep that.
 - *Norm bound.*  Weights are nonnegative, so with agreeing counters each
   new row obeys ``||x'_i|| <= sum_j w_ij ||x_j|| + a_k ||phi_i||
   <= rho max_j ||x_j|| + a_k beta``.  The engine carries
@@ -459,7 +460,8 @@ def run(
     dimension, regressor law or noise law are rejected.  Results are
     reproducible per seed.  ``gain`` and ``radii`` select the recursion
     (gain a/k, radii M_m) as in :func:`dsaawet_identification_step`, whose
-    results the run reproduces bit for bit.
+    results the run reproduces bit for bit when no noise draw is -0.0, as
+    with every :class:`ModelStreams` (see the module docstring).
 
     Sinks observe, they cannot alter the run.  A sink with a ``window``
     method is a window observer (see the module docstring); any other sink
@@ -577,8 +579,8 @@ def _run_steps(model, schedule, streams, snap, steps, sinks, gain, radii):
                 c = np.einsum("ij,ij->i", draws, x, out=coef)
             np.add(y, d, out=y)
             a_k = gain / k
-            # sign(y - c) is the sensor's -1 where y < c, +1 elsewhere: no
-            # draw of a built-in noise law is -0.0, so y - c never is
+            # sign(y - c) is the sensor's -1 where y < c, +1 elsewhere: a
+            # stream bank never serves a -0.0 noise draw, so y - c is never -0.0
             np.copysign(a_k, np.subtract(y, c, out=y), out=coef)
             bound = (rho * bound + a_k * beta) * grow
             exact = not bound < r_cut          # a NaN bound takes the exact test

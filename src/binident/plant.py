@@ -7,9 +7,12 @@ one noise model shared by every agent) and the sensor arithmetic; each
 built-in generator writes its sampling law once, in its ``draw`` method.
 Nothing here knows about the network or the identification recursion.
 
-Everything here is numpy: the Gaussian CDF is a port of Cephes ``ndtr``
-(the routine behind ``scipy.special.ndtr``), so neither the simulation nor
-the analysis of a Gaussian model loads scipy.
+Everything here is numpy and the standard library: the Gaussian CDF takes
+its tail from the C library's ``erfc`` (``math.erfc``), so neither the
+simulation nor the analysis of a Gaussian model loads scipy.  Its last bit
+follows the platform's libm; with glibc it was measured within 2^-52
+absolute and 1e-13 relative of ``scipy.special.ndtr`` over [-40, 40] sigma,
+the absolute bound met with equality at a few points.
 """
 
 from __future__ import annotations
@@ -22,41 +25,7 @@ import numpy as np
 
 # ---------------------------------------------------------------------------
 # normal CDF
-#
-# Cephes ``ndtr`` in numpy: Phi(t) = erfc(|t|/sqrt 2)/2 for t <= 0 and
-# 1 - Phi(-t) above, with erf and erfc from the rational approximations of
-# Cody (Math. Comp. 1969).  Coefficients run from the highest power down; a
-# leading 1.0 stands for Cephes' monic ``p1evl``.
 
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-
-
-def _padded(*polys):
-    # leading zeros leave every Horner value unchanged
-    return [(0.0,) * (9 - len(c)) + c for c in polys]
-
-
-# (power, numerator/denominator, branch) with branches erf(z) = z T(z^2)/U(z^2)
-# for z < 1, erfc(z) = exp(-z^2) P(z)/Q(z) for 1 <= z < 8 and exp(-z^2) R(z)/S(z)
-# beyond, so one Horner pass evaluates every element with its own branch
-_NDTR_COEFS = np.array(
-    [_padded(_ERF_T, _ERF_U), _padded(_ERFC_P, _ERFC_Q), _padded(_ERFC_R, _ERFC_S)]
-).transpose(2, 1, 0).copy()
-_NDTR_EDGES = np.array([1.0, 8.0])
-_MAXLOG = 7.09782712893383996843e2      # log(DBL_MAX): Cephes takes erfc(z) = 0 once z^2 passes it
 _SQRT1_2 = math.sqrt(0.5)
 _CDF_CLIP = 40.0                        # Phi(-40) is 0 in double precision
 
@@ -64,34 +33,14 @@ _CDF_CLIP = 40.0                        # Phi(-40) is 0 in double precision
 def _normal_cdf(x: np.ndarray, sigma: float) -> np.ndarray:
     """Phi(x / sigma) elementwise for a float array; NaN passes through.
 
-    Symmetric by construction: ``Phi(t) + Phi(-t) == 1`` and
-    ``Phi(0) == 0.5`` exactly.  ``|x|`` is clipped before the division, so
-    no finite input overflows.
+    The lower tail ``Phi(-t) = erfc(t / sqrt 2) / 2`` comes from the C
+    library's ``erfc``, the upper tail is one minus it, so
+    ``Phi(t) + Phi(-t) == 1`` and ``Phi(0) == 0.5`` exactly.  ``|x|`` is
+    clipped before the division, so no finite input overflows.
     """
     t = np.minimum(np.abs(x), _CDF_CLIP * sigma) / sigma
-    z = t.ravel() * _SQRT1_2
-    zz = z * z
-    tail = z >= 1.0
-    coefs = _NDTR_COEFS.take(np.searchsorted(_NDTR_EDGES, z, side="right"), axis=2)
-    v = np.where(tail, z, zz)
-    v = np.concatenate((v, v)).reshape(2, -1)
-    acc = coefs[0].copy()               # row 0 the numerators, row 1 the denominators
-    for c in coefs[1:]:
-        acc *= v
-        acc += c
-    scale = z
-    if tail.any():
-        # exp(-z^2) as exp(-hi^2) exp(-(2 hi lo + lo^2)) with hi a multiple
-        # of 1/128: hi^2 is exact, so z^2's rounding stays out of the tail
-        hi = np.floor(z * 128.0 + 0.5) / 128.0
-        lo = z - hi
-        scale = np.where(tail, np.exp(-(hi * hi)) * np.exp(-(2.0 * hi * lo + lo * lo)), z)
-    y = scale * acc[0] / acc[1]         # erf(z) below 1, erfc(z) from 1 on
-    # the lower tail Phi(-t) = erfc(z)/2.  Below z = 1 Cephes takes
-    # 0.5 - 0.5 erf(z), or 0.5 (1 - erf(z)) from z = sqrt(1/2) on; there
-    # erf(z) >= 1/2, so both subtractions are exact and the two agree.
-    p = np.where(tail, np.where(zz > _MAXLOG, 0.0, 0.5 * y), 0.5 - 0.5 * y)
-    p = p.reshape(t.shape)
+    z = (t * _SQRT1_2).ravel().tolist()
+    p = 0.5 * np.fromiter(map(math.erfc, z), np.float64, len(z)).reshape(t.shape)
     return np.where(x > 0, 1.0 - p, p)
 
 

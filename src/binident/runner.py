@@ -272,7 +272,10 @@ def build_schedule(cfg: ExperimentConfig, topology_seed) -> TopologySchedule:
 
     kind = cfg.topology_kind
     if kind == "poisson":
-        g = generate_poisson_graph(cfg.n_agents, cfg.p, topology_seed)
+        try:
+            g = generate_poisson_graph(cfg.n_agents, cfg.p, topology_seed)
+        except ValueError as exc:
+            raise ValueError(f"topology.p: {exc}") from None
         sched = TopologySchedule.static(g, weight_fn(g))
     elif kind == "complete":
         g = complete_graph(cfg.n_agents)
@@ -283,7 +286,10 @@ def build_schedule(cfg: ExperimentConfig, topology_seed) -> TopologySchedule:
     elif kind == "partitioned-ring":
         if cfg.period is None:
             raise ValueError("topology.period: required for partitioned-ring")
-        sched = partitioned_ring_schedule(cfg.n_agents, cfg.period, weight_fn)
+        try:
+            sched = partitioned_ring_schedule(cfg.n_agents, cfg.period, weight_fn)
+        except ValueError as exc:
+            raise ValueError(f"topology.period: {exc}") from None
     elif kind == "file":
         if cfg.schedule_file is None:
             raise ValueError("topology.file: required for kind=file")
@@ -348,32 +354,47 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
     warning since the scheme is an explicit user choice.  A ``model`` given
     by the caller is checked in place of the one the config describes.
 
+    Every integer field of the config table must hold an int (a bool or a
+    float is not one; ``period`` and ``window`` may be None).  A config with
+    a non-integer field, or with ``n_agents``, ``l`` or ``seed`` out of
+    range, is reported field by field and not built.
+
     The noise must have median zero and a positive density at zero.  The
     built-in noise kinds are symmetric by construction (``cdf(0) == 0.5``
     wherever ``pdf(0) > 0``), so only a custom model's CDF is evaluated;
     a NaN median fails.  This keeps CDF evaluations off the simulation
     path.
     """
-    errors: list[str] = []
     warnings_: list[str] = []
+    optional = {f.name for f in fields(cfg) if f.default is None}
+    errors = [
+        f"{section}.{key}: must be an integer"
+        for section, key, attr, parse, _ in _FIELDS
+        if parse is int
+        and not _is_integer(value := getattr(cfg, attr))
+        and not (value is None and attr in optional)
+    ]
 
-    if model is None:
+    def below(*rows):
+        return [f"{name}: must be >= {low}" for name, value, low in rows
+                if _is_integer(value) and value < low]
+
+    # the builders read these three; steps and stride are checked after the
+    # build, so a bad one is reported beside the model's and schedule's errors
+    errors += below(("model.n_agents", cfg.n_agents, 1), ("model.l", cfg.l, 1),
+                    ("run.seed", cfg.seed, 0))
+    schedule = None
+    if not errors:      # the builders take these fields as they are
+        if model is None:
+            try:
+                model = build_model(cfg)
+            except ValueError as exc:
+                errors.append(str(exc))
         try:
-            model = build_model(cfg)
+            schedule = build_schedule(cfg, _split_seed(cfg)[0])
         except ValueError as exc:
             errors.append(str(exc))
-    schedule = None
-    try:
-        schedule = build_schedule(cfg, _split_seed(cfg)[0])
-    except ValueError as exc:
-        errors.append(str(exc))
-
-    if not _is_integer(cfg.steps):
-        errors.append("run.steps: must be an integer")
-    elif cfg.steps < 0:
-        errors.append("run.steps: must be >= 0")
-    if cfg.stride < 1:
-        errors.append("run.stride: must be >= 1")
+    errors += below(("run.steps", cfg.steps, 0), ("run.stride", cfg.stride, 1))
     for key, check, value in (("gain", check_gain, cfg.gain), ("radii", check_radii, cfg.radii)):
         try:
             check(value)

@@ -6,7 +6,9 @@ Draws are served one network column per step, sliced out of a block cache
 filled by the model's own samplers (the regressor's ``draw`` and the
 noise's ``sample``); numpy generators produce identical values whether
 drawn one at a time or in batches, so the cache is purely a speed
-optimisation and never changes the stream.  A caller that knows how many
+optimisation and never changes the stream.  A drawn -0.0 is served as +0.0
+(no built-in law draws one), so the identification engine can read a
+sensor's sign as the sign of ``y - c``.  A caller that knows how many
 steps it will read says so (:meth:`ModelStreams.expect`), and the last
 refill then draws only those steps instead of a whole block.
 
@@ -214,7 +216,7 @@ class StreamBank:
             if cache is None:
                 shape = (size, len(self._gens)) + draws.shape[1:]
                 cache = np.empty(shape, dtype=draws.dtype)
-            cache[:, i] = draws
+            np.add(draws, 0.0, out=cache[:, i])     # -0.0 is served as +0.0
         cache.flags.writeable = False
         self._cache = cache
         self._pos, self._end = 0, size

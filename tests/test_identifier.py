@@ -510,6 +510,26 @@ def test_run_reads_a_sensor_tie_as_a_zero_bit():
     assert np.array_equal(final.theta, want)
 
 
+def test_run_matches_chained_steps_when_a_custom_law_draws_negative_zero():
+    # a custom law drawing -0.0 with theta*_1 = -0.0 makes y = -0.0 against
+    # c = +0.0: the step function reads the bit y < c as clear, and so must run
+    class SignedZeroNoise(bi.GaussianNoise):
+        def sample(self, rng, size=None):
+            return 0.0 * rng.standard_normal(size)
+
+    model = bi.SystemModel(np.array([-0.0, 1.0]), bi.SparseUniformRegressors(2),
+                           SignedZeroNoise(1.0), 4)
+    sched = bi.partitioned_ring_schedule(4, 2)
+    final = bi.run(model, sched, 200, seed=3)
+    snap, streams = bi.NetworkSnapshot.initial(4, 2), bi.ModelStreams(model, 3)
+    for k in range(1, 201):
+        snap = bi.dsaawet_identification_step(snap, sched[k], model, streams)
+    assert np.array_equal(final.theta, snap.theta)
+    assert np.array_equal(final.sigma, snap.sigma)
+    # the signs too: array_equal treats -0.0 and 0.0 as equal
+    assert np.array_equal(np.signbit(final.theta), np.signbit(snap.theta))
+
+
 def test_reference_is_order_independent():
     # processing agents in any order reads only pre-step state
     rng = np.random.default_rng(0)

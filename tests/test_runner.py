@@ -1,6 +1,7 @@
 """Experiment configs, preflight validation, artifact IO, full runs."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -356,6 +357,33 @@ def test_preflight_rejects_non_integer_steps(steps):
     assert preflight(small_config(steps=steps)).errors == ["run.steps: must be an integer"]
     with pytest.raises(ValueError, match="run.steps: must be an integer"):
         bi.run_experiment(small_config(steps=steps))
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(stride=2.5), "run.stride: must be an integer"),
+        (dict(stride=True), "run.stride: must be an integer"),
+        (dict(l=4.0), "model.l: must be an integer"),
+        (dict(window=2.5), "topology.B: must be an integer"),
+        (dict(n_agents=8.0), "model.n_agents: must be an integer"),
+        (dict(seed=1.5), "run.seed: must be an integer"),
+        (dict(period=2.5), "topology.period: must be an integer"),
+        (dict(topology_kind="poisson", p=1.5, period=None),
+         "topology.p: p must lie in [0, 1]"),
+        (dict(period=20), "topology.period: period must lie in 1..n"),
+        (dict(n_agents=0), "model.n_agents: must be >= 1"),
+        (dict(l=0), "model.l: must be >= 1"),
+        (dict(seed=-3), "run.seed: must be >= 0"),
+    ],
+    ids=["stride-float", "stride-bool", "l-float", "window-float", "n_agents-float",
+         "seed-float", "period-float", "p-range", "period-range", "n_agents-range",
+         "l-range", "seed-range"],
+)
+def test_preflight_names_each_bad_integer_or_range_field_once(overrides, message):
+    assert preflight(small_config(**overrides)).errors == [message]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bi.run_experiment(small_config(**overrides))
 
 
 def test_preflight_accepts_numpy_integer_steps():

@@ -73,6 +73,12 @@ def test_stream_bank_matches_scalar_generator_calls():
     assert np.array_equal(got, want)
 
 
+def test_stream_bank_serves_a_drawn_negative_zero_as_positive_zero():
+    bank = bi.StreamBank([1, 2], lambda g, size: np.full(size, -0.0), block=3)
+    cols = np.array([bank.column() for _ in range(4)])
+    assert not np.signbit(cols).any()
+
+
 def test_model_streams_sparse_block_boundaries():
     model = _model()
     a = bi.ModelStreams(model, 123, block=7)

@@ -25,8 +25,9 @@ step function only on steps from disagreeing counters, so these lines are
 the ones that cover the step functions on agreeing counters.  Two ``-zero``
 lines give the run-line digests of ``preset_v`` seed 101 and of
 ``ring-dense-1`` at zero steps, a run that draws nothing.  It then prints
-one line per analysis and oracle output on a sparse and a dense model: the
-output's name and the SHA-256 of its array bytes.  That makes 88 lines.
+one line per analysis and oracle output on a sparse and a dense model, and
+two on the preset-v model: the output's name and the SHA-256 of its array
+bytes.  That makes 90 lines.
 No golden values are stored, because BLAS may round differently on
 another host.  To check that a change keeps the artifacts, run the
 script in a checkout of the parent and in the change, on the same machine,
@@ -58,7 +59,11 @@ The analysis and oracle outputs, each at a fixed seed, on the ring model
 ``centralized_baseline`` and ``identifiability_probe`` (final estimate and
 errors) for agent 2; for the sparse model also ``solve_root`` from the
 origin and from all-fives, and ``regression_jacobian`` at the point where
-``regression_function`` is evaluated.
+``regression_function`` is evaluated.  Two last lines cover the Gaussian
+quadrature on ``preset_v`` seed 101, the model the benchmark's theory-check
+workload analyses: ``regression_function`` at 20 fixed points and
+``solve_root`` from 10 fixed starts, both drawn around theta* from a
+generator seeded with 101.
 
 The script imports ``binident`` from the ``src`` directory next to it.
 """
@@ -297,6 +302,19 @@ def analysis_outputs(kind: str, model: bi.SystemModel) -> list[tuple[str, np.nda
     return out
 
 
+def preset_analysis_outputs() -> list[tuple[str, np.ndarray]]:
+    """Gaussian quadrature on the preset-v model, as the theory-check workload runs it."""
+    ctx = bi.RegressionContext(bi.build_model(bi.preset_v(seed=101)))
+    star = ctx.model.theta_star
+    rng = np.random.default_rng(101)
+    points = star + rng.normal(0.0, 1.0, (20, star.size))
+    starts = star + rng.normal(0.0, 2.0, (10, star.size))
+    return [
+        ("preset-v-101-regression_function", np.stack([bi.regression_function(ctx, t) for t in points])),
+        ("preset-v-101-solve_root", np.stack([bi.solve_root(ctx, s) for s in starts])),
+    ]
+
+
 def analysis_models() -> list[tuple[str, bi.SystemModel]]:
     dense = replace(
         ring_config(1, 0), regressor_kind="dense-uniform", noise_kind="laplace",
@@ -326,9 +344,9 @@ def main() -> None:
                 start = "disagreeing" if disagreeing else "zero"
                 print(f"{name}-{start}-direct", direct_step_digest(cfg, disagreeing), flush=True)
     print("generic-direct", generic_step_digest(), flush=True)
-    for kind, model in analysis_models():
-        for name, arr in analysis_outputs(kind, model):
-            print(name, hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest(), flush=True)
+    outputs = [out for kind, model in analysis_models() for out in analysis_outputs(kind, model)]
+    for name, arr in outputs + preset_analysis_outputs():
+        print(name, hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest(), flush=True)
 
 
 if __name__ == "__main__":
