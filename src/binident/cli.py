@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import RegressionContext, jacobian_at_root, regression_function
 from .oracle import identifiability_probe
-from .runner import ExperimentConfig, build_model, preset_v, run_experiment
+from .runner import ExperimentConfig, preflight, preset_v, run_experiment
 
 
 def _add_override_args(p: argparse.ArgumentParser, required: bool = False) -> None:
@@ -103,9 +103,21 @@ def _execute(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _preflight_model(path: str):
+    """The model preflight builds from the config at ``path``.
+
+    Stops with preflight's field-named errors only when it built none: a
+    topology or excitation error leaves a model to probe or analyze.
+    """
+    cfg = ExperimentConfig.from_ini(path)
+    pre = preflight(cfg)
+    if pre.model is None:
+        raise ValueError("invalid config:\n" + "\n".join(pre.errors))
+    return cfg, pre.model
+
+
 def _cmd_probe(args) -> int:
-    cfg = ExperimentConfig.from_ini(args.config)
-    model = build_model(cfg)
+    cfg, model = _preflight_model(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     report = identifiability_probe(
         model, args.agent, args.steps, seed, threshold=args.threshold
@@ -132,8 +144,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    cfg = ExperimentConfig.from_ini(args.config)
-    model = build_model(cfg)
+    _, model = _preflight_model(args.config)
     try:
         theta = np.array([float(v) for v in args.theta.replace(",", " ").split()])
     except ValueError:

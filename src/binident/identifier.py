@@ -213,14 +213,6 @@ class NetworkSnapshot:
                             sigma_uniform=self.sigma_uniform)
         return nxt
 
-    @property
-    def n_agents(self) -> int:
-        return self.theta.shape[0]
-
-    @property
-    def l(self) -> int:
-        return self.theta.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # gain and truncation radii

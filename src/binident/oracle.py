@@ -137,7 +137,6 @@ class ProbeReport:
     errors: np.ndarray
     identifiable: tuple[int, ...]
     stalled: tuple[int, ...]
-    touched: tuple[int, ...]
     truncation_events: int
 
     def rows(self) -> list[dict]:
@@ -184,6 +183,8 @@ def identifiability_probe(
     """
     if not 1 <= agent <= model.n_agents:
         raise ValueError(f"agent must lie in 1..{model.n_agents}")
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
     sub_gen = model.regressor
     if model.supports is not None:
         sub_gen = SparseUniformRegressors(model.l, support=(int(model.supports[agent - 1]) + 1,))
@@ -193,11 +194,9 @@ def identifiability_probe(
 
     watch = _Touched(model.l)
     final = run(submodel, schedule, steps, streams=ModelStreams(submodel, seed), sinks=(watch,))
-    touched = watch.touched
     errors = np.abs(final.theta[0] - model.theta_star)
     identifiable = tuple(int(m) for m in range(1, model.l + 1) if errors[m - 1] < threshold)
-    stalled = tuple(int(m) for m in range(1, model.l + 1) if not touched[m - 1])
-    touched_t = tuple(int(m) for m in range(1, model.l + 1) if touched[m - 1])
+    stalled = tuple(int(m) for m in range(1, model.l + 1) if not watch.touched[m - 1])
     return ProbeReport(
         agent=agent,
         steps=steps,
@@ -206,6 +205,5 @@ def identifiability_probe(
         errors=errors,
         identifiable=identifiable,
         stalled=stalled,
-        touched=touched_t,
         truncation_events=final.ledger.truncation_events,
     )

@@ -229,9 +229,15 @@ class PhiBatch:
     """Regressor draws for every agent at one step.
 
     Sparse layout stores just the amplitude and active coordinate per agent;
-    dense layout stores full rows.  All engine arithmetic that touches the
-    regressors goes through these methods, so the sparse fast path and the
-    dense path cannot drift apart.
+    dense layout stores full rows.  ``dsaawet_identification_step``
+    (the general path of ``run``) and ``centralized_baseline`` sense through
+    these methods; ``rows`` and ``add_innovation`` serve the tests'
+    references.  The quiet step of ``run`` builds no batch: it computes in
+    place from the raw draw columns, and ``tests/test_identifier.py`` pins it
+    bit for bit to the step function
+    (``test_run_takes_both_the_bound_skip_and_the_exact_ball_test``,
+    ``test_plain_sinks_see_every_step_in_order_with_frozen_arrays``,
+    ``test_window_boundaries_at_counter_moves``).
 
     The sparse layout addresses agent i's active slot of an ``(n, l)``
     array by one flat index, ``flat[i] = i * l + support[i]``; it is built
@@ -282,16 +288,10 @@ class PhiBatch:
         """In-place ``target += a_k * phi_i * signs_i`` row by row.
 
         Sparse rows touch one distinct slot each, so plain fancy-index
-        assignment is safe.  The flat index needs a C-contiguous target
-        (``reshape`` of any other layout copies, and the update would be
-        lost); other layouts are indexed by (row, coordinate).
+        assignment by (row, coordinate) is safe for any layout of ``target``.
         """
         if self.is_sparse:
-            delta = (self.eta * signs) * a_k
-            if target.flags.c_contiguous:
-                target.reshape(-1)[self.flat] += delta
-            else:
-                target[np.arange(self.n), self.support] += delta
+            target[np.arange(self.n), self.support] += (self.eta * signs) * a_k
         else:
             target += (self.dense * signs[:, None]) * a_k
 

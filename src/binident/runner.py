@@ -570,13 +570,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     result = ExperimentResult(cfg, pre, metrics, final, summary)
     if cfg.out is not None:
+        # Strict JSON: a non-finite value raises here, before either file is written.
+        text = json.dumps(summary, indent=2, sort_keys=False, allow_nan=False)
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         result.trajectory_path = out_dir / "trajectory.csv"
         result.summary_path = out_dir / "summary.json"
         write_trajectory_csv(metrics, result.trajectory_path)
-        # Strict JSON: a non-finite value raises here, before the file opens.
-        text = json.dumps(summary, indent=2, sort_keys=False, allow_nan=False)
         with open(result.summary_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
     return result

@@ -41,12 +41,8 @@ _M32 = 0xFFFFFFFF
 
 
 def as_generator(seed: SeedLike) -> np.random.Generator:
-    """Coerce an int seed, SeedSequence, or Generator into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    """Coerce an int seed, SeedSequence, or Generator (returned as is) into a Generator."""
+    return np.random.default_rng(seed)
 
 
 def _role_children(seed: int | np.random.SeedSequence) -> list[np.random.SeedSequence]:

@@ -69,9 +69,7 @@ def complete_graph(n: int) -> Digraph:
 
 
 def ring_graph(n: int) -> Digraph:
-    """Undirected cycle 1-2-...-n-1 (n >= 2; n = 1 is just the self-loop)."""
-    if n == 1:
-        return from_undirected_pairs(1, [])
+    """Undirected cycle 1-2-...-n-1 (n = 1 is just the self-loop)."""
     return from_undirected_pairs(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 

@@ -178,6 +178,20 @@ def test_simulate_builds_model_and_schedule_once(small_ini, monkeypatch, capsys)
     capsys.readouterr()
 
 
+def test_simulate_writes_no_artifact_when_the_summary_is_not_strict_json(tmp_path, capsys):
+    # p is unused by a ring but lands in the summary's config block as NaN
+    path = tmp_path / "ring.ini"
+    ExperimentConfig(n_agents=4, l=2, steps=20, seed=1, topology_kind="ring",
+                     p=float("nan")).to_ini(path)
+    out_dir = tmp_path / "o1"
+    rc = main(["simulate", "--config", str(path), "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert not (out_dir / "trajectory.csv").exists()
+    assert not (out_dir / "summary.json").exists()
+
+
 def test_preset_v_short_run(tmp_path, capsys):
     out_dir = tmp_path / "pv"
     rc = main(
@@ -247,6 +261,43 @@ def test_probe_bad_agent_id(small_ini, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error:")
+
+
+def test_probe_rejects_a_nan_threshold(small_ini, capsys):
+    rc = main(["probe", "--agent", "2", "--config", str(small_ini), "--steps", "10",
+               "--threshold", "nan"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: threshold must be finite and positive, got nan\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field", ["l", "n_agents"])
+@pytest.mark.parametrize("command", [["probe", "--agent", "1"], ["analyze", "--theta", "0"]])
+def test_probe_and_analyze_name_the_config_field_preflight_rejects(tmp_path, capsys, field, command):
+    path = tmp_path / "bad.ini"
+    ExperimentConfig(**{"n_agents": 8, "l": 4, field: 0}, steps=10, seed=0).to_ini(path)
+    rc = main([*command, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: invalid config:\nmodel.{field}: must be >= 1\n"
+    assert captured.out == ""
+
+
+def test_probe_and_analyze_run_on_a_model_with_unexcited_coordinates(tmp_path, capsys):
+    # two sparse agents for four coordinates: preflight reports the gap, and
+    # these two commands exist to look at such a model
+    cfg = ExperimentConfig(n_agents=2, l=4, steps=100, seed=3, theta_star=STAR4,
+                           topology_kind="ring")
+    path = tmp_path / "sparse.ini"
+    cfg.to_ini(path)
+    assert runner.preflight(cfg).errors == [
+        "model.n_agents: sparse regressors leave coordinates [3, 4] unexcited"
+    ]
+    assert main(["analyze", "--config", str(path), "--theta", "0,0,0,0"]) == 0
+    assert "curvature eigenvalues" in capsys.readouterr().out
+    assert main(["probe", "--agent", "1", "--config", str(path), "--steps", "50"]) == 0
+    assert "stalled [2, 3, 4]" in capsys.readouterr().out
 
 
 def test_analyze_reports_field_and_curvature(small_ini, capsys):

@@ -893,6 +893,21 @@ def test_monitor_judges_each_step_when_called():
     ]
 
 
+def test_monitor_reports_a_counter_that_decreased():
+    # agent 2's counter falls from 2 to 1 with every estimate at zero
+    ledger = bi.TruncationLedger.initial(2)
+    high, low = np.array([2, 2]), np.array([2, 1])
+    mon = bi.InvariantMonitor()
+    mon(bi.NetworkSnapshot(k=5, theta=np.zeros((2, 1)), sigma=high, ledger=ledger),
+        bi.NetworkSnapshot(k=6, theta=np.zeros((2, 1)), sigma=low, ledger=ledger))
+    assert mon.violations == ["k=6: a truncation counter decreased"] and mon.steps == 1
+    # as a window observer: the move falls between the second window's first two rows
+    mon = bi.InvariantMonitor()
+    mon.window(np.zeros((1, 2, 1)), 5, high, ledger, "linear")
+    mon.window(np.zeros((3, 2, 1)), 5, low, ledger, "linear")
+    assert mon.violations == ["k=6: a truncation counter decreased"] and mon.steps == 2
+
+
 def test_monitor_caps_messages_but_counts_every_violation():
     mon = bi.InvariantMonitor()
     steps = [[3.0, 0.0] if i % 7 == 0 else [1.0, 1.0] for i in range(200)]

@@ -64,6 +64,41 @@ def test_baseline_converges_on_benchmark_model():
     assert err < 0.2
 
 
+def _dense_model(n_agents):
+    return bi.SystemModel(STAR4, bi.DenseUniformRegressors(4), bi.GaussianNoise(0.04), n_agents)
+
+
+@pytest.mark.parametrize("n_agents", [1, 3])
+def test_baseline_dense_matches_a_loop_over_the_full_rows(n_agents):
+    # one agent leaves one term in the pooled sum, so the loop must agree bit for bit
+    model, steps = _dense_model(n_agents), 400
+    got = bi.centralized_baseline(model, steps, seed=5)
+    streams = bi.ModelStreams(model, 5)
+    theta, sigma, want = np.zeros(model.l), 0, [np.zeros(model.l)]
+    for k in range(1, steps + 1):
+        rows = streams.phi_step(k).rows()
+        d = streams.noise_step()
+        signs = np.where(rows @ model.theta_star + d < rows @ theta, -1.0, 1.0)
+        pooled = rows[0] * signs[0]
+        for i in range(1, n_agents):
+            pooled = pooled + rows[i] * signs[i]
+        cand = theta + pooled * (1.0 / k)
+        if cand @ cand > sigma**2:
+            theta, sigma = np.zeros(model.l), sigma + 1
+        else:
+            theta = cand
+        want.append(theta)
+    if n_agents == 1:
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+def test_baseline_converges_on_a_dense_model():
+    traj = bi.centralized_baseline(_dense_model(20), 20_000, seed=0)
+    assert np.linalg.norm(traj[-1] - STAR4) < 0.05
+
+
 def test_baseline_faster_with_vanishing_noise():
     # same seeds, same step budget: a near-noiseless sensor reads the sign
     # of the prediction error almost surely and homes in faster
@@ -176,6 +211,12 @@ def test_probe_single_coordinate_model():
 def test_probe_validates_agent_index():
     with pytest.raises(ValueError):
         bi.identifiability_probe(_small_model(), agent=5, steps=10, seed=0)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -0.1])
+def test_probe_rejects_a_threshold_that_is_not_finite_and_positive(threshold):
+    with pytest.raises(ValueError, match=f"^threshold must be finite and positive, got {threshold}$"):
+        bi.identifiability_probe(_small_model(), agent=1, steps=10, seed=0, threshold=threshold)
 
 
 def test_probe_deterministic_and_serializable():

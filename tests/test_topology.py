@@ -45,6 +45,7 @@ def test_complete_and_ring_shapes():
     ring = bi.ring_graph(5)
     assert ring.is_symmetric
     assert {j for j, i in ring.edges if i == 1} == {1, 2, 5}
+    assert bi.ring_graph(1).edges == frozenset({(1, 1)})
 
 
 # ---------------------------------------------------------------------------
