@@ -176,10 +176,20 @@ def regression_function_mc(
 
     Independent of the quadrature route: draws raw regressor/noise samples
     and averages ``phi_i * sign(y_i - phi_i' theta)``.  The generator is
-    consumed agent by agent within each chunk, noise before regressor
-    (deterministic given ``rng``, unrelated to run streams).  ``samples``
-    must be an integer; a NaN or infinite draw raises ValueError naming its
-    role (``noise`` or ``regressor``).
+    consumed agent by agent within each chunk of at most 65 536 samples,
+    noise before regressor (deterministic given ``rng``, unrelated to run
+    streams).  ``samples`` must be an integer; a NaN or infinite draw raises
+    ValueError naming its role (``noise`` or ``regressor``).
+
+    Each sample's vector ``sum_i phi_i s_i`` is summed over the chunk, and
+    so are its squares, for the mean and the standard error.  The sparse
+    kind computes each agent's sensor argument in place in one reused
+    buffer, takes the bit as ``copysign(1, x + 0.0)`` (``sign_pm``'s +1 at
+    a zero; an argument that overflowed to NaN is a ValueError) and adds
+    the agent's terms into one contiguous row per coordinate, agent by
+    agent.  A row is then summed front to back, as numpy sums a column of a
+    ``(samples, l)`` array (one contiguous column when l = 1, pairwise), so
+    the estimate equals that of the per-sample form bit for bit.
     """
     theta = _check_theta(ctx, theta, "theta")
     if not _is_integer(samples):
@@ -187,33 +197,59 @@ def regression_function_mc(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = as_generator(rng)
-    model = ctx.model
-    gen, noise, sup = model.regressor, model.noise, model.supports
-    l = ctx.l
-    tstar = model.theta_star
-    total = np.zeros(l)
-    total_sq = np.zeros(l)
-    done = 0
-    while done < samples:
+    sums = _mc_sparse_sums if ctx.closed_form else _mc_dense_sums
+    total, total_sq = sums(ctx.model, theta, samples, rng)
+    mean = total / samples
+    var = np.maximum(total_sq / samples - mean * mean, 0.0)
+    return MCEstimate(value=mean, stderr=np.sqrt(var / samples), samples=samples)
+
+
+def _mc_sparse_sums(model: SystemModel, theta, samples: int, rng):
+    gen, noise, tstar = model.regressor, model.noise, model.theta_star
+    l = model.l
+    acc = np.empty((l, min(_CHUNK, samples)))    # row m: coordinate m of each sample
+    x = np.empty(acc.shape[1])
+    total, total_sq = np.zeros(l), np.zeros(l)
+    # numpy sums the columns of a (samples, l) array front to back, and its
+    # one contiguous column (l = 1) pairwise; cumsum here sums in place
+    row_sum = np.sum if l == 1 else (lambda r: np.cumsum(r, out=r)[-1])
+    for done in range(0, samples, _CHUNK):
+        chunk = min(_CHUNK, samples - done)
+        rows, xc = acc[:, :chunk], x[:chunk]
+        rows.fill(0.0)
+        for i, m in enumerate(model.supports):
+            d = _finite(noise.sample(rng, chunk), "noise", i)
+            eta = _finite(gen.draw(rng, chunk), "regressor", i)
+            np.multiply(eta, tstar[m], out=xc)         # eta t*_m + d - eta theta_m
+            xc += d
+            xc -= eta * theta[m]
+            xc += 0.0
+            if np.isnan(xc).any():
+                raise ValueError(f"theta: the sensor argument of agent {i} overflowed to NaN")
+            np.copysign(1.0, xc, out=xc)
+            xc *= eta
+            rows[m] += xc
+        for m, r in enumerate(rows):
+            total_sq[m] += row_sum(np.multiply(r, r, out=xc))
+            total[m] += row_sum(r)
+    return total, total_sq
+
+
+def _mc_dense_sums(model: SystemModel, theta, samples: int, rng):
+    gen, noise, tstar = model.regressor, model.noise, model.theta_star
+    l = model.l
+    total, total_sq = np.zeros(l), np.zeros(l)
+    for done in range(0, samples, _CHUNK):
         chunk = min(_CHUNK, samples - done)
         x_rows = np.zeros((chunk, l))
         for i in range(model.n_agents):
             d = _finite(noise.sample(rng, chunk), "noise", i)
-            if sup is not None:
-                m = sup[i]
-                eta = _finite(gen.draw(rng, chunk), "regressor", i)
-                s = sign_pm(eta * tstar[m] + d - eta * theta[m])
-                x_rows[:, m] += eta * s
-            else:
-                rows = _finite(gen.draw(rng, chunk), "regressor", i)
-                s = sign_pm(rows @ (tstar - theta) + d)
-                x_rows += rows * s[:, None]
+            rows = _finite(gen.draw(rng, chunk), "regressor", i)
+            s = sign_pm(rows @ (tstar - theta) + d)
+            x_rows += rows * s[:, None]
         total += x_rows.sum(axis=0)
         total_sq += (x_rows * x_rows).sum(axis=0)
-        done += chunk
-    mean = total / samples
-    var = np.maximum(total_sq / samples - mean * mean, 0.0)
-    return MCEstimate(value=mean, stderr=np.sqrt(var / samples), samples=samples)
+    return total, total_sq
 
 
 # ---------------------------------------------------------------------------

@@ -103,24 +103,25 @@ def _execute(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _preflight_model(path: str):
-    """The model preflight builds from the config at ``path``.
+def _preflight_model(cfg: ExperimentConfig):
+    """The model preflight builds from ``cfg``.
 
     Stops with preflight's field-named errors only when it built none: a
     topology or excitation error leaves a model to probe or analyze.
     """
-    cfg = ExperimentConfig.from_ini(path)
     pre = preflight(cfg)
     if pre.model is None:
         raise ValueError("invalid config:\n" + "\n".join(pre.errors))
-    return cfg, pre.model
+    return pre.model
 
 
 def _cmd_probe(args) -> int:
-    cfg, model = _preflight_model(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
+    cfg = ExperimentConfig.from_ini(args.config)
+    if args.seed is not None:
+        cfg.seed = args.seed        # before preflight, which range-checks it
+    model = _preflight_model(cfg)
     report = identifiability_probe(
-        model, args.agent, args.steps, seed, threshold=args.threshold
+        model, args.agent, args.steps, cfg.seed, threshold=args.threshold
     )
     print(
         f"agent {report.agent}, {report.steps} steps, threshold {report.threshold}: "
@@ -144,7 +145,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    _, model = _preflight_model(args.config)
+    model = _preflight_model(ExperimentConfig.from_ini(args.config))
     try:
         theta = np.array([float(v) for v in args.theta.replace(",", " ").split()])
     except ValueError:

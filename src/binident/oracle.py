@@ -29,41 +29,76 @@ def centralized_baseline(model: SystemModel, steps: int, seed, record_every: int
     averaging, this is the natural upper reference for any distributed run
     on the same model and seed streams.
 
-    ``steps`` must be a non-negative integer and ``seed`` an int or a
-    SeedSequence, from which the run's :class:`ModelStreams` are built.
-    Returns the trajectory as an array of estimates: the initial zero row,
-    every ``record_every``-th step, and the final step.
+    Each step reads the raw draw columns (``ModelStreams.columns``) and
+    senses in two preallocated arrays: ``y = phi_i' theta* + d_i`` and
+    ``c = phi_i' theta``, the bit as ``copysign(1, y - c)`` (a stream never
+    serves -0.0 noise, so ``y == c`` reads +1, as ``1 - 2 (y < c)`` does).
+    The bits are pooled per coordinate by ``bincount`` in agent order
+    (sparse) or as ``phi' signs`` (dense), the same sums in the same order
+    as a ``PhiBatch`` step, so the trajectory is that of one bit for bit.
+    A step lets go of its columns before the next is drawn, so a bank
+    frees its old block before it draws the new one.
+
+    ``steps`` must be a non-negative integer, ``record_every`` a positive
+    integer and ``seed`` a non-negative int or a SeedSequence, from which
+    the run's :class:`ModelStreams` are built.  Returns the trajectory as an
+    array of estimates: the initial zero row, every ``record_every``-th
+    step, and the final step.
     """
     if not _is_integer(steps):
         raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not _is_integer(record_every):
+        raise ValueError(f"record_every must be an integer, got {record_every!r}")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    streams = ModelStreams(model, seed)
-    l = model.l
+    streams = ModelStreams(model, _checked_seed(seed))
+    streams.expect(steps)
+    l, sup = model.l, model.supports
+    tstar = model.theta_star if sup is None else model.theta_star[sup]
+    y, c = np.empty(model.n_agents), np.empty(model.n_agents)
     theta = np.zeros(l)
-    sigma = 0
-    traj = [theta.copy()]
+    sigma, r2 = 0, 0.0
+    traj = np.zeros((1 + steps // record_every + (steps % record_every > 0), l))
+    row = 1
     for k in range(1, steps + 1):
-        phi = streams.phi_step(k)
-        d = streams.noise_step()
-        c = phi.thresholds_common(theta)
-        y = phi.outputs(model.theta_star, d)
-        signs = 1.0 - 2.0 * (y < c)
-        if phi.is_sparse:
-            pooled = np.bincount(phi.support, weights=phi.eta * signs, minlength=l)
+        phi, d = streams.columns()
+        if sup is not None:
+            np.multiply(phi, tstar, out=y)
+            np.multiply(phi, theta[sup], out=c)
         else:
-            pooled = phi.dense.T @ signs
+            np.matmul(phi, tstar, out=y)
+            np.matmul(phi, theta, out=c)
+        y += d
+        np.copysign(1.0, np.subtract(y, c, out=y), out=y)
+        if sup is not None:
+            pooled = np.bincount(sup, weights=np.multiply(phi, y, out=y), minlength=l)
+        else:
+            pooled = phi.T @ y
+        del phi, d
         cand = theta + pooled * (1.0 / k)
-        if float(cand @ cand) > float(sigma) ** 2:
+        if float(cand @ cand) > r2:
             theta = np.zeros(l)
             sigma += 1
+            r2 = float(sigma) ** 2
         else:
             theta = cand
         if k % record_every == 0 or k == steps:
-            traj.append(theta.copy())
-    return np.array(traj)
+            traj[row] = theta
+            row += 1
+    return traj
+
+
+def _checked_seed(seed):
+    """``seed`` if it is a SeedSequence or a non-negative integer, else a ValueError."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if not _is_integer(seed):
+        raise ValueError(f"seed must be an integer or a SeedSequence, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 class RootSolveError(RuntimeError):
@@ -180,11 +215,16 @@ def identifiability_probe(
     coordinates whose estimate never left the zero initial value are
     reported stalled - with one-coordinate excitation those are exactly the
     coordinates other agents would have to supply through the network.
+    ``agent`` is a 1-based integer and ``seed`` a non-negative int or a
+    SeedSequence.
     """
+    if not _is_integer(agent):
+        raise ValueError(f"agent must be an integer, got {agent!r}")
     if not 1 <= agent <= model.n_agents:
         raise ValueError(f"agent must lie in 1..{model.n_agents}")
     if not (np.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
+    seed = _checked_seed(seed)
     sub_gen = model.regressor
     if model.supports is not None:
         sub_gen = SparseUniformRegressors(model.l, support=(int(model.supports[agent - 1]) + 1,))

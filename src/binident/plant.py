@@ -230,11 +230,12 @@ class PhiBatch:
 
     Sparse layout stores just the amplitude and active coordinate per agent;
     dense layout stores full rows.  ``dsaawet_identification_step``
-    (the general path of ``run``) and ``centralized_baseline`` sense through
-    these methods; ``rows`` and ``add_innovation`` serve the tests'
-    references.  The quiet step of ``run`` builds no batch: it computes in
-    place from the raw draw columns, and ``tests/test_identifier.py`` pins it
-    bit for bit to the step function
+    (the general path of ``run``) senses through these methods; ``rows``
+    and ``add_innovation`` serve the tests' references.  The quiet step of
+    ``run`` and ``centralized_baseline`` build no batch: they compute in
+    place from the raw draw columns (``tests/reference.py`` keeps the
+    baseline's batch form), and ``tests/test_identifier.py`` pins the quiet
+    step bit for bit to the step function
     (``test_run_takes_both_the_bound_skip_and_the_exact_ball_test``,
     ``test_plain_sinks_see_every_step_in_order_with_frozen_arrays``,
     ``test_window_boundaries_at_counter_moves``).

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from binident import ModelStreams
+
 
 def reference_step(theta, sigma, w, phi_rows, y, a_k, radius=lambda m: m,
                    x_star=None, observations=None):
@@ -241,3 +243,65 @@ def reference_regression_jacobian(model, theta, nodes):
     diag = np.zeros(model.l)
     np.add.at(diag, sup, (model.noise.pdf(args) * (x * x)) @ wq)
     return np.diag(diag)
+
+
+def reference_regression_function_mc(model, theta, samples, rng):
+    """Monte Carlo mean and standard error of f for a sparse model.
+
+    The per-sample form that ``analysis.regression_function_mc`` replaced:
+    a ``(chunk, l)`` array filled column by column with
+    ``sign_pm(eta t*_m + d - eta theta_m)``, reduced by ``sum(axis=0)``.
+    ``rng`` is a Generator, consumed as the fast path consumes it.
+    """
+    tstar, sup, l = model.theta_star, model.supports, model.l
+    theta = np.asarray(theta, dtype=np.float64)
+    total, total_sq = np.zeros(l), np.zeros(l)
+    done = 0
+    while done < samples:
+        chunk = min(1 << 16, samples - done)
+        x_rows = np.zeros((chunk, l))
+        for i in range(model.n_agents):
+            d = model.noise.sample(rng, chunk)
+            m = sup[i]
+            eta = model.regressor.draw(rng, chunk)
+            s = np.where(eta * tstar[m] + d - eta * theta[m] >= 0, 1.0, -1.0)
+            x_rows[:, m] += eta * s
+        total += x_rows.sum(axis=0)
+        total_sq += (x_rows * x_rows).sum(axis=0)
+        done += chunk
+    mean = total / samples
+    var = np.maximum(total_sq / samples - mean * mean, 0.0)
+    return mean, np.sqrt(var / samples)
+
+
+def reference_centralized_baseline(model, steps, seed, record_every=1):
+    """The fused-bit baseline as ``oracle.centralized_baseline`` first wrote it.
+
+    The form it replaced: one ``PhiBatch`` per step through ``phi_step`` and
+    ``noise_step``, the bit as ``1 - 2 (y < c)``, pooled by ``bincount``
+    (sparse) or ``phi' signs`` (dense).
+    """
+    streams = ModelStreams(model, seed)
+    l = model.l
+    theta = np.zeros(l)
+    sigma = 0
+    traj = [theta.copy()]
+    for k in range(1, steps + 1):
+        phi = streams.phi_step(k)
+        d = streams.noise_step()
+        c = phi.thresholds_common(theta)
+        y = phi.outputs(model.theta_star, d)
+        signs = 1.0 - 2.0 * (y < c)
+        if phi.is_sparse:
+            pooled = np.bincount(phi.support, weights=phi.eta * signs, minlength=l)
+        else:
+            pooled = phi.dense.T @ signs
+        cand = theta + pooled * (1.0 / k)
+        if float(cand @ cand) > float(sigma) ** 2:
+            theta = np.zeros(l)
+            sigma += 1
+        else:
+            theta = cand
+        if k % record_every == 0 or k == steps:
+            traj.append(theta.copy())
+    return np.array(traj)

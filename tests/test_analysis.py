@@ -1,5 +1,7 @@
 """Regression function, curvature, Monte Carlo cross-checks, metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import binident as bi
 from reference import (
     reference_consensus_gap,
     reference_regression_function,
+    reference_regression_function_mc,
     reference_regression_jacobian,
 )
 
@@ -278,6 +281,67 @@ def test_mc_deterministic_given_seed():
     a = bi.regression_function_mc(ctx, np.zeros(2), 10_000, 42)
     b = bi.regression_function_mc(ctx, np.zeros(2), 10_000, 42)
     assert np.array_equal(a.value, b.value)
+
+
+@pytest.mark.parametrize("n_agents, l", [(11, 4), (3, 1)])
+def test_mc_equals_the_per_sample_form_across_chunk_boundaries(n_agents, l):
+    # chunks hold 65 536 samples; several agents share each coordinate, and
+    # l = 1 is the layout whose column numpy summed pairwise
+    ctx = _ctx(n_agents, l, star=bi.graded_theta_star(l))
+    theta = ctx.model.theta_star + np.linspace(-0.4, 0.3, l)
+    for samples in (1, 65_535, 65_536, 65_537, 200_000):
+        est = bi.regression_function_mc(ctx, theta, samples, np.random.default_rng(samples))
+        value, stderr = reference_regression_function_mc(
+            ctx.model, theta, samples, np.random.default_rng(samples)
+        )
+        assert np.array_equal(est.value, value), samples
+        assert np.array_equal(est.stderr, stderr), samples
+
+
+class _NegativeZeroNoise(bi.GaussianNoise):
+    def sample(self, rng, size=None):
+        return np.full(size, -0.0)
+
+
+def test_mc_reads_a_negative_zero_sensor_argument_as_plus_one():
+    # theta* = +0, theta = -0 and d = -0: a negative amplitude makes
+    # eta t* + d - eta theta exactly -0.0, which sign_pm reads as +1
+    model = bi.SystemModel(np.zeros(2), bi.SparseUniformRegressors(2), _NegativeZeroNoise(), 5)
+    theta = np.full(2, -0.0)
+    est = bi.regression_function_mc(bi.RegressionContext(model), theta, 1000, np.random.default_rng(1))
+    value, stderr = reference_regression_function_mc(model, theta, 1000, np.random.default_rng(1))
+    assert np.array_equal(est.value, value) and np.array_equal(est.stderr, stderr)
+
+
+class _HugeAmplitudes(bi.SparseUniformRegressors):
+    def draw(self, rng, size=None):
+        return 1e300 * rng.uniform(-1.0, 1.0, size)
+
+
+def test_mc_names_a_sensor_argument_that_overflows_to_nan():
+    # eta t* and eta theta both overflow to the same infinity, so
+    # eta t* + d - eta theta is NaN, whose sign sign_pm would read as -1
+    star = np.full(2, 1e10)
+    model = bi.SystemModel(star, _HugeAmplitudes(2), bi.GaussianNoise(0.01), 3)
+    assert bi.plant.sign_pm(np.nan) == -1.0
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="^theta: the sensor argument of agent 0 overflowed to NaN$"
+    ):
+        bi.regression_function_mc(bi.RegressionContext(model), star, 10, 0)
+
+
+def test_mc_holds_at_most_one_and_three_quarters_of_its_sums_array():
+    # the (l, chunk) sums array plus a few per-agent chunk vectors
+    model = bi.build_model(bi.preset_v(seed=101, steps=0))
+    ctx = bi.RegressionContext(model)
+    bi.regression_function_mc(ctx, model.theta_star, 10, 0)
+    tracemalloc.start()
+    try:
+        bi.regression_function_mc(ctx, model.theta_star, 200_000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * model.l * 65_536 * 8, peak / (model.l * 65_536 * 8)
 
 
 # ---------------------------------------------------------------------------

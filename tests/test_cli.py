@@ -263,6 +263,29 @@ def test_probe_bad_agent_id(small_ini, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_probe_names_a_negative_seed_override(small_ini, capsys):
+    rc = main(["probe", "--agent", "1", "--config", str(small_ini), "--steps", "5",
+               "--seed", "-3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: invalid config:\nrun.seed: must be >= 0\n"
+    assert captured.out == ""
+
+
+def test_probe_seed_override_replaces_the_config_seed(small_ini, tmp_path, capsys):
+    reseeded = tmp_path / "reseeded.ini"
+    cfg = ExperimentConfig.from_ini(small_ini)
+    cfg.seed = 11
+    cfg.to_ini(reseeded)
+    argv = ["probe", "--agent", "2", "--steps", "300"]
+    assert main([*argv, "--config", str(reseeded)]) == 0
+    want = capsys.readouterr().out
+    assert main([*argv, "--config", str(small_ini), "--seed", "11"]) == 0
+    assert capsys.readouterr().out == want
+    assert main([*argv, "--config", str(small_ini)]) == 0
+    assert capsys.readouterr().out != want
+
+
 def test_probe_rejects_a_nan_threshold(small_ini, capsys):
     rc = main(["probe", "--agent", "2", "--config", str(small_ini), "--steps", "10",
                "--threshold", "nan"])

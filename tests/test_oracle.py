@@ -1,11 +1,13 @@
 """Centralized baseline, root solver, single-agent identifiability probe."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import binident as bi
+from reference import reference_centralized_baseline
 
 STAR4 = np.array([0.5, -0.4, 0.3, -0.35])
 
@@ -115,6 +117,76 @@ def test_baseline_deterministic_per_seed():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("record_every", [2.5, True, "2", None])
+def test_baseline_rejects_a_record_every_that_is_not_an_integer(record_every):
+    with pytest.raises(ValueError, match="^record_every must be an integer, got"):
+        bi.centralized_baseline(_model(8, 4, star=STAR4), 10, seed=0, record_every=record_every)
+
+
+def test_baseline_accepts_a_numpy_integer_record_every():
+    m = _model(8, 4, star=STAR4)
+    want = bi.centralized_baseline(m, 10, seed=0, record_every=5)
+    assert np.array_equal(bi.centralized_baseline(m, 10, seed=0, record_every=np.int64(5)), want)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-3, "^seed must be >= 0, got -3$"),
+     (2.5, "^seed must be an integer or a SeedSequence, got 2.5$"),
+     (True, "^seed must be an integer or a SeedSequence, got True$"),
+     ("3", "^seed must be an integer or a SeedSequence, got '3'$")],
+)
+def test_oracles_name_a_bad_seed(seed, message):
+    with pytest.raises(ValueError, match=message):
+        bi.centralized_baseline(_model(8, 4, star=STAR4), 10, seed)
+    with pytest.raises(ValueError, match=message):
+        bi.identifiability_probe(_small_model(), agent=1, steps=10, seed=seed)
+
+
+def _sparse_shared(star=STAR4):
+    # 10 agents on 4 coordinates: coordinates 1 and 2 have three agents each
+    return _model(10, 4, noise=bi.GaussianNoise(0.04), star=np.asarray(star))
+
+
+_BASELINE_MODELS = {
+    "sparse": _sparse_shared,
+    "dense": lambda: _dense_model(6),
+    # a parameter far outside the early radii: the counter moves many times
+    "truncating": lambda: _sparse_shared(40.0 * STAR4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BASELINE_MODELS))
+def test_baseline_equals_the_batch_form_across_block_boundaries(kind):
+    # the stream block is 4096 steps; the expected last refill is the remainder
+    model = _BASELINE_MODELS[kind]()
+    for steps in (4095, 4096, 4097, 9000):
+        want = reference_centralized_baseline(model, steps, seed=3)
+        if kind == "truncating":
+            moved = [k for k in range(2, steps + 1) if not want[k].any() and want[k - 1].any()]
+            assert len(moved) >= 3
+        for record_every in (1, 7, steps):
+            ks = [0] + [k for k in range(1, steps + 1) if k % record_every == 0 or k == steps]
+            got = bi.centralized_baseline(model, steps, 3, record_every=record_every)
+            assert got.shape == (len(ks), model.l)
+            assert np.array_equal(got, want[ks]), (steps, record_every)
+
+
+def test_baseline_holds_at_most_two_and_a_half_stream_blocks():
+    # one block is 100 agents x 4096 steps of float64; a step drops its
+    # columns before the next draw, so a refill never keeps the old block
+    model = bi.build_model(bi.preset_v(seed=101, steps=0))
+    block = model.n_agents * 4096 * 8
+    bi.centralized_baseline(model, 10, seed=0)
+    tracemalloc.start()
+    try:
+        bi.centralized_baseline(model, 9000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * block, peak / block
+
+
 # ---------------------------------------------------------------------------
 # root solver
 
@@ -211,6 +283,18 @@ def test_probe_single_coordinate_model():
 def test_probe_validates_agent_index():
     with pytest.raises(ValueError):
         bi.identifiability_probe(_small_model(), agent=5, steps=10, seed=0)
+
+
+@pytest.mark.parametrize("agent", [2.5, True, "2", None])
+def test_probe_rejects_an_agent_that_is_not_an_integer(agent):
+    with pytest.raises(ValueError, match="^agent must be an integer, got"):
+        bi.identifiability_probe(_small_model(), agent=agent, steps=10, seed=0)
+
+
+def test_probe_accepts_a_numpy_integer_agent():
+    want = bi.identifiability_probe(_small_model(), agent=2, steps=200, seed=4)
+    got = bi.identifiability_probe(_small_model(), agent=np.int64(2), steps=200, seed=4)
+    assert np.array_equal(got.final_theta, want.final_theta)
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -0.1])
