@@ -1,9 +1,17 @@
 """How fast does a network forget where information started?
 
-Builds a few weight schedules, multiplies their mixing matrices backwards,
-and fits a geometric envelope to the distance from perfect averaging.
+Builds a few weight schedules, measures how far the backward products of
+their mixing matrices are from perfect averaging, and fits a geometric
+envelope to that distance.
 The decay rate is what ultimately lets scattered binary readings behave
 like one shared data stream.
+
+The two static schedules here have exactly symmetric Metropolis matrices
+whose rows sum to 1 within rounding, so their profiles come from one
+eigenvalue each: the distance at lag t is rho(W - J)^(t+1).  The tolerance
+is n ulps, because rows summing to 1 + d would add a component growing
+like t d along the all-ones vector that the power leaves out.  The
+partitioned ring is periodic and takes the backward product.
 """
 
 import numpy as np

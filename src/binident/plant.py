@@ -45,6 +45,23 @@ def _normal_cdf(x: np.ndarray, sigma: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# uniform draws
+
+def _uniform(rng: np.random.Generator, low: float, high: float, size):
+    """``rng.uniform(low, high, size)`` bit for bit, filled in place.
+
+    numpy draws ``low + (high - low) * u`` from ``u = rng.random()``; the
+    same two roundings on the array itself skip the per-draw call.
+    """
+    u = rng.random(size)
+    if size is None:
+        return low + (high - low) * u
+    u *= high - low
+    u += low
+    return u
+
+
+# ---------------------------------------------------------------------------
 # noise models
 
 class NoiseModel:
@@ -94,7 +111,13 @@ class GaussianNoise(NoiseModel):
         return np.exp(-0.5 * t**2) / (self.sigma * math.sqrt(2.0 * math.pi))
 
     def sample(self, rng, size=None):
-        return rng.normal(0.0, self.sigma, size)
+        # numpy's normal is 0.0 + sigma * z per draw; the same sums, in place
+        z = rng.standard_normal(size)
+        if size is None:
+            return 0.0 + self.sigma * z
+        z *= self.sigma
+        z += 0.0
+        return z
 
 
 @dataclass(frozen=True)
@@ -138,7 +161,7 @@ class UniformNoise(NoiseModel):
         return np.where(np.abs(x) <= self.half_width, 1.0 / (2.0 * self.half_width), 0.0)
 
     def sample(self, rng, size=None):
-        return rng.uniform(-self.half_width, self.half_width, size)
+        return _uniform(rng, -self.half_width, self.half_width, size)
 
 
 _NOISE_KINDS = {cls.kind: cls for cls in (GaussianNoise, LaplaceNoise, UniformNoise)}
@@ -199,7 +222,7 @@ class SparseUniformRegressors(RegressorGenerator):
 
     def draw(self, rng, size=None):
         """Amplitudes on the active coordinate, iid uniform on [-1, 1]."""
-        return rng.uniform(-1.0, 1.0, size)
+        return _uniform(rng, -1.0, 1.0, size)
 
 
 @dataclass(frozen=True)
@@ -218,7 +241,9 @@ class DenseUniformRegressors(RegressorGenerator):
     def draw(self, rng, size=None):
         """One row, or ``(size, l)`` rows, of scaled iid uniform entries."""
         shape = self.l if size is None else (size, self.l)
-        return rng.uniform(-1.0, 1.0, shape) * (self.bound / math.sqrt(self.l))
+        u = _uniform(rng, -1.0, 1.0, shape)
+        u *= self.bound / math.sqrt(self.l)
+        return u
 
 
 # ---------------------------------------------------------------------------

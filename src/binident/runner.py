@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
+import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -114,6 +116,20 @@ _FIELDS = (
     ("algorithm", "radii", "radii", str, "algorithm.radii"),
 )
 _NOISE_PARAMS = tuple(f.name for cls in _NOISE_KINDS.values() for f in fields(cls))
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# What a value of each parser's type must be in a config built in code (an
+# INI value has been through its parser): the test and the error it gives.
+_TYPE_CHECKS = {
+    int: (_is_integer, "must be an integer"),
+    float: (_is_real, "must be a real number"),
+    _parse_bool: (lambda value: isinstance(value, bool), "must be true or false"),
+}
 
 
 @dataclass
@@ -354,10 +370,13 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
     warning since the scheme is an explicit user choice.  A ``model`` given
     by the caller is checked in place of the one the config describes.
 
-    Every integer field of the config table must hold an int (a bool or a
-    float is not one; ``period`` and ``window`` may be None).  A config with
-    a non-integer field, or with ``n_agents``, ``l`` or ``seed`` out of
-    range, is reported field by field and not built.
+    Every field of the config table parsed as an int, a float or a bool
+    must hold one, whichever topology is chosen: an int or numpy integer, a
+    finite real, a bool (a bool is neither of the first two; ``period`` and
+    ``window`` may be None).  A config with a mistyped field, or with
+    ``n_agents``, ``l`` or ``seed`` out of range, is reported field by field
+    and not built; a non-finite real is reported once, by the check that
+    reads it or else as not finite.
 
     The noise must have median zero and a positive density at zero.  The
     built-in noise kinds are symmetric by construction (``cdf(0) == 0.5``
@@ -367,13 +386,14 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
     """
     warnings_: list[str] = []
     optional = {f.name for f in fields(cfg) if f.default is None}
-    errors = [
-        f"{section}.{key}: must be an integer"
+    mistyped = {
+        attr: f"{section}.{key}: {_TYPE_CHECKS[parse][1]}"
         for section, key, attr, parse, _ in _FIELDS
-        if parse is int
-        and not _is_integer(value := getattr(cfg, attr))
+        if parse in _TYPE_CHECKS
+        and not _TYPE_CHECKS[parse][0](value := getattr(cfg, attr))
         and not (value is None and attr in optional)
-    ]
+    }
+    errors = list(mistyped.values())
 
     def below(*rows):
         return [f"{name}: must be >= {low}" for name, value, low in rows
@@ -396,10 +416,22 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
             errors.append(str(exc))
     errors += below(("run.steps", cfg.steps, 0), ("run.stride", cfg.stride, 1))
     for key, check, value in (("gain", check_gain, cfg.gain), ("radii", check_radii, cfg.radii)):
+        if key in mistyped:
+            continue
         try:
             check(value)
         except ValueError as exc:
             errors.append(f"algorithm.{key}: {exc}")
+    # a real that nothing above read (p on a ring, say) still lands in the summary
+    named = {e.partition(":")[0] for e in errors}
+    errors += [
+        f"{section}.{key}: must be finite, got {value!r}"
+        for section, key, attr, parse, _ in _FIELDS
+        if parse is float
+        and attr not in mistyped
+        and not math.isfinite(value := getattr(cfg, attr))
+        and f"{section}.{key}" not in named
+    ]
     if model is None or schedule is None:
         return PreflightReport(errors, warnings_, None, model, schedule)
 

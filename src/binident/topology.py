@@ -5,8 +5,10 @@ Directed graphs with mandatory self-loops, weight matrix constructions
 list of weight matrices, validation of the standing network assumptions
 (per-step double stochasticity and windowed joint strong connectivity),
 and backward products of the weight matrices whose deviation from the
-averaging matrix decays geometrically on validated schedules.  Everything
-here, the strong-connectivity search included, runs on numpy alone.
+averaging matrix decays geometrically on validated schedules (a static
+symmetric doubly stochastic matrix gives the whole profile from its
+spectrum).  Everything here, the strong-connectivity search included, runs
+on numpy alone.
 
 Agent ids are 1-based in the public API.  An edge ``(j, i)`` means agent i
 receives from agent j; matrices are indexed ``w[i-1, j-1]``.
@@ -329,11 +331,32 @@ def deviation_profile(schedule: TopologySchedule, s: int, max_lag: int) -> np.nd
 
     One entry per lag 0..max_lag; on schedules passing validation they decay
     geometrically in the lag.
+
+    A static schedule whose matrix W is exactly symmetric, with row and
+    column sums within n ulps of 1 (the rounding of an n-term sum), takes
+    the spectral route: W commutes with J = 11'/n, so the distance at lag t
+    is ``rho(W - J)**(t + 1)`` exactly, from one ``eigvalsh``.  The
+    tolerance is tight because a matrix whose rows sum to 1 + d has an
+    eigenvalue near 1 + d along 1, and its true distance then reads about
+    ``(t + 1) d`` wherever that exceeds the power: validate_c4's 1e-9 would
+    leave out 2e-7 at lag 200, where the preset-v profile is near 1e-9.
+    Every other schedule (periodic ones, degree weights, matrices not
+    stochastic to rounding) takes the backward product and one SVD per lag.
     """
     if s < 1 or max_lag < 0:
         raise ValueError(f"need s >= 1 and max_lag >= 0, got s={s}, max_lag={max_lag}")
     n = schedule.n_agents
     avg = np.full((n, n), 1.0 / n)
+    w = schedule.weights[0].w
+    ulps = n * np.finfo(np.float64).eps
+    if (
+        schedule.period == 1
+        and np.array_equal(w, w.T)
+        and np.abs(w.sum(axis=1) - 1.0).max() <= ulps
+        and np.abs(w.sum(axis=0) - 1.0).max() <= ulps
+    ):
+        rho = np.abs(np.linalg.eigvalsh(w - avg)).max()
+        return rho ** np.arange(1, max_lag + 2)
     out = np.empty(max_lag + 1)
     prod = np.eye(n)
     for lag in range(max_lag + 1):

@@ -103,6 +103,37 @@ def reference_backward_product(mats):
     return prod
 
 
+def reference_deviation_profile(schedule, s, max_lag):
+    """``topology.deviation_profile`` as it was before the spectral route:
+    the backward product over every schedule, one SVD per lag."""
+    n = schedule.n_agents
+    avg = np.full((n, n), 1.0 / n)
+    out = np.empty(max_lag + 1)
+    prod = np.eye(n)
+    for lag in range(max_lag + 1):
+        prod = schedule[s + lag].w @ prod
+        out[lag] = np.linalg.norm(prod - avg, 2)
+    return out
+
+
+def reference_centred_profile(w, max_lag):
+    """Distances ``||(W - J)^(lag+1)||_2`` of one doubly stochastic W.
+
+    Equal to the backward-product profile in exact arithmetic, since
+    ``W^t - J = (W - J)^t`` when W1 = 1 = W'1.  In floating point the
+    centred product has no component along 1 to drift, so it stays
+    accurate where the plain product's rounding shows.
+    """
+    n = len(w)
+    centred = w - np.full((n, n), 1.0 / n)
+    out = np.empty(max_lag + 1)
+    prod = np.eye(n)
+    for lag in range(max_lag + 1):
+        prod = centred @ prod
+        out[lag] = np.linalg.norm(prod, 2)
+    return out
+
+
 def reference_consensus_gap(theta):
     """Root of the summed squared distances from the plain average."""
     n = len(theta)
@@ -305,3 +336,22 @@ def reference_centralized_baseline(model, steps, seed, record_every=1):
         if k % record_every == 0 or k == steps:
             traj.append(theta.copy())
     return np.array(traj)
+
+
+# The numpy draws the built-in samplers replaced by in-place fills.
+
+def reference_gaussian_sample(noise, rng, size=None):
+    return rng.normal(0.0, noise.sigma, size)
+
+
+def reference_uniform_noise_sample(noise, rng, size=None):
+    return rng.uniform(-noise.half_width, noise.half_width, size)
+
+
+def reference_sparse_draw(gen, rng, size=None):
+    return rng.uniform(-1.0, 1.0, size)
+
+
+def reference_dense_draw(gen, rng, size=None):
+    shape = gen.l if size is None else (size, gen.l)
+    return rng.uniform(-1.0, 1.0, shape) * (gen.bound / math.sqrt(gen.l))

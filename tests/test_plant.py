@@ -8,6 +8,12 @@ from scipy import stats
 from scipy.special import ndtr
 
 import binident as bi
+from reference import (
+    reference_dense_draw,
+    reference_gaussian_sample,
+    reference_sparse_draw,
+    reference_uniform_noise_sample,
+)
 
 NOISES = [
     bi.GaussianNoise(0.09),
@@ -63,6 +69,43 @@ def test_builtin_noise_never_draws_negative_zero(noise):
     for draw in (noise.sample(_generator_whose_next_output_is(raw)),
                  noise.sample(_generator_whose_next_output_is(raw), 3)[0]):
         assert draw == 0.0 and math.copysign(1.0, draw) == 1.0
+
+
+SAMPLERS = [
+    (bi.GaussianNoise(0.09).sample, reference_gaussian_sample, bi.GaussianNoise(0.09)),
+    (bi.GaussianNoise(7.3).sample, reference_gaussian_sample, bi.GaussianNoise(7.3)),
+    (bi.UniformNoise(0.3).sample, reference_uniform_noise_sample, bi.UniformNoise(0.3)),
+    (bi.SparseUniformRegressors(4).draw, reference_sparse_draw, bi.SparseUniformRegressors(4)),
+    (bi.DenseUniformRegressors(3, 2.5).draw, reference_dense_draw,
+     bi.DenseUniformRegressors(3, 2.5)),
+]
+SAMPLER_IDS = ["gaussian", "gaussian-wide", "uniform", "sparse", "dense"]
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("sample, reference, law", SAMPLERS, ids=SAMPLER_IDS)
+@pytest.mark.parametrize("size", [None, 0, 1, 65_537])
+def test_in_place_samplers_equal_numpy_draws_bit_for_bit(sample, reference, law, size):
+    for seed in (0, 11):
+        got = sample(np.random.default_rng(seed), size)
+        _assert_same_bits(got, reference(law, np.random.default_rng(seed), size))
+
+
+@pytest.mark.parametrize("sample, reference, law", SAMPLERS, ids=SAMPLER_IDS)
+@pytest.mark.parametrize("raw", [1 << 8, 1 << 63, 0], ids=["normal-minus-zero", "unit-half", "zero"])
+def test_in_place_samplers_keep_numpy_zero_signs(sample, reference, law, raw):
+    # raw outputs that drive the draws to zeros, as in
+    # test_builtin_noise_never_draws_negative_zero: a standard normal -0.0
+    # and a unit draw of 0.5 (the uniform midpoint); and a unit draw of 0
+    for size in (None, 3):
+        got = sample(_generator_whose_next_output_is(raw), size)
+        _assert_same_bits(got, reference(law, _generator_whose_next_output_is(raw), size))
 
 
 def test_gaussian_density_at_zero_closed_form():

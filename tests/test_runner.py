@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import binident as bi
-from binident.runner import ExperimentConfig, preflight, read_trajectory_csv, write_trajectory_csv
+from binident.cli import main
+from binident.runner import (
+    _FIELDS,
+    ExperimentConfig,
+    _parse_bool,
+    preflight,
+    read_trajectory_csv,
+    write_trajectory_csv,
+)
 from binident.topology import degree_weights, dump_schedule, from_undirected_pairs
 
 STAR4 = (0.5, -0.4, 0.3, -0.35)
@@ -384,6 +392,40 @@ def test_preflight_names_each_bad_integer_or_range_field_once(overrides, message
     assert preflight(small_config(**overrides)).errors == [message]
     with pytest.raises(ValueError, match=re.escape(message)):
         bi.run_experiment(small_config(**overrides))
+
+
+_HOSTILE = {
+    float: [None, True, "x", "0.5", (1.0,), float("nan"), float("inf"), float("-inf")],
+    _parse_bool: [None, "x", "true", 2.5, 1, float("nan")],
+}
+_TYPED_CASES = [
+    (f"{section}.{key}", parse, attr, value)
+    for section, key, attr, parse, _ in _FIELDS
+    if parse in _HOSTILE
+    for value in _HOSTILE[parse]
+]
+
+
+@pytest.mark.parametrize(
+    "name, parse, attr, value", _TYPED_CASES,
+    ids=[f"{name}={value!r}" for name, _, _, value in _TYPED_CASES],
+)
+def test_preflight_names_each_mistyped_or_non_finite_field_once(
+    tmp_path, capsys, name, parse, attr, value
+):
+    # small_config's partitioned ring never reads p: it is checked all the same
+    out = tmp_path / "out"
+    cfg = small_config(**{attr: value}, out=str(out))
+    errors = preflight(cfg).errors
+    assert len(errors) == 1 and errors[0].startswith(f"{name}: "), errors
+    with pytest.raises(ValueError, match=re.escape(errors[0])):
+        bi.run_experiment(cfg)
+    assert not out.exists()
+    if parse is float and isinstance(value, float):     # an INI can hold it too
+        cfg.to_ini(tmp_path / "cfg.ini")
+        assert main(["simulate", "--config", str(tmp_path / "cfg.ini")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: invalid config:", *errors]
+        assert not out.exists()
 
 
 def test_preflight_accepts_numpy_integer_steps():

@@ -15,6 +15,8 @@ import binident as bi
 from binident.topology import _strongly_connected
 from reference import (
     reference_backward_product,
+    reference_centred_profile,
+    reference_deviation_profile,
     reference_strongly_connected,
 )
 
@@ -338,11 +340,68 @@ def _static(n_or_graph, weight_fn=bi.metropolis_weights):
     return bi.TopologySchedule.static(g, weight_fn(g))
 
 
-def test_instant_averaging_has_zero_deviation():
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_instant_averaging_has_zero_deviation(n):
     # metropolis on the complete graph gives exactly 1/n everywhere
-    sched = _static(4)
-    assert np.array_equal(sched[1].w, np.full((4, 4), 0.25))
+    sched = _static(n)
+    assert np.array_equal(sched[1].w, np.full((n, n), 1.0 / n))
     assert np.array_equal(bi.deviation_profile(sched, 1, 4), np.zeros(5))
+
+
+def _preset_v_schedule():
+    return bi.preflight(bi.preset_v(seed=101)).schedule
+
+
+@pytest.mark.parametrize(
+    "make, lags",
+    [
+        (_preset_v_schedule, 200),
+        (lambda: _static(bi.ring_graph(10)), 50),
+        (lambda: _static(bi.generate_poisson_graph(30, 0.2, 7)), 40),
+    ],
+    ids=["preset-v", "ring-10", "poisson-30"],
+)
+def test_static_symmetric_profile_comes_from_the_spectrum(make, lags):
+    sched = make()
+    w = sched[1].w
+    n = sched.n_agents
+    got = bi.deviation_profile(sched, 1, lags)
+    rho = np.abs(np.linalg.eigvalsh(w - np.full((n, n), 1.0 / n))).max()
+    assert np.array_equal(got, rho ** np.arange(1, lags + 2))
+    np.testing.assert_allclose(got, reference_centred_profile(w, lags), rtol=1e-10, atol=0)
+    # The plain backward product drifts once the distance nears its own
+    # rounding: at lag 200 on the preset-v graph it reads 1.9e-9 off the
+    # centred product (which agrees with the spectral route to 1.4e-13), so
+    # it is compared where it still reads above 1e-7.
+    plain = reference_deviation_profile(sched, 1, lags)
+    resolved = plain > 1e-7
+    assert resolved[: lags // 2].all()
+    np.testing.assert_allclose(got[resolved], plain[resolved], rtol=1e-10, atol=0)
+
+
+def _off_by_more_than_rounding():
+    # symmetric, rows summing to 1 + 1e-12: doubly stochastic for validate_c4
+    g = bi.ring_graph(10)
+    wm = bi.WeightMatrix(g, bi.metropolis_weights(g).w * (1.0 + 1e-12))
+    assert np.array_equal(wm.w, wm.w.T) and bi.is_doubly_stochastic(wm)
+    return bi.TopologySchedule.static(g, wm)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: bi.partitioned_ring_schedule(8, 4),
+        lambda: _static(bi.from_undirected_pairs(5, [(1, 2), (1, 3), (1, 4), (4, 5)]),
+                        bi.degree_weights),
+        _off_by_more_than_rounding,
+    ],
+    ids=["period-4-ring", "degree-weights", "rows-off-by-1e-12"],
+)
+def test_other_schedules_keep_the_backward_product(make):
+    sched = make()
+    for s in (1, 3):
+        got = bi.deviation_profile(sched, s, 30)
+        assert np.array_equal(got, reference_deviation_profile(sched, s, 30))
 
 
 def test_deviation_rejects_bad_window():

@@ -27,7 +27,7 @@ lines give the run-line digests of ``preset_v`` seed 101 and of
 ``ring-dense-1`` at zero steps, a run that draws nothing.  It then prints
 one line per analysis and oracle output on a sparse and a dense model, and
 two on the preset-v model: the output's name and the SHA-256 of its array
-bytes.  That makes 90 lines.
+bytes.  Two ``deviation_profile`` lines come last.  That makes 92 lines.
 No golden values are stored, because BLAS may round differently on
 another host.  To check that a change keeps the artifacts, run the
 script in a checkout of the parent and in the change, on the same machine,
@@ -63,7 +63,10 @@ origin and from all-fives, and ``regression_jacobian`` at the point where
 quadrature on ``preset_v`` seed 101, the model the benchmark's theory-check
 workload analyses: ``regression_function`` at 20 fixed points and
 ``solve_root`` from 10 fixed starts, both drawn around theta* from a
-generator seeded with 101.
+generator seeded with 101.  Two profile lines hash ``deviation_profile``:
+on the ``preset_v`` seed 101 schedule at 200 lags, as theory-check runs it
+(a static symmetric matrix: the spectral route), and on the partitioned
+ring at 50 lags (period 4: the backward product).
 
 The script imports ``binident`` from the ``src`` directory next to it.
 """
@@ -315,6 +318,16 @@ def preset_analysis_outputs() -> list[tuple[str, np.ndarray]]:
     ]
 
 
+def profile_outputs() -> list[tuple[str, np.ndarray]]:
+    """``deviation_profile`` on one schedule of each route."""
+    preset = bi.preflight(bi.preset_v(seed=101)).schedule
+    ring = bi.preflight(ring_config(1, 0)).schedule
+    return [
+        ("preset-v-101-deviation_profile", bi.deviation_profile(preset, 1, 200)),
+        ("ring-deviation_profile", bi.deviation_profile(ring, 1, 50)),
+    ]
+
+
 def analysis_models() -> list[tuple[str, bi.SystemModel]]:
     dense = replace(
         ring_config(1, 0), regressor_kind="dense-uniform", noise_kind="laplace",
@@ -345,7 +358,7 @@ def main() -> None:
                 print(f"{name}-{start}-direct", direct_step_digest(cfg, disagreeing), flush=True)
     print("generic-direct", generic_step_digest(), flush=True)
     outputs = [out for kind, model in analysis_models() for out in analysis_outputs(kind, model)]
-    for name, arr in outputs + preset_analysis_outputs():
+    for name, arr in outputs + preset_analysis_outputs() + profile_outputs():
         print(name, hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest(), flush=True)
 
 
