@@ -21,6 +21,7 @@ import json
 import math
 import numbers
 import time
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -129,6 +130,7 @@ _TYPE_CHECKS = {
     int: (_is_integer, "must be an integer"),
     float: (_is_real, "must be a real number"),
     _parse_bool: (lambda value: isinstance(value, bool), "must be true or false"),
+    str: (lambda value: isinstance(value, str), "must be a string"),
 }
 
 
@@ -182,9 +184,11 @@ class ExperimentConfig:
             value = getattr(self, attr)
             if parse is _parse_theta and not isinstance(value, str):
                 value = [float(v) for v in value]
+            elif parse in (int, float) and value is not None:
+                value = parse(value)        # a numpy scalar is written as a plain number
             block, _, name = summary_key.rpartition(".")
             (d.setdefault(block, {}) if block else d)[name] = value
-        d["noise"].update(self.noise_params)
+        d["noise"].update({key: float(value) for key, value in self.noise_params.items()})
         return d
 
     # -- INI round trip ------------------------------------------------
@@ -370,13 +374,15 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
     warning since the scheme is an explicit user choice.  A ``model`` given
     by the caller is checked in place of the one the config describes.
 
-    Every field of the config table parsed as an int, a float or a bool
-    must hold one, whichever topology is chosen: an int or numpy integer, a
-    finite real, a bool (a bool is neither of the first two; ``period`` and
-    ``window`` may be None).  A config with a mistyped field, or with
-    ``n_agents``, ``l`` or ``seed`` out of range, is reported field by field
-    and not built; a non-finite real is reported once, by the check that
-    reads it or else as not finite.
+    Every field of the config table parsed as an int, a float, a bool or a
+    str must hold one, whichever topology is chosen: an int or numpy
+    integer, a finite real, a bool, a str (a bool is neither of the first
+    two; ``period``, ``window``, ``out`` and ``schedule_file`` may be
+    None).  Every noise parameter must be a finite real.  A config with a
+    mistyped field or noise parameter, or with ``n_agents``, ``l`` or
+    ``seed`` out of range, is reported field by field and not built; a
+    non-finite real field is reported once, by the check that reads it or
+    else as not finite.
 
     The noise must have median zero and a positive density at zero.  The
     built-in noise kinds are symmetric by construction (``cdf(0) == 0.5``
@@ -394,6 +400,15 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
         and not (value is None and attr in optional)
     }
     errors = list(mistyped.values())
+    if not isinstance(cfg.noise_params, Mapping):
+        errors.append("noise: parameters must be a mapping of names to reals")
+    else:
+        errors += [
+            f"noise.{key}: must be a real number" if not _is_real(value)
+            else f"noise.{key}: must be finite"
+            for key, value in cfg.noise_params.items()
+            if not (_is_real(value) and math.isfinite(value))
+        ]
 
     def below(*rows):
         return [f"{name}: must be >= {low}" for name, value, low in rows

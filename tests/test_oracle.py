@@ -1,5 +1,6 @@
 """Centralized baseline, root solver, single-agent identifiability probe."""
 
+import inspect
 import json
 import tracemalloc
 
@@ -156,11 +157,14 @@ _BASELINE_MODELS = {
 }
 
 
+_BLOCK = inspect.signature(bi.ModelStreams).parameters["block"].default
+
+
 @pytest.mark.parametrize("kind", sorted(_BASELINE_MODELS))
 def test_baseline_equals_the_batch_form_across_block_boundaries(kind):
-    # the stream block is 4096 steps; the expected last refill is the remainder
+    # the expected last refill is the remainder of the stream block
     model = _BASELINE_MODELS[kind]()
-    for steps in (4095, 4096, 4097, 9000):
+    for steps in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 11 * _BLOCK // 5):
         want = reference_centralized_baseline(model, steps, seed=3)
         if kind == "truncating":
             moved = [k for k in range(2, steps + 1) if not want[k].any() and want[k - 1].any()]
@@ -173,18 +177,19 @@ def test_baseline_equals_the_batch_form_across_block_boundaries(kind):
 
 
 def test_baseline_holds_at_most_two_and_a_half_stream_blocks():
-    # one block is 100 agents x 4096 steps of float64; a step drops its
-    # columns before the next draw, so a refill never keeps the old block
+    # one block is 100 agents x the default block of float64; a step drops
+    # its columns before the next draw, so a refill never keeps the old
+    # block; the recorded trajectory comes on top
     model = bi.build_model(bi.preset_v(seed=101, steps=0))
-    block = model.n_agents * 4096 * 8
+    block = model.n_agents * _BLOCK * 8
     bi.centralized_baseline(model, 10, seed=0)
     tracemalloc.start()
     try:
-        bi.centralized_baseline(model, 9000, seed=0)
+        traj = bi.centralized_baseline(model, 9000, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * block, peak / block
+    assert peak <= 2.5 * block + traj.nbytes, (peak - traj.nbytes) / block
 
 
 # ---------------------------------------------------------------------------

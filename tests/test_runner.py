@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ import binident as bi
 from binident.cli import main
 from binident.runner import (
     _FIELDS,
+    _TYPE_CHECKS,
     ExperimentConfig,
     _parse_bool,
     preflight,
@@ -397,12 +398,15 @@ def test_preflight_names_each_bad_integer_or_range_field_once(overrides, message
 _HOSTILE = {
     float: [None, True, "x", "0.5", (1.0,), float("nan"), float("inf"), float("-inf")],
     _parse_bool: [None, "x", "true", 2.5, 1, float("nan")],
+    str: [None, 5, True, b"ring", ("ring",), ["ring"]],
 }
+_OPTIONAL = {f.name for f in fields(ExperimentConfig) if f.default is None}
 _TYPED_CASES = [
     (f"{section}.{key}", parse, attr, value)
     for section, key, attr, parse, _ in _FIELDS
     if parse in _HOSTILE
     for value in _HOSTILE[parse]
+    if not (value is None and attr in _OPTIONAL)
 ]
 
 
@@ -413,11 +417,13 @@ _TYPED_CASES = [
 def test_preflight_names_each_mistyped_or_non_finite_field_once(
     tmp_path, capsys, name, parse, attr, value
 ):
-    # small_config's partitioned ring never reads p: it is checked all the same
+    # small_config's partitioned ring never reads p or file: they are checked all the same
     out = tmp_path / "out"
-    cfg = small_config(**{attr: value}, out=str(out))
+    cfg = small_config(**{"out": str(out), attr: value})
     errors = preflight(cfg).errors
     assert len(errors) == 1 and errors[0].startswith(f"{name}: "), errors
+    if not (parse is float and isinstance(value, float)):
+        assert errors == [f"{name}: {_TYPE_CHECKS[parse][1]}"]
     with pytest.raises(ValueError, match=re.escape(errors[0])):
         bi.run_experiment(cfg)
     assert not out.exists()
@@ -430,6 +436,55 @@ def test_preflight_names_each_mistyped_or_non_finite_field_once(
 
 def test_preflight_accepts_numpy_integer_steps():
     assert preflight(small_config(steps=np.int64(300))).ok
+
+
+def test_numpy_scalars_run_and_are_written_as_plain_numbers(tmp_path):
+    cfg = ExperimentConfig(
+        n_agents=8, l=4, steps=np.int64(30), seed=1, topology_kind="ring",
+        gain=np.float32(2), noise_params={"sigma2": np.float32(0.25)}, out=str(tmp_path),
+    )
+    assert preflight(cfg).ok
+    assert bi.run_experiment(cfg).final.k == 31
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    config = summary["config"]
+    assert config["steps"] == 30 and type(config["steps"]) is int
+    assert config["algorithm"]["gain"] == 2.0 and type(config["algorithm"]["gain"]) is float
+    assert config["noise"]["sigma2"] == 0.25 and type(config["noise"]["sigma2"]) is float
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("0.1", "must be a real number"), (True, "must be a real number"),
+     (float("nan"), "must be finite"), (float("inf"), "must be finite")],
+    ids=["str", "bool", "nan", "inf"],
+)
+def test_preflight_names_each_mistyped_or_non_finite_noise_parameter_once(
+    tmp_path, capsys, value, message
+):
+    out = tmp_path / "out"
+    cfg = small_config(noise_params={"sigma2": value}, out=str(out))
+    assert preflight(cfg).errors == [f"noise.sigma2: {message}"]
+    with pytest.raises(ValueError, match=re.escape(f"noise.sigma2: {message}")):
+        bi.run_experiment(cfg)
+    # in an INI, the value's repr: a quoted string and True fail to parse
+    ini = tmp_path / "cfg.ini"
+    small_config(out=str(out)).to_ini(ini)
+    text = ini.read_text(encoding="utf-8")
+    ini.write_text(text.replace("sigma2 = 0.01", f"sigma2 = {value!r}"), encoding="utf-8")
+    assert main(["simulate", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    if isinstance(value, float):
+        assert err == ["error: invalid config:", f"noise.sigma2: {message}"]
+    else:
+        assert err == [f"error: noise.sigma2: cannot parse {repr(value)!r}"]
+    assert not out.exists()
+
+
+def test_preflight_rejects_noise_parameters_that_are_not_a_mapping():
+    for params in (None, [("sigma2", 0.01)]):
+        assert preflight(small_config(noise_params=params)).errors == [
+            "noise: parameters must be a mapping of names to reals"
+        ]
 
 
 def test_preflight_rejects_bad_gain_and_radii():
@@ -627,7 +682,7 @@ def test_preflight_checks_the_median_of_custom_noise(noise):
 )
 def test_preflight_rejects_infinite_noise_parameters(kind, param):
     rep = preflight(small_config(noise_kind=kind, noise_params={param: float("inf")}))
-    assert rep.errors == [f"noise: {param} must be positive and finite, got inf"]
+    assert rep.errors == [f"noise.{param}: must be finite"]
 
 
 # ---------------------------------------------------------------------------

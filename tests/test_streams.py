@@ -1,5 +1,8 @@
 """Deterministic per-(agent, role) random streams and block caching."""
 
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -338,3 +341,48 @@ def test_a_plain_stream_bank_names_the_agent_that_drew_nan():
 def test_a_stream_bank_rejects_a_bad_seed_at_construction():
     with pytest.raises(ValueError):
         bi.StreamBank([3, -1], lambda g, size: g.standard_normal(size))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("width", [None, 3])
+def test_a_refill_names_the_first_agent_that_drew_a_non_finite_value(width, bad):
+    # agents 2 and 4 go bad in their second block, in a middle slot; the
+    # others, agent 0 included, stay finite
+    gens = [np.random.default_rng(i) for i in range(5)]
+    calls = {id(g): 0 for g in gens}
+
+    def draw(g, size):
+        d = g.standard_normal(size if width is None else (size, width))
+        calls[id(g)] += 1
+        if calls[id(g)] == 2 and g in (gens[2], gens[4]):
+            d[1] = bad
+        return d
+
+    bank = bi.StreamBank(gens, draw, block=4)
+    first = [bank.column() for _ in range(4)]
+    assert all(np.isfinite(col).all() for col in first)
+    assert first[0].shape == ((5,) if width is None else (5, width))
+    with pytest.raises(ValueError, match=rf"^draws: the sampler returned {bad} for agent 2$"):
+        bank.column()
+
+
+def test_a_run_holds_at_most_two_and_a_half_stream_blocks():
+    # a refill frees the old block before it draws the new one, so the two
+    # banks' blocks, the new block's finiteness mask and the engine's
+    # (65, n, l) window buffer are about all a run holds
+    cfg = bi.preset_v(seed=101, steps=0)
+    pre = bi.preflight(cfg)
+    model = pre.model
+    default = inspect.signature(bi.ModelStreams).parameters["block"].default
+    block = model.n_agents * default * 8
+    window = 65 * model.n_agents * model.l * 8
+    kw = dict(gain=cfg.gain, radii=cfg.radii)
+    bi.run(model, pre.schedule, 10, seed=0, **kw)
+    streams = bi.ModelStreams(model, 0)
+    tracemalloc.start()
+    try:
+        bi.run(model, pre.schedule, 3000, streams=streams, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * block + window, (peak - window) / block
