@@ -65,7 +65,7 @@ from .runner import (
     run_experiment,
     write_trajectory_csv,
 )
-from .streams import ModelStreams, StreamBank, as_generator, spawn_agent_sequences
+from .streams import ModelStreams, StreamBank, spawn_agent_sequences
 from .topology import (
     Digraph,
     GeometricFit,

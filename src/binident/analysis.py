@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import SystemModel, sign_pm
-from .streams import _finite, _is_integer, as_generator
+from .streams import _finite, _is_integer
 
 
 @functools.lru_cache(maxsize=8)
@@ -196,7 +196,7 @@ def regression_function_mc(
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     sums = _mc_sparse_sums if ctx.closed_form else _mc_dense_sums
     total, total_sq = sums(ctx.model, theta, samples, rng)
     mean = total / samples

@@ -117,6 +117,7 @@ def _own_state(obj, name: str) -> None:
     object.__setattr__(obj, "sigma_uniform", bool((sigma == sigma[0]).all()))
 
 
+@dataclass(slots=True, eq=False)
 class TruncationLedger:
     """First-hit times of truncation levels.
 
@@ -127,14 +128,11 @@ class TruncationLedger:
     changed), so snapshots can share them.
     """
 
-    __slots__ = ("first_hit", "first_hit_agent", "sigma_max", "truncation_events", "last_change")
-
-    def __init__(self, first_hit, first_hit_agent, sigma_max, truncation_events, last_change):
-        self.first_hit = first_hit
-        self.first_hit_agent = first_hit_agent
-        self.sigma_max = sigma_max
-        self.truncation_events = truncation_events
-        self.last_change = last_change
+    first_hit: dict
+    first_hit_agent: dict
+    sigma_max: int
+    truncation_events: int
+    last_change: int
 
     @classmethod
     def initial(cls, n_agents: int, k0: int = 1) -> "TruncationLedger":

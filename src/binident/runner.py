@@ -71,12 +71,10 @@ _REGRESSOR_KINDS = ("sparse-uniform", "dense-uniform")
 
 
 def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _parse_theta(raw: str) -> object:
@@ -132,6 +130,39 @@ _TYPE_CHECKS = {
     _parse_bool: (lambda value: isinstance(value, bool), "must be true or false"),
     str: (lambda value: isinstance(value, str), "must be a string"),
 }
+
+
+def _mistyped(cfg) -> dict[str, str]:
+    """``section.key: must be ...`` for every config value of the wrong type.
+
+    Keyed by attribute, or ``noise.<key>`` for a noise parameter (which must
+    be real), in table order.  A real too large for a float is reported as
+    not finite: no float holds it.  Non-finite floats pass here.
+    """
+    optional = {f.name for f in fields(cfg) if f.default is None}
+    rows = [
+        (attr, f"{section}.{key}", parse, getattr(cfg, attr))
+        for section, key, attr, parse, _ in _FIELDS
+        if parse in _TYPE_CHECKS
+    ]
+    params = cfg.noise_params
+    if isinstance(params, Mapping):
+        rows += [(f"noise.{key}", f"noise.{key}", float, value) for key, value in params.items()]
+    out = {}
+    for attr, name, parse, value in rows:
+        test, message = _TYPE_CHECKS[parse]
+        if value is None and attr in optional:
+            continue
+        if not test(value):
+            out[attr] = f"{name}: {message}"
+        elif parse is float:
+            try:
+                float(value)
+            except OverflowError:
+                out[attr] = f"{name}: must be finite"
+    if not isinstance(params, Mapping):
+        out["noise"] = "noise: parameters must be a mapping of names to reals"
+    return out
 
 
 @dataclass
@@ -235,6 +266,10 @@ class ExperimentConfig:
         return cfg
 
     def to_ini(self, path) -> None:
+        """Write the config as INI text; a mistyped field raises ValueError and writes nothing."""
+        mistyped = _mistyped(self)
+        if mistyped:
+            raise ValueError("\n".join(mistyped.values()))
         sections: dict = {}
         for section, key, attr, parse, _ in _FIELDS:
             value = getattr(self, attr)
@@ -378,7 +413,8 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
     str must hold one, whichever topology is chosen: an int or numpy
     integer, a finite real, a bool, a str (a bool is neither of the first
     two; ``period``, ``window``, ``out`` and ``schedule_file`` may be
-    None).  Every noise parameter must be a finite real.  A config with a
+    None).  Every noise parameter must be a finite real; an int too large
+    for a float is reported as not finite.  A config with a
     mistyped field or noise parameter, or with ``n_agents``, ``l`` or
     ``seed`` out of range, is reported field by field and not built; a
     non-finite real field is reported once, by the check that reads it or
@@ -391,23 +427,13 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
     path.
     """
     warnings_: list[str] = []
-    optional = {f.name for f in fields(cfg) if f.default is None}
-    mistyped = {
-        attr: f"{section}.{key}: {_TYPE_CHECKS[parse][1]}"
-        for section, key, attr, parse, _ in _FIELDS
-        if parse in _TYPE_CHECKS
-        and not _TYPE_CHECKS[parse][0](value := getattr(cfg, attr))
-        and not (value is None and attr in optional)
-    }
+    mistyped = _mistyped(cfg)
     errors = list(mistyped.values())
-    if not isinstance(cfg.noise_params, Mapping):
-        errors.append("noise: parameters must be a mapping of names to reals")
-    else:
+    if "noise" not in mistyped:
         errors += [
-            f"noise.{key}: must be a real number" if not _is_real(value)
-            else f"noise.{key}: must be finite"
+            f"noise.{key}: must be finite"
             for key, value in cfg.noise_params.items()
-            if not (_is_real(value) and math.isfinite(value))
+            if f"noise.{key}" not in mistyped and not math.isfinite(value)
         ]
 
     def below(*rows):

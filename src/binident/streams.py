@@ -15,12 +15,12 @@ steps it will read says so (:meth:`ModelStreams.expect`), and the last
 refill then draws only those steps instead of a whole block.
 
 :class:`ModelStreams` seeds its per-agent generators without building the
-per-agent SeedSequences: it runs numpy's SeedSequence hash once on the words
-the agents share and once, vectorised over the agents, on each agent's own
-index, and gets the same PCG64 seeds bit for bit.  Every refill checks its
-whole block once, so a sampler that returns NaN or an infinity fails at
-that refill with a ``ValueError`` naming its role and the first agent that
-drew one.
+per-agent SeedSequences: it starts from each role child's own ``pool``
+(numpy's hash of the words the agents share) and mixes in each agent's
+index, vectorised over the agents, getting the same PCG64 seeds bit for
+bit.  Every refill checks its whole block once, so a sampler that returns
+NaN or an infinity fails at that refill with a ``ValueError`` naming its
+role and the first agent that drew one.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _M32 = 0xFFFFFFFF
 
 
-def as_generator(seed: SeedLike) -> np.random.Generator:
-    """Coerce an int seed, SeedSequence, or Generator (returned as is) into a Generator."""
-    return np.random.default_rng(seed)
-
-
 def _role_children(seed: int | np.random.SeedSequence) -> list[np.random.SeedSequence]:
     """The root's one child per role: the first level of the layout below."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -69,14 +64,6 @@ def spawn_agent_sequences(
     return {role: child.spawn(n_agents) for role, child in zip(_ROLES, _role_children(seed))}
 
 
-def _words(value: int) -> list[int]:
-    """The uint32 words of a non-negative int, low word first, as SeedSequence reads it."""
-    words = [value & _M32]
-    while value := value >> 32:
-        words.append(value & _M32)
-    return words
-
-
 class _PCG64Seed(ISeedSequence):
     """A PCG64 seed computed ahead, so building the generator hashes nothing."""
 
@@ -88,43 +75,24 @@ class _PCG64Seed(ISeedSequence):
 
 
 def _agent_generators(child: np.random.SeedSequence, n: int) -> list[np.random.Generator]:
-    """``[as_generator(s) for s in child.spawn(n)]``, without the n SeedSequences.
+    """``[default_rng(s) for s in child.spawn(n)]``, without the n SeedSequences.
 
-    The children's hash inputs are the same words but the last, the child's
-    index, so the hash runs once on the shared words (Python ints) and once,
-    vectorised, on the indices; each PCG64 then takes its four seed words
-    ready-made.  Generator 0 is checked against numpy's own construction;
-    on a mismatch (a numpy that hashes differently, or entropy that is not
-    an int) the children are spawned the slow way.
+    A child's hash input is its parent's words and then its own index, so
+    each child's pool is ``child.pool`` with that one word mixed in, at the
+    hash constant reached after the parent's words; the index mix and the
+    seed output run vectorised over the children, and each PCG64 takes its
+    four seed words ready-made.  Generator 0 is checked against numpy's own
+    construction; on a mismatch (a numpy that hashes differently, or entropy
+    that is not an int) the children are spawned the slow way.
     """
     first, ps = child.n_children_spawned, child.pool_size
     entropy = child.entropy
     if isinstance(entropy, (int, np.integer)) and 0 < n and first + n <= _M32 + 1:
-        words = _words(int(entropy))
-        words += [0] * (ps - len(words))
-        for k in child.spawn_key:
-            words += _words(int(k))
-        hc = _INIT_A
-
-        def hashmix(value):
-            nonlocal hc
-            value ^= hc
-            hc = hc * _MULT_A & _M32
-            value = value * hc & _M32
-            return value ^ value >> 16
-
-        def mix(x, y):
-            r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
-            return r ^ r >> 16
-
-        pool = [hashmix(w) for w in words[:ps]]
-        for src in range(ps):
-            for dst in range(ps):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for w in words[ps:]:
-            for dst in range(ps):
-                pool[dst] = mix(pool[dst], hashmix(w))
+        # the words hashed into child.pool: the entropy's, at least a pool's
+        # worth (numpy pads with zeros or hashes zeros up to it), then each
+        # spawn-key entry's; every word steps the hash constant ps times
+        sizes = [-(-max(1, int(v).bit_length()) // 32) for v in (entropy, *child.spawn_key)]
+        hc = _INIT_A * pow(_MULT_A, ps * (max(ps, sizes[0]) + sum(sizes[1:])), _M32 + 1) & _M32
         # the last word, each child's index, into every pool word, as (n, ps)
         pre = [hc]
         for _ in range(ps):
@@ -132,7 +100,7 @@ def _agent_generators(child: np.random.SeedSequence, n: int) -> list[np.random.G
         idx = np.arange(first, first + n, dtype=np.uint32)[:, None]
         v = (idx ^ np.array(pre[:-1], np.uint32)) * np.array(pre[1:], np.uint32)
         v ^= v >> 16
-        r = np.array(pool, np.uint32) * np.uint32(_MIX_MULT_L) - v * np.uint32(_MIX_MULT_R)
+        r = child.pool * np.uint32(_MIX_MULT_L) - v * np.uint32(_MIX_MULT_R)
         r ^= r >> 16
         # generate_state(4, uint64): eight words cycled from the pool
         pre = [_INIT_B]
@@ -145,7 +113,7 @@ def _agent_generators(child: np.random.SeedSequence, n: int) -> list[np.random.G
         real = np.random.SeedSequence(entropy, spawn_key=child.spawn_key + (first,), pool_size=ps)
         if gens[0].bit_generator.state == np.random.PCG64(real).state:
             return gens
-    return [as_generator(s) for s in child.spawn(n)]
+    return [np.random.default_rng(s) for s in child.spawn(n)]
 
 
 def _is_integer(value) -> bool:
@@ -185,7 +153,7 @@ class StreamBank:
     def __init__(self, sequences: Sequence[SeedLike], draw: Callable, block: int = _BLOCK):
         if block < 1:
             raise ValueError("block must be >= 1")
-        self._gens = [as_generator(s) for s in sequences]
+        self._gens = [np.random.default_rng(s) for s in sequences]
         self._draw = draw
         self._block = int(block)
         self._cache: np.ndarray | None = None

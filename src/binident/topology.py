@@ -21,8 +21,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .streams import as_generator
-
 
 # ---------------------------------------------------------------------------
 # graphs
@@ -82,7 +80,7 @@ def generate_poisson_graph(n: int, p: float, rng) -> Digraph:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     iu, ju = np.triu_indices(n, k=1)
     hit = gen.random(iu.size) < p
     pairs = [(int(a) + 1, int(b) + 1) for a, b in zip(iu[hit], ju[hit])]

@@ -1,5 +1,6 @@
 """Experiment configs, preflight validation, artifact IO, full runs."""
 
+import configparser
 import json
 import re
 from dataclasses import fields, replace
@@ -485,6 +486,56 @@ def test_preflight_rejects_noise_parameters_that_are_not_a_mapping():
         assert preflight(small_config(noise_params=params)).errors == [
             "noise: parameters must be a mapping of names to reals"
         ]
+
+
+@pytest.mark.parametrize(
+    "overrides, name",
+    [(dict(gain=10**400), "algorithm.gain"), (dict(gain=-10**400), "algorithm.gain"),
+     (dict(p=10**400), "topology.p"), (dict(regressor_bound=10**400), "regressor.bound"),
+     (dict(regressor_kind="dense-uniform", regressor_bound=10**400), "regressor.bound"),
+     (dict(noise_params={"sigma2": 10**400}), "noise.sigma2")],
+    ids=["gain", "gain-negative", "p", "bound-sparse", "bound-dense", "sigma2"],
+)
+def test_a_real_too_large_for_a_float_is_named_once_as_not_finite(tmp_path, overrides, name):
+    out = tmp_path / "out"
+    cfg = small_config(out=str(out), **overrides)
+    errors = preflight(cfg).errors
+    assert len(errors) == 1 and errors[0].startswith(f"{name}: "), errors
+    if name != "regressor.bound":       # the builder's own message may stand there
+        assert errors == [f"{name}: must be finite"]
+    with pytest.raises(ValueError, match=re.escape(errors[0])):
+        bi.run_experiment(cfg)
+    assert not out.exists()
+
+
+_UNWRITABLE = [
+    dict(gain="2"), dict(gain=True), dict(gain=10**400), dict(noise_params={"sigma2": True}),
+    dict(noise_params={"sigma2": "0.1"}), dict(noise_params=None), dict(stride=2.5),
+    dict(record_theta_bar=1), dict(topology_kind=5), dict(gain="2", weights=None),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides", _UNWRITABLE,
+    ids=["gain-str", "gain-bool", "gain-huge", "sigma2-bool", "sigma2-str", "params-none",
+         "stride-float", "theta_bar-int", "kind-int", "gain-and-weights"],
+)
+def test_to_ini_refuses_a_mistyped_config_with_preflights_lines(tmp_path, overrides):
+    cfg = small_config(**overrides)
+    errors = preflight(cfg).errors
+    assert errors and all(" must be " in e for e in errors), errors
+    path = tmp_path / "cfg.ini"
+    with pytest.raises(ValueError) as info:
+        cfg.to_ini(path)
+    assert str(info.value).splitlines() == errors
+    assert not path.exists()
+
+
+def test_parse_bool_reads_configparsers_words():
+    for raw, want in configparser.ConfigParser.BOOLEAN_STATES.items():
+        assert _parse_bool(f" {raw.upper()} ") is want
+    with pytest.raises(ValueError, match="not a boolean"):
+        _parse_bool("maybe")
 
 
 def test_preflight_rejects_bad_gain_and_radii():

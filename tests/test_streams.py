@@ -22,14 +22,6 @@ def _model(n_agents=4, l=3, kind="sparse", noise=None):
     )
 
 
-def test_as_generator_accepts_int_seedsequence_generator():
-    a = bi.as_generator(7)
-    b = bi.as_generator(np.random.SeedSequence(7))
-    assert a.uniform() == b.uniform()
-    g = np.random.default_rng(1)
-    assert bi.as_generator(g) is g
-
-
 def test_spawn_layout_is_role_major_and_prefix_stable():
     small = bi.spawn_agent_sequences(99, 3)
     large = bi.spawn_agent_sequences(99, 5)
@@ -133,7 +125,7 @@ def test_stream_bank_columns_equal_the_stacked_block_layout(kind, block):
     gen = _model(n_agents=5, l=3, kind=kind).regressor
     seqs = bi.spawn_agent_sequences(31, 5)["regressor"]
     bank = bi.StreamBank(seqs, gen.draw, block=block)
-    gens = [bi.as_generator(s) for s in seqs]
+    gens = [np.random.default_rng(s) for s in seqs]
     for _ in range(3):  # three refills
         want = np.stack([gen.draw(g, block) for g in gens], axis=1)
         got = np.array([bank.column() for _ in range(block)])
@@ -229,6 +221,22 @@ def test_model_streams_seed_the_generators_of_spawn_agent_sequences(seed):
 def test_model_streams_spawn_only_the_root_split():
     _CountingSeq.log = []
     bi.ModelStreams(_model(n_agents=100, l=8), _CountingSeq(17))
+    assert _CountingSeq.log == [2]
+
+
+_INT_SEEDS = [s for s in _SEEDS if isinstance(getattr(s, "entropy", s), (int, np.integer))]
+
+
+@pytest.mark.parametrize("seed", _INT_SEEDS, ids=range(len(_INT_SEEDS)))
+def test_every_int_entropy_seed_takes_the_pool_route(seed):
+    # 1-, 2- and 7-word entropy, pool_size 8 and a 2-word spawn-key entry:
+    # a wrong word count would still give the right streams, by spawning
+    if isinstance(seed, np.random.SeedSequence):
+        root = _CountingSeq(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+    else:
+        root = _CountingSeq(seed)
+    _CountingSeq.log = []
+    bi.ModelStreams(_model(n_agents=37), root)
     assert _CountingSeq.log == [2]
 
 
