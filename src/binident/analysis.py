@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _finite, check_count
 from .plant import SystemModel, sign_pm
-from .streams import _finite, _is_integer
 
 
 @functools.lru_cache(maxsize=8)
@@ -58,11 +58,9 @@ class RegressionContext:
     mc_fallback_seed: int = 0
 
     def __post_init__(self):
-        nodes = self.quad_nodes
-        if not _is_integer(nodes):
-            raise ValueError(f"quad_nodes must be an integer, got {nodes!r}")
-        if nodes < 2:
-            raise ValueError("quad_nodes must be >= 2")
+        check_count("quad_nodes", self.quad_nodes, 2)
+        check_count("mc_fallback_samples", self.mc_fallback_samples, 1)
+        check_count("mc_fallback_seed", self.mc_fallback_seed, 0)
         object.__setattr__(self, "closed_form", self.model.supports is not None)
 
     @property
@@ -178,8 +176,8 @@ def regression_function_mc(
     and averages ``phi_i * sign(y_i - phi_i' theta)``.  The generator is
     consumed agent by agent within each chunk of at most 65 536 samples,
     noise before regressor (deterministic given ``rng``, unrelated to run
-    streams).  ``samples`` must be an integer; a NaN or infinite draw raises
-    ValueError naming its role (``noise`` or ``regressor``).
+    streams).  ``samples`` is an integer of at least 1; a NaN or infinite
+    draw raises ValueError naming its role (``noise`` or ``regressor``).
 
     Each sample's vector ``sum_i phi_i s_i`` is summed over the chunk, and
     so are its squares, for the mean and the standard error.  The sparse
@@ -192,10 +190,7 @@ def regression_function_mc(
     the estimate equals that of the per-sample form bit for bit.
     """
     theta = _check_theta(ctx, theta, "theta")
-    if not _is_integer(samples):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    check_count("samples", samples, 1)
     rng = np.random.default_rng(rng)
     sums = _mc_sparse_sums if ctx.closed_form else _mc_dense_sums
     total, total_sq = sums(ctx.model, theta, samples, rng)
@@ -370,10 +365,8 @@ class TrajectoryRecorder:
         record_agent_errors: bool = False,
         record_theta_bar: bool = False,
     ):
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
+        self.stride = check_count("stride", stride, 1)
         self.theta_star = np.array(theta_star, dtype=np.float64)
-        self.stride = int(stride)
         self.record_agent_errors = record_agent_errors
         self.record_theta_bar = record_theta_bar
         self._ks: list[int] = []

@@ -88,8 +88,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._checks import check_count, check_positive
 from .plant import SystemModel
-from .streams import ModelStreams, _is_integer
+from .streams import ModelStreams
 from .topology import TopologySchedule, WeightMatrix
 
 
@@ -184,8 +185,7 @@ class NetworkSnapshot:
     ledger: TruncationLedger
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("step index k starts at 1")
+        check_count("k", self.k, 1)
         _own_state(self, "theta")
 
     @classmethod
@@ -216,11 +216,6 @@ class NetworkSnapshot:
 # gain and truncation radii
 
 RADII_KINDS = ("linear", "doubling")
-
-
-def check_gain(gain: float) -> None:
-    if not (math.isfinite(gain) and gain > 0):
-        raise ValueError(f"gain must be finite and positive, got {gain!r}")
 
 
 def check_radii(radii: str) -> None:
@@ -330,7 +325,7 @@ def dsaawet_identification_step(
     ``streams`` whose drawn columns do not fit the model, each with a
     ``ValueError`` that names the argument.
     """
-    check_gain(gain)
+    check_positive("gain", gain)
     n, l = model.n_agents, model.l
     if s.theta.shape != (n, l):
         raise ValueError(f"s: theta has shape {s.theta.shape}, the model needs ({n}, {l})")
@@ -399,8 +394,7 @@ def generic_dsaawet_step(
     rows ``s_i phi_i`` and the same weights give its result bit for bit.
     """
     check_radii(radii)
-    if not (math.isfinite(a_k) and a_k > 0):
-        raise ValueError(f"a_k must be finite and positive, got {a_k!r}")
+    check_positive("a_k", a_k)
     n, l = state.x.shape
     obs = np.asarray(observations, dtype=np.float64)
     if obs.shape != (n, l):
@@ -460,12 +454,9 @@ def run(
     not one).  ``init`` must hold ``(model.n_agents, model.l)`` estimates;
     with ``steps == 0`` it is returned as it is.
     """
-    check_gain(gain)
+    check_positive("gain", gain)
     check_radii(radii)
-    if not _is_integer(steps):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    check_count("steps", steps, 0)
     if init is not None and init.theta.shape != (model.n_agents, model.l):
         raise ValueError(
             f"init: theta has shape {init.theta.shape}, "

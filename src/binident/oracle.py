@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _is_integer, check_count, check_positive
 from .analysis import RegressionContext, regression_function, regression_jacobian
 from .identifier import run
 from .plant import SparseUniformRegressors, SystemModel
-from .streams import ModelStreams, _is_integer
+from .streams import ModelStreams
 from .topology import TopologySchedule, complete_graph, metropolis_weights
 
 
@@ -45,14 +46,8 @@ def centralized_baseline(model: SystemModel, steps: int, seed, record_every: int
     array of estimates: the initial zero row, every ``record_every``-th
     step, and the final step.
     """
-    if not _is_integer(steps):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if not _is_integer(record_every):
-        raise ValueError(f"record_every must be an integer, got {record_every!r}")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    check_count("steps", steps, 0)
+    check_count("record_every", record_every, 1)
     streams = ModelStreams(model, _checked_seed(seed))
     streams.expect(steps)
     l, sup = model.l, model.supports
@@ -96,9 +91,7 @@ def _checked_seed(seed):
         return seed
     if not _is_integer(seed):
         raise ValueError(f"seed must be an integer or a SeedSequence, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
+    return check_count("seed", seed, 0)
 
 
 class RootSolveError(RuntimeError):
@@ -218,12 +211,9 @@ def identifiability_probe(
     ``agent`` is a 1-based integer and ``seed`` a non-negative int or a
     SeedSequence.
     """
-    if not _is_integer(agent):
-        raise ValueError(f"agent must be an integer, got {agent!r}")
-    if not 1 <= agent <= model.n_agents:
+    if check_count("agent", agent, 1) > model.n_agents:
         raise ValueError(f"agent must lie in 1..{model.n_agents}")
-    if not (np.isfinite(threshold) and threshold > 0):
-        raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
+    check_positive("threshold", threshold)
     seed = _checked_seed(seed)
     sub_gen = model.regressor
     if model.supports is not None:

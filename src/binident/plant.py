@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_count, check_positive
+
 
 # ---------------------------------------------------------------------------
 # normal CDF
@@ -71,8 +73,8 @@ class NoiseModel:
     sampling, and a ``kind`` tag used by config files.  A built-in model's
     parameters are its dataclass fields, the names config files use.  All
     built-in models are symmetric about zero, so ``cdf(0) == 0.5`` holds
-    exactly wherever ``pdf(0) > 0``; their parameters must be positive and
-    finite.
+    exactly wherever ``pdf(0) > 0``; each parameter is a finite real above
+    zero.
     """
 
     kind = "abstract"
@@ -93,8 +95,7 @@ class GaussianNoise(NoiseModel):
     kind = "gaussian"
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
+        check_positive("sigma2", self.sigma2)
 
     @property
     def sigma(self) -> float:
@@ -126,8 +127,7 @@ class LaplaceNoise(NoiseModel):
     kind = "laplace"
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        check_positive("scale", self.scale)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -149,8 +149,7 @@ class UniformNoise(NoiseModel):
     kind = "uniform"
 
     def __post_init__(self):
-        if not (math.isfinite(self.half_width) and self.half_width > 0):
-            raise ValueError(f"half_width must be positive and finite, got {self.half_width!r}")
+        check_positive("half_width", self.half_width)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -208,11 +207,10 @@ class SparseUniformRegressors(RegressorGenerator):
     support: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValueError("l must be >= 1")
+        check_count("l", self.l, 1)
         if self.support is not None:
-            sup = tuple(int(m) for m in self.support)
-            if any(not 1 <= m <= self.l for m in sup):
+            sup = tuple(check_count("support", m, 1) for m in self.support)
+            if any(m > self.l for m in sup):
                 raise ValueError("support coordinates must lie in 1..l")
             object.__setattr__(self, "support", sup)
 
@@ -233,10 +231,8 @@ class DenseUniformRegressors(RegressorGenerator):
     bound: float = 1.0
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValueError("l must be >= 1")
-        if not (math.isfinite(self.bound) and self.bound > 0):
-            raise ValueError(f"bound must be finite and positive, got {self.bound!r}")
+        check_count("l", self.l, 1)
+        check_positive("bound", self.bound)
 
     def draw(self, rng, size=None):
         """One row, or ``(size, l)`` rows, of scaled iid uniform entries."""
@@ -367,8 +363,7 @@ class SystemModel:
             raise ValueError("theta_star must be a nonempty finite vector")
         theta.flags.writeable = False
         object.__setattr__(self, "theta_star", theta)
-        if self.n_agents < 1:
-            raise ValueError("n_agents must be >= 1")
+        check_count("n_agents", self.n_agents, 1)
         for name, cls in (("regressor", RegressorGenerator), ("noise", NoiseModel)):
             val = getattr(self, name)
             if not isinstance(val, cls):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import configparser
 import json
 import math
-import numbers
 import time
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -27,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import _is_integer, _is_real, check_positive
 from .analysis import (
     Metrics,
     TrajectoryRecorder,
@@ -38,7 +38,6 @@ from .analysis import (
 from .identifier import (
     InvariantMonitor,
     NetworkSnapshot,
-    check_gain,
     check_radii,
     run,
     sigma_settled,
@@ -51,7 +50,7 @@ from .plant import (
     graded_theta_star,
     make_noise,
 )
-from .streams import ModelStreams, _is_integer
+from .streams import ModelStreams
 from .topology import (
     TopologySchedule,
     ValidationReport,
@@ -81,12 +80,13 @@ def _parse_theta(raw: str) -> object:
     return raw if raw == "graded" else tuple(float(v) for v in raw.replace(",", " ").split())
 
 
-# How each parser's values are written back to INI text; others use str.
-_INI_TEXT = {
-    float: lambda v: repr(float(v)),
-    _parse_bool: lambda v: str(v).lower(),
-    _parse_theta: lambda v: v if isinstance(v, str) else ", ".join(repr(float(x)) for x in v),
-}
+def _is_theta(value) -> bool:
+    """Whether ``value`` is "graded" or a tuple, list or 1-D array of reals."""
+    if isinstance(value, str):
+        return value == "graded"
+    return (isinstance(value, (tuple, list, np.ndarray)) and getattr(value, "ndim", 1) == 1
+            and all(_is_real(v) for v in value))
+
 
 # One row per config field, in summary.json order: (INI section, INI key,
 # attribute, parser, summary key).  A summary key "a.b" nests b in block a;
@@ -117,18 +117,19 @@ _FIELDS = (
 _NOISE_PARAMS = tuple(f.name for cls in _NOISE_KINDS.values() for f in fields(cls))
 
 
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number; a bool is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 # What a value of each parser's type must be in a config built in code (an
-# INI value has been through its parser): the test and the error it gives.
+# INI value has been through its parser): the test, the error it gives, the
+# value summary.json records (a numpy scalar as a plain number) and the INI
+# text of that value.
 _TYPE_CHECKS = {
-    int: (_is_integer, "must be an integer"),
-    float: (_is_real, "must be a real number"),
-    _parse_bool: (lambda value: isinstance(value, bool), "must be true or false"),
-    str: (lambda value: isinstance(value, str), "must be a string"),
+    int: (_is_integer, "must be an integer", int, str),
+    float: (_is_real, "must be a real number", float, repr),
+    _parse_bool: (lambda value: isinstance(value, bool), "must be true or false", bool,
+                  lambda v: str(v).lower()),
+    str: (lambda value: isinstance(value, str), "must be a string", str, str),
+    _parse_theta: (_is_theta, 'must be "graded" or a sequence of reals',
+                   lambda v: v if isinstance(v, str) else [float(x) for x in v],
+                   lambda v: v if isinstance(v, str) else ", ".join(map(repr, v))),
 }
 
 
@@ -141,25 +142,23 @@ def _mistyped(cfg) -> dict[str, str]:
     """
     optional = {f.name for f in fields(cfg) if f.default is None}
     rows = [
-        (attr, f"{section}.{key}", parse, getattr(cfg, attr))
+        (attr, f"{section}.{key}", parse, value)
         for section, key, attr, parse, _ in _FIELDS
-        if parse in _TYPE_CHECKS
+        if (value := getattr(cfg, attr)) is not None or attr not in optional
     ]
     params = cfg.noise_params
     if isinstance(params, Mapping):
         rows += [(f"noise.{key}", f"noise.{key}", float, value) for key, value in params.items()]
     out = {}
     for attr, name, parse, value in rows:
-        test, message = _TYPE_CHECKS[parse]
-        if value is None and attr in optional:
-            continue
+        test, message, summary, _ = _TYPE_CHECKS[parse]
         if not test(value):
             out[attr] = f"{name}: {message}"
-        elif parse is float:
-            try:
-                float(value)
-            except OverflowError:
-                out[attr] = f"{name}: must be finite"
+            continue
+        try:
+            summary(value)
+        except OverflowError:
+            out[attr] = f"{name}: must be finite"
     if not isinstance(params, Mapping):
         out["noise"] = "noise: parameters must be a mapping of names to reals"
     return out
@@ -213,10 +212,8 @@ class ExperimentConfig:
             if summary_key is None:
                 continue
             value = getattr(self, attr)
-            if parse is _parse_theta and not isinstance(value, str):
-                value = [float(v) for v in value]
-            elif parse in (int, float) and value is not None:
-                value = parse(value)        # a numpy scalar is written as a plain number
+            if value is not None:
+                value = _TYPE_CHECKS[parse][2](value)
             block, _, name = summary_key.rpartition(".")
             (d.setdefault(block, {}) if block else d)[name] = value
         d["noise"].update({key: float(value) for key, value in self.noise_params.items()})
@@ -274,7 +271,8 @@ class ExperimentConfig:
         for section, key, attr, parse, _ in _FIELDS:
             value = getattr(self, attr)
             if value is not None:
-                sections.setdefault(section, {})[key] = _INI_TEXT.get(parse, str)(value)
+                _, _, summary, text = _TYPE_CHECKS[parse]
+                sections.setdefault(section, {})[key] = text(summary(value))
         for key, val in self.noise_params.items():
             sections["noise"][key] = repr(float(val))
         cp = configparser.ConfigParser()
@@ -409,12 +407,13 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
     warning since the scheme is an explicit user choice.  A ``model`` given
     by the caller is checked in place of the one the config describes.
 
-    Every field of the config table parsed as an int, a float, a bool or a
-    str must hold one, whichever topology is chosen: an int or numpy
-    integer, a finite real, a bool, a str (a bool is neither of the first
-    two; ``period``, ``window``, ``out`` and ``schedule_file`` may be
-    None).  Every noise parameter must be a finite real; an int too large
-    for a float is reported as not finite.  A config with a
+    Every field of the config table must hold its parser's type, whichever
+    topology is chosen: an int or numpy integer, a finite real, a bool, a
+    str, ``theta_star`` "graded" or a tuple, list or 1-D array of reals (a
+    bool is no integer or real; ``period``, ``window``, ``out`` and
+    ``schedule_file`` may be None).  Every noise parameter must be a finite
+    real; an int too large for a float, there or in ``theta_star``, is
+    reported as not finite.  A config with a
     mistyped field or noise parameter, or with ``n_agents``, ``l`` or
     ``seed`` out of range, is reported field by field and not built; a
     non-finite real field is reported once, by the check that reads it or
@@ -456,11 +455,12 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
         except ValueError as exc:
             errors.append(str(exc))
     errors += below(("run.steps", cfg.steps, 0), ("run.stride", cfg.stride, 1))
-    for key, check, value in (("gain", check_gain, cfg.gain), ("radii", check_radii, cfg.radii)):
+    for key, check, args in (("gain", check_positive, ("gain", cfg.gain)),
+                             ("radii", check_radii, (cfg.radii,))):
         if key in mistyped:
             continue
         try:
-            check(value)
+            check(*args)
         except ValueError as exc:
             errors.append(f"algorithm.{key}: {exc}")
     # a real that nothing above read (p on a ring, say) still lands in the summary

@@ -31,6 +31,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import plant
+from ._checks import _finite, check_count
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
@@ -116,19 +117,6 @@ def _agent_generators(child: np.random.SeedSequence, n: int) -> list[np.random.G
     return [np.random.default_rng(s) for s in child.spawn(n)]
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer; a bool is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _finite(draws: np.ndarray, role: str, agent: int) -> np.ndarray:
-    """``draws``, or a ValueError naming the role and agent when one is NaN or infinite."""
-    if not np.isfinite(draws).all():
-        bad = draws[~np.isfinite(draws)].flat[0]
-        raise ValueError(f"{role}: the sampler returned {bad} for agent {agent}")
-    return draws
-
-
 class StreamBank:
     """One generator per agent, served as per-step columns.
 
@@ -151,11 +139,9 @@ class StreamBank:
     _role = "draws"     # the name errors give the stream
 
     def __init__(self, sequences: Sequence[SeedLike], draw: Callable, block: int = _BLOCK):
-        if block < 1:
-            raise ValueError("block must be >= 1")
+        self._block = check_count("block", block, 1)
         self._gens = [np.random.default_rng(s) for s in sequences]
         self._draw = draw
-        self._block = int(block)
         self._cache: np.ndarray | None = None
         self._pos = 0
         self._end = 0           # columns in the cache

@@ -21,6 +21,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from ._checks import check_count
+
 
 # ---------------------------------------------------------------------------
 # graphs
@@ -33,8 +35,7 @@ class Digraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        check_count("n", self.n, 1)
         edges = frozenset((int(j), int(i)) for j, i in self.edges)
         object.__setattr__(self, "edges", edges)
         for j, i in edges:
@@ -187,8 +188,7 @@ class TopologySchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
-        if self.B < 1:
-            raise ValueError("B must be >= 1")
+        check_count("B", self.B, 1)
         if not self.weights:
             raise ValueError("a schedule needs at least one weight matrix")
         if len({wm.n for wm in self.weights}) != 1:

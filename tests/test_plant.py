@@ -199,7 +199,7 @@ def test_invalid_noise_parameters_rejected():
 )
 @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
 def test_non_finite_noise_parameters_rejected(kind, param, bad):
-    with pytest.raises(ValueError, match=f"{param} must be positive and finite, got {bad!r}"):
+    with pytest.raises(ValueError, match=f"{param} must be finite and positive, got {bad!r}"):
         bi.make_noise(kind, **{param: bad})
 
 

@@ -278,7 +278,7 @@ def test_build_model_unknown_regressor_kind():
 
 def test_build_model_noise_errors_are_prefixed():
     cfg = small_config(noise_params={"sigma2": -1.0})
-    with pytest.raises(ValueError, match="noise: sigma2 must be positive"):
+    with pytest.raises(ValueError, match="noise: sigma2 must be finite and positive"):
         bi.build_model(cfg)
 
 
@@ -586,6 +586,39 @@ def test_preflight_rejects_non_finite_theta_star():
     assert rep.errors == ["model.theta_star: entries must be finite, got [nan, 0.0, 0.0, 0.0]"]
     with pytest.raises(ValueError, match="model.theta_star"):
         bi.run_experiment(small_config(theta_star=(0.0, float("inf"), 0.0, 0.0)))
+
+
+_THETA_TYPE = 'model.theta_star: must be "graded" or a sequence of reals'
+
+
+@pytest.mark.parametrize(
+    "theta, message",
+    [(("x", "y", "z", "w"), _THETA_TYPE),
+     ((10**400, 1.0, 1.0, 1.0), "model.theta_star: must be finite"),
+     ((None, 1.0, 1.0, 1.0), _THETA_TYPE),
+     ((True, 1.0, 1.0, 1.0), _THETA_TYPE),
+     (1.0, _THETA_TYPE),
+     ([[0.5, -0.4], 0.3, -0.35], _THETA_TYPE),
+     (np.reshape(STAR4, (2, 2)), _THETA_TYPE),
+     ((0.5, -0.4, 0.3), "model.theta_star: expected 4 entries, got 3")],
+    ids=["str", "huge", "none", "bool", "scalar", "ragged", "2-d", "length"],
+)
+def test_theta_star_is_typed_and_named_once(tmp_path, theta, message):
+    out = tmp_path / "out"
+    cfg = small_config(theta_star=theta, out=str(out))
+    assert preflight(cfg).errors == [message]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bi.run_experiment(cfg)
+    assert not out.exists()
+    path = tmp_path / "cfg.ini"
+    if message == "model.theta_star: expected 4 entries, got 3":    # typed, so an INI holds it
+        cfg.to_ini(path)
+        assert ExperimentConfig.from_ini(path).theta_star == theta
+    else:
+        with pytest.raises(ValueError) as info:
+            cfg.to_ini(path)
+        assert str(info.value) == message
+        assert not path.exists()
 
 
 def test_preflight_rejects_non_finite_regressor_bound():

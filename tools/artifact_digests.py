@@ -29,13 +29,15 @@ one line per analysis and oracle output on a sparse and a dense model, and
 two on the preset-v model: the output's name and the SHA-256 of its array
 bytes.  Two ``deviation_profile`` lines come last.  That makes 92 lines.
 No golden values are stored, because BLAS may round differently on
-another host.  To check that a change keeps the artifacts, run the
-script in a checkout of the parent and in the change, on the same machine,
-and diff the two outputs:
+another host.  To check that a change keeps the artifacts, give the
+revision to compare against:
 
-    python3 tools/artifact_digests.py > before.txt    # in the parent
-    python3 tools/artifact_digests.py > after.txt     # in the change
-    diff before.txt after.txt
+    python3 tools/artifact_digests.py HEAD~1
+
+This unpacks that revision with ``git archive`` into a temporary
+directory, runs its own copy of this script there and this copy here, on
+the same machine, prints the lines that differ (a unified diff) and exits
+1 on any difference; with no difference it prints nothing and exits 0.
 
 The configs:
 
@@ -73,15 +75,18 @@ The script imports ``binident`` from the ``src`` directory next to it.
 
 from __future__ import annotations
 
+import difflib
 import hashlib
 import json
+import subprocess
 import sys
 import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import binident as bi  # noqa: E402
 import numpy as np  # noqa: E402
@@ -362,5 +367,27 @@ def main() -> None:
         print(name, hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest(), flush=True)
 
 
+def _digest_lines(root: Path) -> list[str]:
+    """What this script prints when run from the checkout at ``root``."""
+    script = root / "tools" / "artifact_digests.py"
+    run = subprocess.run([sys.executable, str(script)], stdout=subprocess.PIPE, text=True, check=True)
+    return run.stdout.splitlines()
+
+
+def compare(rev: str) -> int:
+    """Print the diff of ``rev``'s digests against this tree's; 1 if they differ."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE, check=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        theirs = _digest_lines(Path(tmp))
+    ours = _digest_lines(ROOT)
+    diff = list(difflib.unified_diff(theirs, ours, rev, "working tree", n=0, lineterm=""))
+    if diff:
+        print("\n".join(diff))
+    return 1 if diff else 0
+
+
 if __name__ == "__main__":
-    main()
+    if len(sys.argv) > 2:
+        sys.exit("usage: artifact_digests.py [REV]")
+    sys.exit(compare(sys.argv[1]) if len(sys.argv) == 2 else main())
