@@ -137,6 +137,7 @@ class TruncationLedger:
 
     @classmethod
     def initial(cls, n_agents: int, k0: int = 1) -> "TruncationLedger":
+        n_agents = check_count("n_agents", n_agents, 1)
         return cls(
             first_hit={0: k0},
             first_hit_agent={(i, 0): k0 for i in range(1, n_agents + 1)},
@@ -191,6 +192,7 @@ class NetworkSnapshot:
     @classmethod
     def initial(cls, n_agents: int, l: int) -> "NetworkSnapshot":
         """All-zero starting state at step 1 (the recursion's canonical origin)."""
+        n_agents = check_count("n_agents", n_agents, 1)
         return cls(
             k=1,
             theta=np.zeros((n_agents, l)),

@@ -11,12 +11,17 @@ spectrum).  Everything here, the strong-connectivity search included, runs
 on numpy alone.
 
 Agent ids are 1-based in the public API.  An edge ``(j, i)`` means agent i
-receives from agent j; matrices are indexed ``w[i-1, j-1]``.
+receives from agent j; matrices are indexed ``w[i-1, j-1]``.  A graph is
+one read-only (n, n) boolean adjacency, ``adj[i-1, j-1]`` true for the edge
+``(j, i)``: the builders fill it by fancy indexing, and the weight schemes,
+support checks and graph equality read it as it is.  Validation stacks one
+period's matrices and supports into (P, n, n) arrays and checks every
+window of the period on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -27,51 +32,96 @@ from ._checks import check_count
 # ---------------------------------------------------------------------------
 # graphs
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Digraph:
-    """Directed communication graph on agents 1..n with all self-loops."""
+    """Directed communication graph on agents 1..n with all self-loops.
+
+    Held as one read-only (n, n) boolean adjacency (see :meth:`adjacency`);
+    ``edges`` is derived from it.  Graphs are equal, and hash alike, when
+    their adjacencies are.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    _adj: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        check_count("n", self.n, 1)
-        edges = frozenset((int(j), int(i)) for j, i in self.edges)
-        object.__setattr__(self, "edges", edges)
-        for j, i in edges:
-            if not (1 <= j <= self.n and 1 <= i <= self.n):
-                raise ValueError(f"edge ({j}, {i}) out of range 1..{self.n}")
-        missing = [i for i in range(1, self.n + 1) if (i, i) not in edges]
-        if missing:
-            raise ValueError(f"missing self-loops for agents {missing}")
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        n = check_count("n", n, 1)
+        j, i = _zero_based(n, edges).T
+        adj = np.zeros((n, n), dtype=bool)
+        adj[i, j] = True
+        self._hold(adj)
+
+    @classmethod
+    def _from_adjacency(cls, adj: np.ndarray) -> "Digraph":
+        """The graph of ``adj``, a fresh boolean array it takes over and freezes."""
+        g = object.__new__(cls)
+        g._hold(adj)
+        return g
+
+    def _hold(self, adj: np.ndarray) -> None:
+        missing = np.flatnonzero(~adj.diagonal()) + 1
+        if missing.size:
+            raise ValueError(f"missing self-loops for agents {missing.tolist()}")
+        adj.flags.writeable = False
+        object.__setattr__(self, "n", len(adj))
+        object.__setattr__(self, "_adj", adj)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Digraph) and np.array_equal(self._adj, other._adj)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._adj.tobytes()))
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge ``(j, i)``: agent i receives from agent j."""
+        i, j = np.nonzero(self._adj)
+        return frozenset(zip((j + 1).tolist(), (i + 1).tolist()))
 
     @property
     def is_symmetric(self) -> bool:
-        return all((i, j) in self.edges for j, i in self.edges)
+        return np.array_equal(self._adj, self._adj.T)
 
     def adjacency(self) -> np.ndarray:
-        """Boolean (n, n) matrix, ``adj[i-1, j-1]`` true iff i receives from j."""
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for j, i in self.edges:
-            adj[i - 1, j - 1] = True
-        return adj
+        """Read-only boolean (n, n) matrix, ``adj[i-1, j-1]`` true iff i receives from j."""
+        return self._adj
+
+
+def _zero_based(n: int, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
+    """``pairs`` of agent ids in 1..n as a (k, 2) array of 0-based ids."""
+    ids = np.array(list(pairs) or np.empty((0, 2)), dtype=np.intp)
+    if ids.ndim != 2 or ids.shape[1] != 2:
+        raise ValueError("edges must be pairs of agent ids")
+    out = ((ids < 1) | (ids > n)).any(axis=1)
+    if out.any():
+        a, b = ids[out][0].tolist()
+        raise ValueError(f"edge ({a}, {b}) out of range 1..{n}")
+    return ids - 1
+
+
+def _undirected(n: int, a: np.ndarray, b: np.ndarray) -> Digraph:
+    """Self-loops plus both directions of each 0-based pair ``(a[k], b[k])``."""
+    adj = np.eye(n, dtype=bool)
+    adj[a, b] = adj[b, a] = True
+    return Digraph._from_adjacency(adj)
 
 
 def from_undirected_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Digraph:
     """Graph with self-loops plus both directions of each given pair."""
-    edges = {(i, i) for i in range(1, n + 1)}
-    for a, b in pairs:
-        edges.update(((a, b), (b, a)))
-    return Digraph(n, frozenset(edges))
+    n = check_count("n", n, 1)
+    return _undirected(n, *_zero_based(n, pairs).T)
 
 
 def complete_graph(n: int) -> Digraph:
-    return from_undirected_pairs(n, [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)])
+    n = check_count("n", n, 1)
+    return Digraph._from_adjacency(np.ones((n, n), dtype=bool))
 
 
 def ring_graph(n: int) -> Digraph:
     """Undirected cycle 1-2-...-n-1 (n = 1 is just the self-loop)."""
-    return from_undirected_pairs(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    n = check_count("n", n, 1)
+    i = np.arange(n)
+    return _undirected(n, i, (i + 1) % n)
 
 
 def generate_poisson_graph(n: int, p: float, rng) -> Digraph:
@@ -79,13 +129,13 @@ def generate_poisson_graph(n: int, p: float, rng) -> Digraph:
 
     Self-loops are always present.  ``rng`` may be a seed or Generator.
     """
+    n = check_count("n", n, 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     gen = np.random.default_rng(rng)
     iu, ju = np.triu_indices(n, k=1)
     hit = gen.random(iu.size) < p
-    pairs = [(int(a) + 1, int(b) + 1) for a, b in zip(iu[hit], ju[hit])]
-    return from_undirected_pairs(n, pairs)
+    return _undirected(n, iu[hit], ju[hit])
 
 
 # ---------------------------------------------------------------------------
@@ -107,22 +157,16 @@ class WeightMatrix:
             raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        support = w > 0
-        adj = self.graph.adjacency()
-        if not np.array_equal(support, adj):
+        support = self.graph.adjacency()
+        if not np.array_equal(w > 0, support):
             raise ValueError("weight support does not match the graph's edges")
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
-        support.flags.writeable = False
         object.__setattr__(self, "support", support)
 
     @property
     def n(self) -> int:
         return self.graph.n
-
-    @property
-    def min_positive_entry(self) -> float:
-        return float(self.w[self.support].min())
 
 
 def is_doubly_stochastic(w, tol: float = 1e-9) -> bool:
@@ -130,12 +174,13 @@ def is_doubly_stochastic(w, tol: float = 1e-9) -> bool:
     mat = w.w if isinstance(w, WeightMatrix) else np.asarray(w, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.any(mat < 0):
-        return False
-    return bool(
-        np.all(np.abs(mat.sum(axis=0) - 1.0) <= tol)
-        and np.all(np.abs(mat.sum(axis=1) - 1.0) <= tol)
-    )
+    return bool(_doubly_stochastic(mat, tol))
+
+
+def _doubly_stochastic(mats: np.ndarray, tol: float) -> np.ndarray:
+    """Per (n, n) matrix of a stack: entries >= 0, row and column sums within tol of 1."""
+    sums = np.concatenate([mats.sum(axis=-2), mats.sum(axis=-1)], axis=-1)
+    return ~(mats < 0).any(axis=(-2, -1)) & (np.abs(sums - 1.0) <= tol).all(axis=-1)
 
 
 def metropolis_weights(g: Digraph) -> WeightMatrix:
@@ -148,12 +193,9 @@ def metropolis_weights(g: Digraph) -> WeightMatrix:
     if not g.is_symmetric:
         raise ValueError("Metropolis weights need a symmetric graph")
     adj = g.adjacency()
-    off = adj.copy()
-    np.fill_diagonal(off, False)
-    deg = off.sum(axis=1)
-    pair_max = np.maximum(deg[:, None], deg[None, :])
-    with np.errstate(divide="ignore"):
-        w = np.where(off, 1.0 / (1.0 + pair_max), 0.0)
+    inv = 1.0 / adj.sum(axis=1)     # 1 / (1 + d): each row counts its self-loop
+    w = np.where(adj, np.minimum(inv[:, None], inv[None, :]), 0.0)
+    np.fill_diagonal(w, 0.0)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return WeightMatrix(g, w)
 
@@ -229,12 +271,12 @@ def partitioned_ring_schedule(
     with i = r - 1 (mod period), so every window of ``period`` consecutive
     steps sees the whole ring and B = period.
     """
-    if not 1 <= period <= n:
+    n = check_count("n", n, 1)
+    period = check_count("period", period, 1)
+    if period > n:
         raise ValueError("period must lie in 1..n")
-    phases = (
-        from_undirected_pairs(n, [(i, i % n + 1) for i in range(1, n + 1) if (i - 1) % period == r])
-        for r in range(period)
-    )
+    starts = (np.arange(r, n, period) for r in range(period))
+    phases = [_undirected(n, a, (a + 1) % n) for a in starts]
     return TopologySchedule(B=period, weights=[weight_fn(g) for g in phases])
 
 
@@ -244,18 +286,20 @@ def partitioned_ring_schedule(
 def _strongly_connected(adj: np.ndarray) -> bool:
     """Whether the boolean adjacency ``adj`` (``adj[i, j]``: edge j -> i) is
     strongly connected: agent 1 reaches every agent and every agent reaches
-    agent 1.  Each direction is one frontier search, O(n^2) in all.
+    agent 1.  One frontier search over ``[[adj.T, 0], [0, adj]]`` from agent
+    1 of each block runs both directions at once, O(n^2) in all.
     """
-    for a in (adj, adj.T):
-        seen = np.zeros(a.shape[0], dtype=bool)
-        seen[0] = True
-        frontier = seen
-        while frontier.any():
-            frontier = a[:, frontier].any(axis=1) & ~seen
-            seen |= frontier
-        if not seen.all():
-            return False
-    return True
+    n = len(adj)
+    both = np.zeros((2 * n, 2 * n), dtype=bool)
+    both[:n, :n] = adj.T        # row j: the agents j sends to
+    both[n:, n:] = adj          # row i: the agents i receives from
+    seen = np.zeros(2 * n, dtype=bool)
+    seen[[0, n]] = True
+    frontier = seen
+    while frontier.any():
+        frontier = both[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 @dataclass
@@ -301,23 +345,28 @@ def validate_c4(schedule: TopologySchedule) -> ValidationReport:
     :func:`is_doubly_stochastic`), and that the union graph over every
     window of B consecutive steps, wrapping around the period (the schedule
     is infinite), is strongly connected.  A window longer than the period
-    sees every step, so its union is the union over one period.
+    sees every step, so its union is the union over one period.  The
+    period's matrices and supports are checked as two stacked (P, n, n)
+    arrays.
     """
     weights = schedule.weights
-    steps = range(1, len(weights) + 1)
-    span = min(schedule.B, len(weights))
-    failed_windows = [
-        start
-        for start in steps
-        if not _strongly_connected(
-            np.logical_or.reduce([schedule[k].support for k in range(start, start + span)])
-        )
-    ]
+    period = len(weights)
+    mats = np.stack([wm.w for wm in weights])
+    support = np.stack([wm.support for wm in weights])
+    span = min(schedule.B, period)
+    if span == period:      # every window sees the whole period
+        unions = support.any(axis=0, keepdims=True)
+    else:
+        wrapped = np.concatenate([support, support[: span - 1]])
+        unions = support.copy()
+        for lag in range(1, span):
+            unions |= wrapped[lag : lag + period]
+    connected = [_strongly_connected(u) for u in unions]
     return ValidationReport(
-        steps_checked=len(weights),
-        stochasticity_failures=[k for k, wm in zip(steps, weights) if not is_doubly_stochastic(wm)],
-        min_entry=min(wm.min_positive_entry for wm in weights),
-        failed_windows=failed_windows,
+        steps_checked=period,
+        stochasticity_failures=(np.flatnonzero(~_doubly_stochastic(mats, 1e-9)) + 1).tolist(),
+        min_entry=float(mats[support].min()),
+        failed_windows=[k for k in range(1, period + 1) if not connected[(k - 1) % len(unions)]],
     )
 
 
@@ -341,8 +390,8 @@ def deviation_profile(schedule: TopologySchedule, s: int, max_lag: int) -> np.nd
     Every other schedule (periodic ones, degree weights, matrices not
     stochastic to rounding) takes the backward product and one SVD per lag.
     """
-    if s < 1 or max_lag < 0:
-        raise ValueError(f"need s >= 1 and max_lag >= 0, got s={s}, max_lag={max_lag}")
+    s = check_count("s", s, 1)
+    max_lag = check_count("max_lag", max_lag, 0)
     n = schedule.n_agents
     avg = np.full((n, n), 1.0 / n)
     w = schedule.weights[0].w
@@ -429,12 +478,12 @@ def load_schedule(path) -> TopologySchedule:
     head = raw[0].split()
     if len(head) != 3:
         raise ValueError(f"bad header {raw[0]!r}; expected 'n B mode'")
-    n, B, mode = int(head[0]), int(head[1]), head[2]
+    n, B, mode = check_count("n", int(head[0]), 1), int(head[1]), head[2]
 
-    blocks: list[list[tuple[int, int, float]]] = []
+    blocks: list[dict[tuple[int, int], float]] = []
     for ln in raw[1:]:
         if ln.startswith("step "):
-            blocks.append([])
+            blocks.append({})
             continue
         parts = ln.split()
         if len(parts) != 3:
@@ -444,14 +493,16 @@ def load_schedule(path) -> TopologySchedule:
         j, i = int(parts[0]), int(parts[1])
         if not (1 <= j <= n and 1 <= i <= n):
             raise ValueError(f"agent id out of range 1..{n} in triple line {ln!r}")
-        blocks[-1].append((j, i, float(parts[2])))
+        if (j, i) in blocks[-1]:
+            raise ValueError(f"step {len(blocks)} lists the edge (j, i) = ({j}, {i}) twice")
+        blocks[-1][(j, i)] = float(parts[2])
 
     weights = []
     for triples in blocks:
+        j, i = _zero_based(n, triples).T
         w = np.zeros((n, n))
-        for j, i, wv in triples:
-            w[i - 1, j - 1] = wv
-        weights.append(WeightMatrix(Digraph(n, frozenset((j, i) for j, i, _ in triples)), w))
+        w[i, j] = list(triples.values())
+        weights.append(WeightMatrix(Digraph(n, triples), w))
 
     if mode not in ("static", "periodic-list"):
         raise ValueError(f"unknown mode {mode!r} in schedule file")

@@ -87,6 +87,88 @@ def reference_strongly_connected(n, edges):
     return reach(fwd) == everyone and reach(bwd) == everyone
 
 
+def reference_poisson_edges(n, p, seed):
+    """Edge set of ``generate_poisson_graph(n, p, seed)``, pair by pair.
+
+    The draws are the same: one uniform per pair of ``np.triu_indices(n, 1)``,
+    in that order, and a pair is linked when its draw is below p.
+    """
+    iu, ju = np.triu_indices(n, k=1)
+    draws = np.random.default_rng(seed).random(iu.size)
+    edges = {(i, i) for i in range(1, n + 1)}
+    for a, b, u in zip(iu.tolist(), ju.tolist(), draws.tolist()):
+        if u < p:
+            edges.add((a + 1, b + 1))
+            edges.add((b + 1, a + 1))
+    return frozenset(edges)
+
+
+def reference_partitioned_ring_edges(n, period):
+    """Edge set of each phase of ``partitioned_ring_schedule(n, period)``."""
+    phases = []
+    for r in range(period):
+        edges = {(i, i) for i in range(1, n + 1)}
+        for i in range(1, n + 1):
+            if (i - 1) % period == r:
+                edges.add((i, i % n + 1))
+                edges.add((i % n + 1, i))
+        phases.append(frozenset(edges))
+    return phases
+
+
+def reference_metropolis(n, edges):
+    """Metropolis weights of a symmetric edge set, entry by entry.
+
+    The diagonal is 1 minus the row's numpy sum: the fast path reduces each
+    row with numpy's pairwise summation, whose order a plain loop does not
+    reproduce bit for bit.
+    """
+    deg = {i: sum(1 for j, k in edges if k == i and j != i) for i in range(1, n + 1)}
+    w = [[0.0] * n for _ in range(n)]
+    for j, i in edges:
+        if j != i:
+            w[i - 1][j - 1] = 1.0 / (1 + max(deg[i], deg[j]))
+    for i in range(n):
+        w[i][i] = 1.0 - float(np.sum(np.array(w[i])))
+    return np.array(w)
+
+
+def reference_degree_weights(n, edges):
+    """Uniform in-neighborhood weights ``1/|N_i|`` of an edge set, entry by entry."""
+    size = {i: sum(1 for j, k in edges if k == i) for i in range(1, n + 1)}
+    w = [[0.0] * n for _ in range(n)]
+    for j, i in edges:
+        w[i - 1][j - 1] = 1 / size[i]
+    return np.array(w)
+
+
+def reference_validation(schedule):
+    """(stochasticity failures, smallest positive entry, failed window starts)
+    of one period, step by step and window by window.
+
+    Each window is the literal run of B steps from its start, read through
+    the schedule's own wrapping, so windows longer than the period need no
+    special case here.
+    """
+    n = schedule.n_agents
+    stochastic_failures = []
+    entries = []
+    failed = []
+    for start in range(1, schedule.period + 1):
+        w = schedule[start].w.tolist()
+        entries += [v for row in w for v in row if v > 0]
+        sums = [sum(row) for row in w] + [sum(w[r][c] for r in range(n)) for c in range(n)]
+        if any(v < 0 for row in w for v in row) or any(abs(s - 1.0) > 1e-9 for s in sums):
+            stochastic_failures.append(start)
+        edges = set()
+        for k in range(start, start + schedule.B):
+            step = schedule[k].w.tolist()
+            edges |= {(j + 1, i + 1) for i in range(n) for j in range(n) if step[i][j] > 0}
+        if not reference_strongly_connected(n, edges):
+            failed.append(start)
+    return stochastic_failures, min(entries), failed
+
+
 def reference_backward_product(mats):
     """Ordered product W(k) ... W(s) given [W(s), ..., W(k)] in time order."""
     n = len(mats[0])

@@ -57,6 +57,16 @@ COUNTS = [
     ("SystemModel", "n_agents", 1, lambda v: bi.SystemModel(STAR2, SPARSE2, NOISE, v)),
     ("StreamBank", "block", 1, lambda v: bi.StreamBank([1, 2], np.random.Generator.random, v)),
     ("Digraph", "n", 1, lambda v: bi.Digraph(n=v, edges=frozenset())),
+    ("from_undirected_pairs", "n", 1, lambda v: bi.from_undirected_pairs(v, [])),
+    ("complete_graph", "n", 1, bi.complete_graph),
+    ("ring_graph", "n", 1, bi.ring_graph),
+    ("generate_poisson_graph", "n", 1, lambda v: bi.generate_poisson_graph(v, 0.5, 0)),
+    ("partitioned_ring_schedule", "n", 1, lambda v: bi.partitioned_ring_schedule(v, 1)),
+    ("partitioned_ring_schedule", "period", 1, lambda v: bi.partitioned_ring_schedule(4, v)),
+    ("deviation_profile", "s", 1, lambda v: bi.deviation_profile(SCHEDULE, v, 3)),
+    ("deviation_profile", "max_lag", 0, lambda v: bi.deviation_profile(SCHEDULE, 1, v)),
+    ("TruncationLedger.initial", "n_agents", 1, bi.TruncationLedger.initial),
+    ("NetworkSnapshot.initial", "n_agents", 1, lambda v: bi.NetworkSnapshot.initial(v, 2)),
     ("TopologySchedule", "B", 1, lambda v: bi.TopologySchedule(B=v, weights=(WEIGHTS,))),
 ]
 

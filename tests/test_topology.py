@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +17,13 @@ from binident.topology import _strongly_connected
 from reference import (
     reference_backward_product,
     reference_centred_profile,
+    reference_degree_weights,
     reference_deviation_profile,
+    reference_metropolis,
+    reference_partitioned_ring_edges,
+    reference_poisson_edges,
     reference_strongly_connected,
+    reference_validation,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -97,6 +103,33 @@ def test_poisson_edge_count_matches_expectation():
 def test_poisson_always_has_self_loops(n, p, seed):
     g = bi.generate_poisson_graph(n, p, np.random.default_rng(seed))
     assert all((i, i) in g.edges for i in range(1, n + 1))
+
+
+@given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_builders_match_plain_python_references(n, p, seed):
+    edges = reference_poisson_edges(n, p, seed)
+    g = bi.generate_poisson_graph(n, p, seed)
+    assert g.edges == edges
+    same = bi.Digraph(n, edges)
+    assert same == g and hash(same) == hash(g)
+    assert bi.from_undirected_pairs(n, [(j, i) for j, i in edges if j < i]) == g
+    assert bi.metropolis_weights(g).w.tobytes() == reference_metropolis(n, edges).tobytes()
+    assert bi.degree_weights(g).w.tobytes() == reference_degree_weights(n, edges).tobytes()
+    assert bi.complete_graph(n).edges == {(j, i) for j in range(1, n + 1) for i in range(1, n + 1)}
+    assert bi.ring_graph(n).edges == reference_partitioned_ring_edges(n, 1)[0]
+    period = seed % n + 1
+    phases = bi.partitioned_ring_schedule(n, period).weights
+    assert [wm.graph.edges for wm in phases] == reference_partitioned_ring_edges(n, period)
+
+
+def test_equal_graphs_hash_alike_and_differ_from_others():
+    g = bi.ring_graph(5)
+    pairs = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
+    assert {g, bi.Digraph(5, g.edges), bi.from_undirected_pairs(5, pairs)} == {g}
+    assert g != bi.complete_graph(5) and g != bi.ring_graph(6) and g != g.edges
+    with pytest.raises(ValueError, match="read-only"):
+        g.adjacency()[0, 2] = True
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +360,37 @@ def test_strongly_connected_agrees_with_bfs_oracle_on_digraphs(adj):
     assert _strongly_connected(adj) == reference_strongly_connected(len(adj), edges)
 
 
+@st.composite
+def periodic_schedules(draw):
+    """A random periodic schedule whose window B is shorter than, equal to or
+    longer than its period; sparse phases make failing windows common and
+    degree weights make stochasticity failures."""
+    n = draw(st.integers(1, 10))
+    period = draw(st.integers(1, 5))
+    windows = [st.just(period), st.integers(period + 1, 3 * period + 2)]
+    if period > 1:
+        windows.append(st.integers(1, period - 1))
+    B = draw(st.one_of(windows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = []
+    for _ in range(period):
+        g = bi.generate_poisson_graph(n, draw(st.floats(0.0, 0.7)), rng)
+        scheme = draw(st.sampled_from([bi.metropolis_weights, bi.degree_weights]))
+        weights.append(scheme(g))
+    return bi.TopologySchedule(B=B, weights=weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(periodic_schedules())
+def test_validate_c4_agrees_with_the_window_by_window_reference(schedule):
+    report = bi.validate_c4(schedule)
+    stochastic_failures, min_entry, failed = reference_validation(schedule)
+    assert report.steps_checked == schedule.period
+    assert report.stochasticity_failures == stochastic_failures
+    assert report.min_entry == min_entry
+    assert report.failed_windows == failed
+
+
 def test_partitioned_ring_needs_valid_period():
     with pytest.raises(ValueError):
         bi.partitioned_ring_schedule(4, 5)
@@ -405,8 +469,8 @@ def test_other_schedules_keep_the_backward_product(make):
 
 
 def test_deviation_rejects_bad_window():
-    for s, max_lag in ((0, 3), (-1, 3), (2, -1)):
-        with pytest.raises(ValueError, match="need s >= 1 and max_lag >= 0"):
+    for s, max_lag, name in ((0, 3, "s"), (-1, 3, "s"), (2, -1, "max_lag")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
             bi.deviation_profile(_static(3), s, max_lag)
 
 
@@ -453,6 +517,25 @@ def test_schedule_round_trip(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+@given(st.integers(1, 12), st.integers(1, 4), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+       st.sampled_from([bi.metropolis_weights, bi.degree_weights]))
+@settings(max_examples=40, deadline=None)
+def test_random_schedules_round_trip_to_equal_graphs(n, period, p, seed, scheme):
+    rng = np.random.default_rng(seed)
+    sched = bi.TopologySchedule(
+        B=period, weights=[scheme(bi.generate_poisson_graph(n, p, rng)) for _ in range(period)]
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "sched.txt"
+        bi.dump_schedule(sched, path)
+        back = bi.load_schedule(path)
+    assert back.B == sched.B and back.mode == sched.mode
+    for t in range(1, period + 1):
+        assert back[t].graph == sched[t].graph
+        assert hash(back[t].graph) == hash(sched[t].graph)
+        assert back[t].w.tobytes() == sched[t].w.tobytes()
+
+
 def test_golden_schedule_file(datadir):
     back = bi.load_schedule(datadir / "ring4_period2.schedule")
     fresh = bi.partitioned_ring_schedule(4, 2)
@@ -485,3 +568,20 @@ def test_load_rejects_malformed_files(tmp_path):
     bad.write_text("")
     with pytest.raises(ValueError):
         bi.load_schedule(bad)
+
+
+@pytest.mark.parametrize(
+    "text, step, pair",
+    [
+        ("2 1 static\nstep 1\n1 1 0.5\n2 2 1.0\n1 1 0.9\n", 1, (1, 1)),
+        ("2 2 periodic-list\nstep 1\n1 1 1.0\n2 2 1.0\n"
+         "step 2\n1 1 0.5\n2 1 0.5\n1 2 0.5\n2 2 0.5\n2 1 0.25\n", 2, (2, 1)),
+    ],
+    ids=["static", "second-step"],
+)
+def test_load_rejects_an_edge_listed_twice(tmp_path, text, step, pair):
+    path = tmp_path / "twice.txt"
+    path.write_text(text)
+    want = rf"^step {step} lists the edge \(j, i\) = \({pair[0]}, {pair[1]}\) twice$"
+    with pytest.raises(ValueError, match=want):
+        bi.load_schedule(path)
