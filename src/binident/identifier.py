@@ -45,8 +45,8 @@ radius (recomputed when the counters move).
   call is the opening window, the initial state alone.  Plain callables
   ``sink(prev, new)`` keep their per-step contract through one adapter that
   builds their frozen snapshots from the window rows, so the engine has a
-  single observer path and builds snapshots only at counter moves, for
-  plain sinks and for its return value.
+  single observer path and builds snapshots only for plain sinks, for its
+  general steps and for its return value.
 - *Quiet step.*  While the counters agree, the engine reads the raw draw
   columns (:meth:`ModelStreams.columns`, the same banks as ``phi_step`` and
   ``noise_step``), computes outputs and thresholds into preallocated
@@ -125,7 +125,7 @@ class TruncationLedger:
     ``first_hit[m]`` is the first step at which any agent's counter equalled
     m; ``first_hit_agent[(i, m)]`` the first step agent i's counter equalled
     m (absent if the agent skipped the level).  Ledgers are treated as
-    immutable; :meth:`record` returns a new ledger (or self when nothing
+    immutable; :meth:`record` returns a new ledger (or self when no counter
     changed), so snapshots can share them.
     """
 
@@ -148,8 +148,6 @@ class TruncationLedger:
 
     def record(self, k_new: int, old_sigma: np.ndarray, new_sigma: np.ndarray,
                n_truncated: int) -> "TruncationLedger":
-        if new_sigma is old_sigma:
-            return self
         changed = np.nonzero(new_sigma != old_sigma)[0]
         if changed.size == 0:
             return self
@@ -175,9 +173,7 @@ class NetworkSnapshot:
     Arrays are owned by the snapshot and frozen; ``theta`` has shape
     ``(n_agents, l)`` and ``sigma`` shape ``(n_agents,)``.  The constructor
     copies its inputs, so the caller's arrays stay writable and later writes
-    to them do not reach the snapshot.  A step whose counters did not move
-    builds its successor around the parent's (already validated, frozen)
-    ``sigma`` array, so consecutive snapshots may share it.
+    to them do not reach the snapshot.
     """
 
     k: int
@@ -199,19 +195,6 @@ class NetworkSnapshot:
             sigma=np.zeros(n_agents, dtype=np.int64),
             ledger=TruncationLedger.initial(n_agents),
         )
-
-    def _successor(self, theta: np.ndarray, ledger: TruncationLedger) -> "NetworkSnapshot":
-        """Step k + 1 with this snapshot's counters and a fresh ``theta``.
-
-        Skips ``__post_init__``: the counters were validated when this
-        snapshot was built and are frozen, and ``theta`` must be a new
-        ``(n_agents, l)`` float array that nothing else holds.
-        """
-        theta.flags.writeable = False
-        nxt = object.__new__(NetworkSnapshot)
-        nxt.__dict__.update(k=self.k + 1, theta=theta, sigma=self.sigma, ledger=ledger,
-                            sigma_uniform=self.sigma_uniform)
-        return nxt
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +262,8 @@ def _truncated_update(x, sigma, weights, coef, draws, flat, radii):
     ends at +0.0.  Each row is then tested against the radius of its
     ``sig_hat``.  ``coef``, ``draws`` and ``flat`` are as in
     :func:`_kernel`; ``coef`` is the caller's own array and its lagging
-    entries are zeroed.  Returns ``(x_next, sigma_next, n_truncated)``,
-    with ``sigma_next`` the caller's ``sigma`` when no counter moved.
+    entries are zeroed.  Returns ``(x_next, sigma_next, n_truncated)``;
+    ``sigma_next`` is a new array, equal to ``sigma`` when no counter moved.
     """
     if weights.n != len(sigma):
         raise ValueError(f"weights: a matrix for {weights.n} agents, the state has {len(sigma)}")
@@ -297,7 +280,7 @@ def _truncated_update(x, sigma, weights, coef, draws, flat, radii):
     # summation) or NaN (beside a non-finite estimate)
     x_next[lag] = 0.0
     if exceeded is None:
-        return x_next, (sig_hat if lag.any() else sigma), 0
+        return x_next, sig_hat, 0
     return x_next, sig_hat + exceeded, int(exceeded.sum())
 
 
@@ -346,8 +329,6 @@ def dsaawet_identification_step(
         s.theta, s.sigma, weights, np.where(bits, -a_k, a_k), draws, phi.flat, radii
     )
     ledger = s.ledger.record(k + 1, s.sigma, sigma_next, n_trunc)
-    if sigma_next is s.sigma:
-        return s._successor(theta_next, ledger)
     return NetworkSnapshot(k=k + 1, theta=theta_next, sigma=sigma_next, ledger=ledger)
 
 
@@ -482,23 +463,18 @@ def run(
 class _StepSinks:
     """Plain ``sink(prev, new)`` callables served from the engine's windows.
 
-    Builds one frozen snapshot per step from the window rows; a row whose
-    counter array did not change shares its parent's ``sigma``.
+    Builds one frozen snapshot per step from the window rows; each owns
+    its arrays.
     """
 
     def __init__(self, sinks, init: NetworkSnapshot):
         self._sinks = sinks
         self._snap = init
-        self._sigma = init.sigma      # the engine's counter array of ``_snap``
 
     def window(self, rows, k, sigma, ledger, radii) -> None:
         snap = self._snap
         for i in range(1, len(rows)):
-            if sigma is self._sigma:
-                new = snap._successor(rows[i].copy(), ledger)
-            else:
-                new = NetworkSnapshot(k=k + i, theta=rows[i], sigma=sigma, ledger=ledger)
-                self._sigma = sigma
+            new = NetworkSnapshot(k=k + i, theta=rows[i], sigma=sigma, ledger=ledger)
             for sink in self._sinks:
                 sink(snap, new)
             snap = new
@@ -680,12 +656,11 @@ class InvariantMonitor:
 
     def __call__(self, prev: NetworkSnapshot, new: NetworkSnapshot) -> None:
         self.steps += 1
-        if new.sigma is not prev.sigma:
-            if np.any(new.sigma < prev.sigma):
-                self._record(f"k={new.k}: a truncation counter decreased")
-            rose = new.sigma > prev.sigma
-            if np.any(rose) and new.theta[rose].any():
-                self._record(f"k={new.k}: nonzero estimate right after a counter bump")
+        if np.any(new.sigma < prev.sigma):
+            self._record(f"k={new.k}: a truncation counter decreased")
+        rose = new.sigma > prev.sigma
+        if np.any(rose) and new.theta[rose].any():
+            self._record(f"k={new.k}: nonzero estimate right after a counter bump")
         self._judge(new.theta[None], (new.k,), new.sigma)
 
 

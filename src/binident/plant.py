@@ -56,8 +56,6 @@ def _uniform(rng: np.random.Generator, low: float, high: float, size):
     same two roundings on the array itself skip the per-draw call.
     """
     u = rng.random(size)
-    if size is None:
-        return low + (high - low) * u
     u *= high - low
     u += low
     return u
@@ -69,12 +67,12 @@ def _uniform(rng: np.random.Generator, low: float, high: float, size):
 class NoiseModel:
     """Zero-median sensor noise with a known smooth distribution.
 
-    Concrete models expose the CDF and density (both vectorised), direct
-    sampling, and a ``kind`` tag used by config files.  A built-in model's
-    parameters are its dataclass fields, the names config files use.  All
-    built-in models are symmetric about zero, so ``cdf(0) == 0.5`` holds
-    exactly wherever ``pdf(0) > 0``; each parameter is a finite real above
-    zero.
+    Concrete models expose the CDF and density (both vectorised), block
+    sampling (``sample(rng, size)`` returns ``size`` draws), and a ``kind``
+    tag used by config files.  A built-in model's parameters are its
+    dataclass fields, the names config files use.  All built-in models are
+    symmetric about zero, so ``cdf(0) == 0.5`` holds exactly wherever
+    ``pdf(0) > 0``; each parameter is a finite real above zero.
     """
 
     kind = "abstract"
@@ -85,7 +83,7 @@ class NoiseModel:
     def pdf(self, x):
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size):
         raise NotImplementedError
 
 
@@ -111,11 +109,9 @@ class GaussianNoise(NoiseModel):
         t = np.minimum(x, _CDF_CLIP * self.sigma) / self.sigma
         return np.exp(-0.5 * t**2) / (self.sigma * math.sqrt(2.0 * math.pi))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         # numpy's normal is 0.0 + sigma * z per draw; the same sums, in place
         z = rng.standard_normal(size)
-        if size is None:
-            return 0.0 + self.sigma * z
         z *= self.sigma
         z += 0.0
         return z
@@ -139,7 +135,7 @@ class LaplaceNoise(NoiseModel):
         x = np.asarray(x, dtype=np.float64)
         return np.exp(-np.abs(x) / self.scale) / (2.0 * self.scale)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.laplace(0.0, self.scale, size)
 
 
@@ -159,7 +155,7 @@ class UniformNoise(NoiseModel):
         x = np.asarray(x, dtype=np.float64)
         return np.where(np.abs(x) <= self.half_width, 1.0 / (2.0 * self.half_width), 0.0)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return _uniform(rng, -self.half_width, self.half_width, size)
 
 
@@ -181,16 +177,16 @@ def make_noise(kind: str, **params) -> NoiseModel:
 class RegressorGenerator:
     """Bounded stationary regressor law shared by every agent.
 
-    ``draw(rng, size=None)`` is the one way to sample it, from one agent's
-    generator: the sparse kind returns amplitudes on the agent's active
-    coordinate (see :attr:`SystemModel.supports`), the dense kind full
-    rows with ``||phi|| <= bound``.
+    ``draw(rng, size)`` is the one way to sample it, ``size`` draws from one
+    agent's generator: the sparse kind returns ``(size,)`` amplitudes on the
+    agent's active coordinate (see :attr:`SystemModel.supports`), the dense
+    kind ``(size, l)`` rows with ``||phi|| <= bound``.
     """
 
     l: int
     bound: float
 
-    def draw(self, rng: np.random.Generator, size=None) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -218,7 +214,7 @@ class SparseUniformRegressors(RegressorGenerator):
     def bound(self) -> float:
         return 1.0
 
-    def draw(self, rng, size=None):
+    def draw(self, rng, size):
         """Amplitudes on the active coordinate, iid uniform on [-1, 1]."""
         return _uniform(rng, -1.0, 1.0, size)
 
@@ -234,10 +230,9 @@ class DenseUniformRegressors(RegressorGenerator):
         check_count("l", self.l, 1)
         check_positive("bound", self.bound)
 
-    def draw(self, rng, size=None):
-        """One row, or ``(size, l)`` rows, of scaled iid uniform entries."""
-        shape = self.l if size is None else (size, self.l)
-        u = _uniform(rng, -1.0, 1.0, shape)
+    def draw(self, rng, size):
+        """``(size, l)`` rows of scaled iid uniform entries."""
+        u = _uniform(rng, -1.0, 1.0, (size, self.l))
         u *= self.bound / math.sqrt(self.l)
         return u
 
@@ -256,29 +251,24 @@ class PhiBatch:
     ``run`` and ``centralized_baseline`` build no batch: they compute in
     place from the raw draw columns (``tests/reference.py`` keeps the
     baseline's batch form), and ``tests/test_identifier.py`` pins the quiet
-    step bit for bit to the step function
-    (``test_run_takes_both_the_bound_skip_and_the_exact_ball_test``,
-    ``test_plain_sinks_see_every_step_in_order_with_frozen_arrays``,
-    ``test_window_boundaries_at_counter_moves``).
+    step bit for bit to the step function.
 
     The sparse layout addresses agent i's active slot of an ``(n, l)``
-    array by one flat index, ``flat[i] = i * l + support[i]``; it is built
-    from ``support`` unless the caller passes it (streams compute it once
-    per run).
+    array by one flat index, ``flat[i] = i * l + support[i]``, always built
+    from ``support`` (None for the dense layout).
     """
 
     l: int
     eta: np.ndarray | None = None       # (n,) sparse amplitudes
     support: np.ndarray | None = None   # (n,) 0-based active coordinate
     dense: np.ndarray | None = None     # (n, l) full rows
-    flat: np.ndarray | None = field(default=None, repr=False)
+    flat: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         sparse = self.eta is not None and self.support is not None
         if sparse == (self.dense is not None):
             raise ValueError("need either (eta, support) or dense, not both")
-        if sparse and self.flat is None:
-            self.flat = np.arange(len(self.eta)) * self.l + self.support
+        self.flat = np.arange(len(self.eta)) * self.l + self.support if sparse else None
 
     @property
     def is_sparse(self) -> bool:

@@ -399,13 +399,12 @@ class PreflightReport:
         return out
 
 
-def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> PreflightReport:
+def preflight(cfg: ExperimentConfig) -> PreflightReport:
     """Build the model and the schedule, then check them before a run:
     model sanity, excitation coverage, and the network assumptions (double
     stochasticity and windowed strong connectivity).  Degree
     weights are only row stochastic on most graphs; that is downgraded to a
-    warning since the scheme is an explicit user choice.  A ``model`` given
-    by the caller is checked in place of the one the config describes.
+    warning since the scheme is an explicit user choice.
 
     Every field of the config table must hold its parser's type, whichever
     topology is chosen: an int or numpy integer, a finite real, a bool, a
@@ -419,11 +418,9 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
     non-finite real field is reported once, by the check that reads it or
     else as not finite.
 
-    The noise must have median zero and a positive density at zero.  The
-    built-in noise kinds are symmetric by construction (``cdf(0) == 0.5``
-    wherever ``pdf(0) > 0``), so only a custom model's CDF is evaluated;
-    a NaN median fails.  This keeps CDF evaluations off the simulation
-    path.
+    The noise must have a positive density at zero (``LaplaceNoise(1e308)``
+    has none in double precision).  Its median needs no check: the built-in
+    kinds, the only ones a config builds, are symmetric about zero.
     """
     warnings_: list[str] = []
     mistyped = _mistyped(cfg)
@@ -443,13 +440,12 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
     # build, so a bad one is reported beside the model's and schedule's errors
     errors += below(("model.n_agents", cfg.n_agents, 1), ("model.l", cfg.l, 1),
                     ("run.seed", cfg.seed, 0))
-    schedule = None
+    model = schedule = None
     if not errors:      # the builders take these fields as they are
-        if model is None:
-            try:
-                model = build_model(cfg)
-            except ValueError as exc:
-                errors.append(str(exc))
+        try:
+            model = build_model(cfg)
+        except ValueError as exc:
+            errors.append(str(exc))
         try:
             schedule = build_schedule(cfg, _split_seed(cfg)[0])
         except ValueError as exc:
@@ -483,11 +479,7 @@ def preflight(cfg: ExperimentConfig, model: SystemModel | None = None) -> Prefli
                 f"model.n_agents: sparse regressors leave coordinates {missing} unexcited"
             )
 
-    noise = model.noise
-    custom_noise = type(noise) not in _NOISE_KINDS.values()
-    if custom_noise and not abs(float(noise.cdf(0.0)) - 0.5) <= 1e-12:
-        errors.append("noise: median is not zero")
-    elif not float(noise.pdf(0.0)) > 0:
+    if not float(model.noise.pdf(0.0)) > 0:
         errors.append("noise: density vanishes at zero")
 
     report = validate_c4(schedule)

@@ -148,12 +148,12 @@ class StreamBank:
         self._budget = 0        # announced columns not drawn yet (0: none announced)
 
     def expect(self, count: int) -> None:
-        """Announce that ``count`` more columns will be read.
+        """Announce that ``count`` more columns will be read; ``count`` is an integer >= 0.
 
         Refills draw no further than that, so the last one is sized to what
         is still needed; reads beyond it draw whole blocks again.
         """
-        self._budget = max(0, int(count) - (self._end - self._pos))
+        self._budget = max(0, check_count("count", count, 0) - (self._end - self._pos))
 
     def _refill(self) -> None:
         # Step-major, so each step's column is one contiguous row, filled
@@ -208,8 +208,7 @@ class ModelStreams:
     Provides the two per-step draws the identification recursion consumes:
     ``phi_step(k)`` (regressor batch) and ``noise_step()``.  Both are
     block-cached through the model's own ``draw`` and ``sample`` methods;
-    for the sparse kind each batch carries ``model.supports`` and its flat
-    index.
+    for the sparse kind each batch carries ``model.supports``.
 
     The streams are those of :func:`spawn_agent_sequences`, all built at
     construction; the per-agent generators are seeded by a vectorised hash
@@ -221,8 +220,6 @@ class ModelStreams:
         regressor, noise = _role_children(seed)
         n = model.n_agents
         self._support = model.supports
-        if self._support is not None:
-            self._flat = np.arange(n) * model.l + self._support
         self._phi_bank = _RoleBank(
             "regressor", _agent_generators(regressor, n), model.regressor.draw, block
         )
@@ -239,10 +236,7 @@ class ModelStreams:
         """
         if self._support is not None:
             return plant.PhiBatch(
-                l=self.model.l,
-                eta=self._phi_bank.column(),
-                support=self._support,
-                flat=self._flat,
+                l=self.model.l, eta=self._phi_bank.column(), support=self._support
             )
         return plant.PhiBatch(l=self.model.l, dense=self._phi_bank.column())
 
@@ -262,5 +256,6 @@ class ModelStreams:
 
     def expect(self, steps: int) -> None:
         """Announce that ``steps`` more steps will be drawn (see :meth:`StreamBank.expect`)."""
+        steps = check_count("steps", steps, 0)
         self._phi_bank.expect(steps)
         self._noise_bank.expect(steps)

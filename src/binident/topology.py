@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._checks import check_count
+from ._checks import _is_integer, check_count
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +88,18 @@ class Digraph:
 
 
 def _zero_based(n: int, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
-    """``pairs`` of agent ids in 1..n as a (k, 2) array of 0-based ids."""
-    ids = np.array(list(pairs) or np.empty((0, 2)), dtype=np.intp)
+    """``pairs`` of integer agent ids in 1..n as a (k, 2) array of 0-based ids."""
+    ids = np.array(list(pairs) or np.empty((0, 2)), dtype=object)
     if ids.ndim != 2 or ids.shape[1] != 2:
         raise ValueError("edges must be pairs of agent ids")
+    for a, b in ids:    # one by one: an intp array would truncate 1.5 and True
+        if not (_is_integer(a) and _is_integer(b)):
+            raise ValueError(f"edge ({a}, {b}): agent ids must be integers")
     out = ((ids < 1) | (ids > n)).any(axis=1)
     if out.any():
         a, b = ids[out][0].tolist()
         raise ValueError(f"edge ({a}, {b}) out of range 1..{n}")
-    return ids - 1
+    return ids.astype(np.intp) - 1
 
 
 def _undirected(n: int, a: np.ndarray, b: np.ndarray) -> Digraph:
@@ -470,32 +473,37 @@ def dump_schedule(schedule: TopologySchedule, path) -> None:
 
 
 def load_schedule(path) -> TopologySchedule:
-    """Inverse of :func:`dump_schedule`."""
+    """Inverse of :func:`dump_schedule`; blocks are headed ``step 1``, ``step 2``, ... in order."""
     with open(path, encoding="utf-8") as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     if not raw:
         raise ValueError("empty schedule file")
-    head = raw[0].split()
-    if len(head) != 3:
-        raise ValueError(f"bad header {raw[0]!r}; expected 'n B mode'")
-    n, B, mode = check_count("n", int(head[0]), 1), int(head[1]), head[2]
+    try:
+        n, B, mode = raw[0].split()
+        n, B = int(n), int(B)
+    except ValueError:
+        raise ValueError(f"bad header {raw[0]!r}; expected 'n B mode'") from None
+    n = check_count("n", n, 1)
 
     blocks: list[dict[tuple[int, int], float]] = []
     for ln in raw[1:]:
         if ln.startswith("step "):
             blocks.append({})
+            if ln.split() != ["step", str(len(blocks))]:
+                raise ValueError(f"block {len(blocks)} is headed {ln!r}, not 'step {len(blocks)}'")
             continue
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"bad triple line {ln!r}")
+        try:
+            j, i, w = ln.split()
+            j, i, w = int(j), int(i), float(w)
+        except ValueError:
+            raise ValueError(f"bad triple line {ln!r}") from None
         if not blocks:
             raise ValueError("triple before any 'step' line")
-        j, i = int(parts[0]), int(parts[1])
         if not (1 <= j <= n and 1 <= i <= n):
             raise ValueError(f"agent id out of range 1..{n} in triple line {ln!r}")
         if (j, i) in blocks[-1]:
             raise ValueError(f"step {len(blocks)} lists the edge (j, i) = ({j}, {i}) twice")
-        blocks[-1][(j, i)] = float(parts[2])
+        blocks[-1][(j, i)] = w
 
     weights = []
     for triples in blocks:

@@ -422,18 +422,17 @@ def reference_centralized_baseline(model, steps, seed, record_every=1):
 
 # The numpy draws the built-in samplers replaced by in-place fills.
 
-def reference_gaussian_sample(noise, rng, size=None):
+def reference_gaussian_sample(noise, rng, size):
     return rng.normal(0.0, noise.sigma, size)
 
 
-def reference_uniform_noise_sample(noise, rng, size=None):
+def reference_uniform_noise_sample(noise, rng, size):
     return rng.uniform(-noise.half_width, noise.half_width, size)
 
 
-def reference_sparse_draw(gen, rng, size=None):
+def reference_sparse_draw(gen, rng, size):
     return rng.uniform(-1.0, 1.0, size)
 
 
-def reference_dense_draw(gen, rng, size=None):
-    shape = gen.l if size is None else (size, gen.l)
-    return rng.uniform(-1.0, 1.0, shape) * (gen.bound / math.sqrt(gen.l))
+def reference_dense_draw(gen, rng, size):
+    return rng.uniform(-1.0, 1.0, (size, gen.l)) * (gen.bound / math.sqrt(gen.l))

@@ -413,7 +413,7 @@ def test_window_boundaries_at_counter_moves(steps, kicks, split):
 
     def plain(prev, new):
         assert new.k == prev.k + 1 and not new.theta.flags.writeable
-        assert (new.sigma is prev.sigma) == (new.k - 1 not in kicks)
+        assert np.array_equal(new.sigma, prev.sigma) == (new.k - 1 not in kicks)
         seen.append((new.k, new.theta, new.sigma))
 
     streams = _KickedStreams(model, 3, kicks)
@@ -456,6 +456,22 @@ def test_plain_sinks_see_every_step_in_order_with_frozen_arrays():
         snap = bi.dsaawet_identification_step(snap, sched[snap.k], model, streams, 16.0, "doubling")
         assert np.array_equal(new.theta, snap.theta) and np.array_equal(new.sigma, snap.sigma)
     assert final.ledger.truncation_events == snap.ledger.truncation_events > 0
+
+
+def test_plain_sink_snapshots_own_counters_that_did_not_move():
+    model = _sparse_model(4, 2)
+    sched = bi.partitioned_ring_schedule(4, 2)
+    quiet = []
+
+    def plain(prev, new):
+        if np.array_equal(new.sigma, prev.sigma):
+            quiet.append((prev, new))
+
+    bi.run(model, sched, 200, seed=3, sinks=(plain,))
+    assert len(quiet) > 100
+    for prev, new in quiet:
+        assert not new.sigma.flags.writeable
+        assert new.sigma is not prev.sigma and not np.shares_memory(new.sigma, prev.sigma)
 
 
 @pytest.mark.parametrize("changes, field", [
@@ -844,13 +860,13 @@ def _feed(mon, norms_by_step, sigma=(2, 2), k0=2):
     """Hand the monitor one step per row of agent norms, through its per-step
     ``__call__`` (the call plain ``sink(prev, new)`` callers make).
 
-    Consecutive snapshots share one counter array (a step that moves no
-    counter keeps its parent's).  Returns the last snapshot.
+    Every snapshot holds the counters ``sigma``.  Returns the last snapshot.
     """
     ledger = bi.TruncationLedger.initial(len(sigma))
     prev = bi.NetworkSnapshot(k=k0, theta=np.zeros((len(sigma), 1)), sigma=sigma, ledger=ledger)
     for norms in norms_by_step:
-        new = prev._successor(np.array(norms, dtype=np.float64)[:, None], ledger)
+        theta = np.array(norms, dtype=np.float64)[:, None]
+        new = bi.NetworkSnapshot(k=prev.k + 1, theta=theta, sigma=sigma, ledger=ledger)
         mon(prev, new)
         prev = new
     return prev
@@ -918,7 +934,7 @@ def test_monitor_caps_messages_but_counts_every_violation():
     assert mon.steps == 200
 
 
-def test_step_freezes_theta_and_shares_counters_that_did_not_move():
+def test_step_freezes_theta_and_keeps_counters_that_did_not_move():
     model = _sparse_model(3, 2)
     w = bi.metropolis_weights(bi.complete_graph(3))
     streams = bi.ModelStreams(model, 4)
@@ -927,15 +943,19 @@ def test_step_freezes_theta_and_shares_counters_that_did_not_move():
         k=50, theta=np.zeros((3, 2)), sigma=np.full(3, 3), ledger=bi.TruncationLedger.initial(3)
     )
     nxt = bi.dsaawet_identification_step(s, w, model, streams)
-    assert nxt.k == 51 and nxt.sigma is s.sigma and nxt.ledger is s.ledger and nxt.sigma_uniform
+    assert nxt.k == 51 and nxt.ledger is s.ledger and nxt.sigma_uniform
+    # the counters did not move: equal in value, frozen, and the new snapshot's own
+    assert np.array_equal(nxt.sigma, s.sigma) and not nxt.sigma.flags.writeable
+    assert not np.shares_memory(nxt.sigma, s.sigma)
     assert not nxt.theta.flags.writeable and nxt.theta.any()
     with pytest.raises(ValueError):
         nxt.theta[0, 0] = 1.0
     # disagreeing counters on self-loops only: no agent lags and none moves
     s = bi.NetworkSnapshot(k=50, theta=np.zeros((3, 2)), sigma=[1, 3, 2], ledger=s.ledger)
     nxt = bi.dsaawet_identification_step(s, _identity_weights(3), model, streams)
-    assert nxt.sigma is s.sigma and nxt.ledger is s.ledger and not nxt.sigma_uniform
-    assert nxt.theta.any()
+    assert np.array_equal(nxt.sigma, s.sigma) and not nxt.sigma.flags.writeable
+    assert not np.shares_memory(nxt.sigma, s.sigma)
+    assert nxt.ledger is s.ledger and not nxt.sigma_uniform and nxt.theta.any()
     # the first step truncates every agent: new counters, validated and frozen
     s0 = bi.NetworkSnapshot.initial(3, 2)
     first = bi.dsaawet_identification_step(s0, w, model, streams)

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -40,6 +41,18 @@ def test_self_loops_are_mandatory():
 def test_endpoints_must_be_in_range():
     with pytest.raises(ValueError):
         bi.Digraph(2, frozenset({(1, 1), (2, 2), (3, 1)}))
+
+
+@pytest.mark.parametrize("edge", [(1.5, 1), (2, 2.9), (True, 2), (np.float64(2.0), 1)])
+def test_agent_ids_must_be_integers(edge):
+    # an intp array would truncate these to (1, 1), (2, 2), (1, 2) and (2, 1)
+    want = rf"^edge \({edge[0]}, {edge[1]}\): agent ids must be integers$"
+    with pytest.raises(ValueError, match=want):
+        bi.Digraph(2, [(1, 1), (2, 2), edge])
+    with pytest.raises(ValueError, match=want):
+        bi.from_undirected_pairs(2, [edge])
+    # numpy integers are integers
+    assert bi.Digraph(2, [(np.int64(1), np.int32(1)), (2, 2)]) == bi.Digraph(2, [(1, 1), (2, 2)])
 
 
 def test_from_undirected_pairs_adds_both_directions_and_loops():
@@ -584,4 +597,28 @@ def test_load_rejects_an_edge_listed_twice(tmp_path, text, step, pair):
     path.write_text(text)
     want = rf"^step {step} lists the edge \(j, i\) = \({pair[0]}, {pair[1]}\) twice$"
     with pytest.raises(ValueError, match=want):
+        bi.load_schedule(path)
+
+
+_BLOCK2 = "1 1 1.0\n2 2 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 1 static\nstep 7\n" + _BLOCK2, "block 1 is headed 'step 7', not 'step 1'"),
+        ("2 1 static\nstep x\n" + _BLOCK2, "block 1 is headed 'step x', not 'step 1'"),
+        ("2 2 periodic-list\nstep 2\n" + _BLOCK2 + "step 1\n" + _BLOCK2,
+         "block 1 is headed 'step 2', not 'step 1'"),
+        ("2 x static\nstep 1\n" + _BLOCK2, "bad header '2 x static'; expected 'n B mode'"),
+        ("x 1 static\nstep 1\n" + _BLOCK2, "bad header 'x 1 static'; expected 'n B mode'"),
+        ("2 1 static\nstep 1\n1 1 x\n2 2 1.0\n", "bad triple line '1 1 x'"),
+        ("2 1 static\nstep 1\n1.5 1 1.0\n2 2 1.0\n", "bad triple line '1.5 1 1.0'"),
+    ],
+    ids=["step-7", "step-x", "out-of-order", "header-B", "header-n", "weight", "id"],
+)
+def test_load_names_the_bad_line(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         bi.load_schedule(path)
