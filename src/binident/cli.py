@@ -11,13 +11,12 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .analysis import RegressionContext, jacobian_at_root, regression_function
 from .oracle import identifiability_probe
-from .runner import ExperimentConfig, preflight, preset_v, run_experiment
+from .runner import ExperimentConfig, _make_out_dir, preflight, preset_v, run_experiment
 
 
 def _add_override_args(p: argparse.ArgumentParser, required: bool = False) -> None:
@@ -120,6 +119,7 @@ def _cmd_probe(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed        # before preflight, which range-checks it
     model = _preflight_model(cfg)
+    out_dir = None if args.out is None else _make_out_dir(args.out, "--out")
     report = identifiability_probe(
         model, args.agent, args.steps, cfg.seed, threshold=args.threshold
     )
@@ -133,9 +133,7 @@ def _cmd_probe(args) -> int:
             f"error {row['error']:.6g}"
             + (" [stalled]" if row["stalled"] else "")
         )
-    if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         path = out_dir / "probe.jsonl"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for row in report.rows():

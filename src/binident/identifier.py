@@ -456,7 +456,6 @@ def run(
     snap = init if init is not None else NetworkSnapshot.initial(model.n_agents, model.l)
     if steps == 0:
         return snap
-    streams.expect(steps)
     return _run_steps(model, schedule, streams, snap, steps, tuple(sinks), gain, radii)
 
 

@@ -49,7 +49,6 @@ def centralized_baseline(model: SystemModel, steps: int, seed, record_every: int
     check_count("steps", steps, 0)
     check_count("record_every", record_every, 1)
     streams = ModelStreams(model, _checked_seed(seed))
-    streams.expect(steps)
     l, sup = model.l, model.supports
     tstar = model.theta_star if sup is None else model.theta_star[sup]
     y, c = np.empty(model.n_agents), np.empty(model.n_agents)

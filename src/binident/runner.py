@@ -137,8 +137,9 @@ def _mistyped(cfg) -> dict[str, str]:
     """``section.key: must be ...`` for every config value of the wrong type.
 
     Keyed by attribute, or ``noise.<key>`` for a noise parameter (which must
-    be real), in table order.  A real too large for a float is reported as
-    not finite: no float holds it.  Non-finite floats pass here.
+    be real), in table order.  A real field or noise parameter that is NaN,
+    an infinity or too large for a float is reported once, as ``must be
+    finite``; so is an int in ``theta_star`` too large for a float.
     """
     optional = {f.name for f in fields(cfg) if f.default is None}
     rows = [
@@ -157,11 +158,33 @@ def _mistyped(cfg) -> dict[str, str]:
             continue
         try:
             summary(value)
-        except OverflowError:
+            finite = parse is not float or math.isfinite(value)
+        except OverflowError:   # a real too large for a float
+            finite = False
+        if not finite:
             out[attr] = f"{name}: must be finite"
     if not isinstance(params, Mapping):
         out["noise"] = "noise: parameters must be a mapping of names to reals"
     return out
+
+
+_INI_ERRORS = (
+    configparser.DuplicateOptionError, configparser.DuplicateSectionError,
+    configparser.ParsingError,
+)
+
+
+def _ini_error(path, exc) -> ValueError:
+    """One of the ``_INI_ERRORS`` as a ValueError naming the file and the line."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        lineno, what = exc.lineno, f"key {exc.section}.{exc.option} is set twice"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        lineno, what = exc.lineno, f"section [{exc.section}] appears twice"
+    elif isinstance(exc, configparser.MissingSectionHeaderError):
+        lineno, what = exc.lineno, "a key before the first [section] header"
+    else:   # a ParsingError lists every line that did not parse
+        lineno, what = exc.errors[0][0], "not a [section] header or a 'key = value' line"
+    return ValueError(f"{path}, line {lineno}: {what}")
 
 
 @dataclass
@@ -223,8 +246,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_ini(cls, path) -> "ExperimentConfig":
-        cp = configparser.ConfigParser()
-        if not cp.read(path):
+        """Read an INI config; a file that does not parse raises ValueError naming its line."""
+        cp = configparser.ConfigParser(interpolation=None)
+        try:
+            found = cp.read(path)
+        except _INI_ERRORS as exc:
+            raise _ini_error(path, exc) from None
+        if not found:
             raise ValueError(f"config file not found: {path}")
         required = {
             f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
@@ -275,7 +303,7 @@ class ExperimentConfig:
                 sections.setdefault(section, {})[key] = text(summary(value))
         for key, val in self.noise_params.items():
             sections["noise"][key] = repr(float(val))
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         cp.read_dict(sections)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             cp.write(fh)
@@ -411,12 +439,11 @@ def preflight(cfg: ExperimentConfig) -> PreflightReport:
     str, ``theta_star`` "graded" or a tuple, list or 1-D array of reals (a
     bool is no integer or real; ``period``, ``window``, ``out`` and
     ``schedule_file`` may be None).  Every noise parameter must be a finite
-    real; an int too large for a float, there or in ``theta_star``, is
-    reported as not finite.  A config with a
+    real.  A real field or noise parameter that is NaN, infinite or too
+    large for a float, and an int in ``theta_star`` too large for a float,
+    is reported once, by the type check, as not finite.  A config with a
     mistyped field or noise parameter, or with ``n_agents``, ``l`` or
-    ``seed`` out of range, is reported field by field and not built; a
-    non-finite real field is reported once, by the check that reads it or
-    else as not finite.
+    ``seed`` out of range, is reported field by field and not built.
 
     The noise must have a positive density at zero (``LaplaceNoise(1e308)``
     has none in double precision).  Its median needs no check: the built-in
@@ -425,12 +452,6 @@ def preflight(cfg: ExperimentConfig) -> PreflightReport:
     warnings_: list[str] = []
     mistyped = _mistyped(cfg)
     errors = list(mistyped.values())
-    if "noise" not in mistyped:
-        errors += [
-            f"noise.{key}: must be finite"
-            for key, value in cfg.noise_params.items()
-            if f"noise.{key}" not in mistyped and not math.isfinite(value)
-        ]
 
     def below(*rows):
         return [f"{name}: must be >= {low}" for name, value, low in rows
@@ -459,16 +480,6 @@ def preflight(cfg: ExperimentConfig) -> PreflightReport:
             check(*args)
         except ValueError as exc:
             errors.append(f"algorithm.{key}: {exc}")
-    # a real that nothing above read (p on a ring, say) still lands in the summary
-    named = {e.partition(":")[0] for e in errors}
-    errors += [
-        f"{section}.{key}: must be finite, got {value!r}"
-        for section, key, attr, parse, _ in _FIELDS
-        if parse is float
-        and attr not in mistyped
-        and not math.isfinite(value := getattr(cfg, attr))
-        and f"{section}.{key}" not in named
-    ]
     if model is None or schedule is None:
         return PreflightReport(errors, warnings_, None, model, schedule)
 
@@ -503,6 +514,13 @@ def preflight(cfg: ExperimentConfig) -> PreflightReport:
 # ---------------------------------------------------------------------------
 # trajectory CSV
 
+def _trajectory_header(n_errors: int, n_theta: int) -> list[str]:
+    """The columns of trajectory.csv, with ``n_errors`` agent errors and ``n_theta`` theta_bar."""
+    return (["k", "sigma_max", "consensus_gap", "mean_error"]
+            + [f"err_{i}" for i in range(1, n_errors + 1)]
+            + [f"theta_bar_{j}" for j in range(1, n_theta + 1)])
+
+
 def write_trajectory_csv(metrics: Metrics, path) -> None:
     """Write metric rows; floats use repr so parsing restores them exactly.
 
@@ -510,14 +528,11 @@ def write_trajectory_csv(metrics: Metrics, path) -> None:
     floats by one ``tolist``, whose floats have the same ``repr`` as
     ``float(np.float64)``; each row is then one join.
     """
-    cols = ["k", "sigma_max", "consensus_gap", "mean_error"]
+    errs, bars = metrics.agent_errors, metrics.theta_bar
+    cols = _trajectory_header(0 if errs is None else errs.shape[1],
+                              0 if bars is None else bars.shape[1])
     floats = [metrics.consensus_gap[:, None], metrics.mean_error[:, None]]
-    if metrics.agent_errors is not None:
-        cols += [f"err_{i}" for i in range(1, metrics.agent_errors.shape[1] + 1)]
-        floats.append(metrics.agent_errors)
-    if metrics.theta_bar is not None:
-        cols += [f"theta_bar_{j}" for j in range(1, metrics.theta_bar.shape[1] + 1)]
-        floats.append(metrics.theta_bar)
+    floats += [a for a in (errs, bars) if a is not None]
     rows = np.hstack(floats, dtype=np.float64).tolist()
     lines = [",".join(cols)]
     lines += [
@@ -529,34 +544,51 @@ def write_trajectory_csv(metrics: Metrics, path) -> None:
 
 
 def read_trajectory_csv(path) -> Metrics:
-    """Inverse of :func:`write_trajectory_csv`."""
+    """Inverse of :func:`write_trajectory_csv`.
+
+    Only a header that it writes is read, and ``k`` and ``sigma_max`` must
+    hold integers; anything else raises ValueError.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"empty trajectory file: {path}")
     header = lines[0].split(",")
-    base = ["k", "sigma_max", "consensus_gap", "mean_error"]
-    if header[: len(base)] != base:
+    n_err = sum(c.startswith("err_") for c in header)
+    n_bar = sum(c.startswith("theta_bar_") for c in header)
+    if header != _trajectory_header(n_err, n_bar):
         raise ValueError(f"unexpected trajectory header: {lines[0]!r}")
-    err_cols = [c for c in header if c.startswith("err_")]
-    bar_cols = [c for c in header if c.startswith("theta_bar_")]
     rows = [ln.split(",") for ln in lines[1:]]
     if rows and any(len(r) != len(header) for r in rows):
         raise ValueError("ragged trajectory rows")
     data = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
-    out = Metrics(
+    for j, name in enumerate(header[:2]):     # k and sigma_max: integers an int64 holds
+        col = data[:, j]
+        bad = np.flatnonzero(~((col == np.trunc(col)) & (np.abs(col) < 2.0**63)))
+        if bad.size:
+            raise ValueError(f"trajectory column {name}: {rows[bad[0]][j]!r} is not an integer")
+    return Metrics(
         k=data[:, 0].astype(np.int64),
         sigma_max=data[:, 1].astype(np.int64),
         consensus_gap=data[:, 2],
         mean_error=data[:, 3],
-        agent_errors=data[:, 4 : 4 + len(err_cols)] if err_cols else None,
-        theta_bar=data[:, 4 + len(err_cols) :] if bar_cols else None,
+        agent_errors=data[:, 4 : 4 + n_err] if n_err else None,
+        theta_bar=data[:, 4 + n_err :] if n_bar else None,
     )
-    return out
 
 
 # ---------------------------------------------------------------------------
 # experiments
+
+def _make_out_dir(path, name: str) -> Path:
+    """Create the output directory ``path``, or raise ValueError naming ``name``."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"{name}: cannot create {out_dir}: {exc.strerror or exc}") from None
+    return out_dir
+
 
 @dataclass
 class ExperimentResult:
@@ -572,13 +604,16 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Validate, simulate, and (if ``cfg.out`` is set) write artifacts.
 
-    Raises one ValueError listing every field-named preflight error.
+    Raises one ValueError listing every field-named preflight error, and
+    one naming ``run.out`` when the output directory cannot be created;
+    both before the run.
     Rerunning with the same config produces byte-identical trajectory.csv.
     """
     t0 = time.perf_counter()
     pre = preflight(cfg)
     if not pre.ok:
         raise ValueError("invalid config:\n" + "\n".join(pre.errors))
+    out_dir = None if cfg.out is None else _make_out_dir(cfg.out, "run.out")
     model = pre.model
 
     recorder = TrajectoryRecorder(
@@ -634,11 +669,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     }
 
     result = ExperimentResult(cfg, pre, metrics, final, summary)
-    if cfg.out is not None:
+    if out_dir is not None:
         # Strict JSON: a non-finite value raises here, before either file is written.
         text = json.dumps(summary, indent=2, sort_keys=False, allow_nan=False)
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         result.trajectory_path = out_dir / "trajectory.csv"
         result.summary_path = out_dir / "summary.json"
         write_trajectory_csv(metrics, result.trajectory_path)

@@ -10,9 +10,7 @@ optimisation and never changes the stream.  A block holds 1024 steps by
 default: 0.8 MB per bank on the 100-agent preset, so a run's two banks fit
 together in a 2 MB L2 cache.  A drawn -0.0 is served as +0.0
 (no built-in law draws one), so the identification engine can read a
-sensor's sign as the sign of ``y - c``.  A caller that knows how many
-steps it will read says so (:meth:`ModelStreams.expect`), and the last
-refill then draws only those steps instead of a whole block.
+sensor's sign as the sign of ``y - c``.
 
 :class:`ModelStreams` seeds its per-agent generators without building the
 per-agent SeedSequences: it starts from each role child's own ``pool``
@@ -132,8 +130,7 @@ class StreamBank:
         samples; every agent draws with the same callable from its own
         generator.
     block:
-        Steps cached per refill (at most; see :meth:`expect`).  Has no
-        effect on the values served.
+        Steps drawn per refill.  Has no effect on the values served.
     """
 
     _role = "draws"     # the name errors give the stream
@@ -143,17 +140,7 @@ class StreamBank:
         self._gens = [np.random.default_rng(s) for s in sequences]
         self._draw = draw
         self._cache: np.ndarray | None = None
-        self._pos = 0
-        self._end = 0           # columns in the cache
-        self._budget = 0        # announced columns not drawn yet (0: none announced)
-
-    def expect(self, count: int) -> None:
-        """Announce that ``count`` more columns will be read; ``count`` is an integer >= 0.
-
-        Refills draw no further than that, so the last one is sized to what
-        is still needed; reads beyond it draw whole blocks again.
-        """
-        self._budget = max(0, check_count("count", count, 0) - (self._end - self._pos))
+        self._pos = self._block     # the first read refills
 
     def _refill(self) -> None:
         # Step-major, so each step's column is one contiguous row, filled
@@ -164,9 +151,6 @@ class StreamBank:
         # check covers the block; only a failure walks the agents, to name
         # the first bad one.
         size = self._block
-        if self._budget:
-            size = min(size, self._budget)
-            self._budget -= size
         self._cache = cache = None
         for i, g in enumerate(self._gens):
             draws = self._draw(g, size)
@@ -179,7 +163,7 @@ class StreamBank:
                 _finite(cache[:, i], self._role, i)
         cache.flags.writeable = False
         self._cache = cache
-        self._pos, self._end = 0, size
+        self._pos = 0
 
     def column(self) -> np.ndarray:
         """Next step's draw for every agent: shape ``(n,)`` or ``(n, width)``.
@@ -187,7 +171,7 @@ class StreamBank:
         The result is a read-only view into the block cache; it keeps its
         values after later refills.
         """
-        if self._pos == self._end:
+        if self._pos == self._block:
             self._refill()
         col = self._cache[self._pos]
         self._pos += 1
@@ -253,9 +237,3 @@ class ModelStreams:
         mixed step by step and every drawn value stays the same.
         """
         return self._phi_bank.column(), self._noise_bank.column()
-
-    def expect(self, steps: int) -> None:
-        """Announce that ``steps`` more steps will be drawn (see :meth:`StreamBank.expect`)."""
-        steps = check_count("steps", steps, 0)
-        self._phi_bank.expect(steps)
-        self._noise_bank.expect(steps)

@@ -56,9 +56,6 @@ COUNTS = [
     ("DenseUniformRegressors", "l", 1, lambda v: bi.DenseUniformRegressors(v)),
     ("SystemModel", "n_agents", 1, lambda v: bi.SystemModel(STAR2, SPARSE2, NOISE, v)),
     ("StreamBank", "block", 1, lambda v: bi.StreamBank([1, 2], np.random.Generator.random, v)),
-    ("StreamBank.expect", "count", 0,
-     lambda v: bi.StreamBank([1, 2], np.random.Generator.random).expect(v)),
-    ("ModelStreams.expect", "steps", 0, lambda v: bi.ModelStreams(MODEL, 1).expect(v)),
     ("Digraph", "n", 1, lambda v: bi.Digraph(n=v, edges=frozenset())),
     ("from_undirected_pairs", "n", 1, lambda v: bi.from_undirected_pairs(v, [])),
     ("complete_graph", "n", 1, bi.complete_graph),

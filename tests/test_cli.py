@@ -178,18 +178,93 @@ def test_simulate_builds_model_and_schedule_once(small_ini, monkeypatch, capsys)
     capsys.readouterr()
 
 
-def test_simulate_writes_no_artifact_when_the_summary_is_not_strict_json(tmp_path, capsys):
-    # p is unused by a ring but lands in the summary's config block as NaN
+def test_simulate_refuses_a_nan_in_a_field_the_topology_does_not_read(tmp_path, capsys):
+    # a ring never reads p, but the summary's config block would hold it as NaN
     path = tmp_path / "ring.ini"
-    ExperimentConfig(n_agents=4, l=2, steps=20, seed=1, topology_kind="ring",
-                     p=float("nan")).to_ini(path)
+    path.write_text(
+        "[model]\nn_agents = 4\nl = 2\n\n[run]\nsteps = 20\nseed = 1\n\n"
+        "[topology]\nkind = ring\np = nan\n",
+        encoding="utf-8",
+    )
     out_dir = tmp_path / "o1"
     rc = main(["simulate", "--config", str(path), "--out", str(out_dir)])
-    captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err.startswith("error: ")
-    assert not (out_dir / "trajectory.csv").exists()
-    assert not (out_dir / "summary.json").exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid config:", "topology.p: must be finite"
+    ]
+    assert not out_dir.exists()
+
+
+_MALFORMED = {
+    "duplicate-section": ("[model]\nn_agents = 8\n[model]\nl = 4\n",
+                          "line 3: section [model] appears twice"),
+    "duplicate-key": ("[model]\nn_agents = 8\nn_agents = 4\n",
+                      "line 3: key model.n_agents is set twice"),
+    "no-section-header": ("n_agents = 8\n[model]\nl = 4\n",
+                          "line 1: a key before the first [section] header"),
+    "no-equals-sign": ("[model]\nn_agents = 8\nl 4\n",
+                       "line 3: not a [section] header or a 'key = value' line"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MALFORMED))
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["probe", "--agent", "1"], ["analyze", "--theta", "0"]],
+    ids=["simulate", "probe", "analyze"],
+)
+def test_a_malformed_ini_is_named_by_file_and_line(tmp_path, capsys, kind, command):
+    text, message = _MALFORMED[kind]
+    path = tmp_path / "bad.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main([*command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}, {message}\n"
+    assert captured.out == ""
+
+
+def test_simulate_and_probe_read_a_percent_sign_in_the_config(small_ini, tmp_path, capsys):
+    out_dir = tmp_path / "x%y"
+    path = tmp_path / "percent.ini"
+    text = small_ini.read_text(encoding="utf-8")
+    path.write_text(text.replace("[run]\n", f"[run]\nout = {out_dir}\n"), encoding="utf-8")
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert (out_dir / "summary.json").exists()
+    assert main(["probe", "--agent", "1", "--config", str(path), "--steps", "5"]) == 0
+    capsys.readouterr()
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("ran with an unusable output directory")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_simulate_and_probe_refuse_an_unusable_out_before_running(
+    small_ini, tmp_path, capsys, monkeypatch, under
+):
+    from binident import cli
+
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x", encoding="utf-8")
+    out = blocker / "sub" if under else blocker
+    reason = "Not a directory" if under else "File exists"
+    monkeypatch.setattr(runner, "run", _no_run)
+    monkeypatch.setattr(cli, "identifiability_probe", _no_run)
+    assert main(["simulate", "--config", str(small_ini), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: run.out: cannot create {out}: {reason}\n"
+    assert main(["probe", "--agent", "1", "--config", str(small_ini), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out: cannot create {out}: {reason}\n"
+    assert blocker.read_text(encoding="utf-8") == "x"
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["probe", "--agent", "1"]],
+                         ids=["simulate", "probe"])
+def test_a_config_that_fails_preflight_creates_no_out_directory(tmp_path, capsys, command):
+    path = tmp_path / "bad.ini"
+    ExperimentConfig(n_agents=8, l=0, steps=10, seed=0).to_ini(path)
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: invalid config:\nmodel.l: must be >= 1\n"
+    assert not out.exists()
 
 
 def test_preset_v_short_run(tmp_path, capsys):

@@ -116,6 +116,12 @@ def test_ini_round_trip_graded_default(tmp_path):
     assert back.theta_star == "graded"
 
 
+def test_ini_round_trip_keeps_a_percent_sign(tmp_path):
+    cfg = small_config(out="run 100%")
+    cfg.to_ini(tmp_path / "cfg.ini")
+    assert ExperimentConfig.from_ini(tmp_path / "cfg.ini").out == "run 100%"
+
+
 def test_from_ini_missing_file():
     with pytest.raises(ValueError, match="config file not found"):
         ExperimentConfig.from_ini("/no/such/file.ini")
@@ -421,16 +427,25 @@ def test_preflight_names_each_mistyped_or_non_finite_field_once(
     # small_config's partitioned ring never reads p or file: they are checked all the same
     out = tmp_path / "out"
     cfg = small_config(**{"out": str(out), attr: value})
+    non_finite = parse is float and isinstance(value, float)
     errors = preflight(cfg).errors
-    assert len(errors) == 1 and errors[0].startswith(f"{name}: "), errors
-    if not (parse is float and isinstance(value, float)):
-        assert errors == [f"{name}: {_TYPE_CHECKS[parse][1]}"]
+    assert errors == [f"{name}: {'must be finite' if non_finite else _TYPE_CHECKS[parse][1]}"]
     with pytest.raises(ValueError, match=re.escape(errors[0])):
         bi.run_experiment(cfg)
     assert not out.exists()
-    if parse is float and isinstance(value, float):     # an INI can hold it too
-        cfg.to_ini(tmp_path / "cfg.ini")
-        assert main(["simulate", "--config", str(tmp_path / "cfg.ini")]) == 2
+    ini = tmp_path / "cfg.ini"
+    with pytest.raises(ValueError) as info:
+        cfg.to_ini(ini)
+    assert str(info.value) == errors[0]
+    assert not ini.exists()
+    if non_finite:      # an INI can hold it: written into a valid one's text
+        small_config(out=str(out)).to_ini(ini)
+        key = name.partition(".")[2]
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value!r}",
+                              ini.read_text(encoding="utf-8"), flags=re.M)
+        assert count == 1
+        ini.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--config", str(ini)]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: invalid config:", *errors]
         assert not out.exists()
 
@@ -500,9 +515,7 @@ def test_a_real_too_large_for_a_float_is_named_once_as_not_finite(tmp_path, over
     out = tmp_path / "out"
     cfg = small_config(out=str(out), **overrides)
     errors = preflight(cfg).errors
-    assert len(errors) == 1 and errors[0].startswith(f"{name}: "), errors
-    if name != "regressor.bound":       # the builder's own message may stand there
-        assert errors == [f"{name}: must be finite"]
+    assert errors == [f"{name}: must be finite"]
     with pytest.raises(ValueError, match=re.escape(errors[0])):
         bi.run_experiment(cfg)
     assert not out.exists()
@@ -622,13 +635,16 @@ def test_theta_star_is_typed_and_named_once(tmp_path, theta, message):
 
 
 def test_preflight_rejects_non_finite_regressor_bound():
-    for bound in (float("inf"), float("nan"), 0.0):
-        rep = preflight(small_config(regressor_kind="dense-uniform", regressor_bound=bound))
-        assert rep.errors == [f"regressor.bound: must be finite and positive, got {bound!r}"]
+    for kind in ("dense-uniform", "sparse-uniform"):
+        for bound in (float("inf"), float("nan")):
+            rep = preflight(small_config(regressor_kind=kind, regressor_bound=bound))
+            assert rep.errors == ["regressor.bound: must be finite"]
+    rep = preflight(small_config(regressor_kind="dense-uniform", regressor_bound=0.0))
+    assert rep.errors == ["regressor.bound: must be finite and positive, got 0.0"]
 
 
 def test_preflight_rejects_sparse_regressor_bound_other_than_one():
-    for bound in (float("inf"), float("nan"), 2.0, 0.5):
+    for bound in (2.0, 0.5):
         rep = preflight(small_config(regressor_kind="sparse-uniform", regressor_bound=bound))
         assert rep.errors == [
             f"regressor.bound: sparse-uniform regressors have norm bound 1, got {bound!r}"
@@ -776,6 +792,34 @@ def test_read_trajectory_rejects_foreign_header(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("time,value\n1,2\n")
     with pytest.raises(ValueError, match="unexpected trajectory header"):
+        read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["k,sigma_max,consensus_gap,mean_error,theta_bar_1,err_1",
+     "k,sigma_max,consensus_gap,mean_error,err_1,err_1",
+     "k,sigma_max,consensus_gap,mean_error,theta_bar_2,theta_bar_1",
+     "k,sigma_max,consensus_gap,mean_error,extra"],
+    ids=["theta-bar-before-err", "duplicate", "misnumbered", "unknown"],
+)
+def test_read_trajectory_rejects_a_header_it_does_not_write(tmp_path, header):
+    path = tmp_path / "t.csv"
+    path.write_text(header + "\n1,0" + ",0.5" * (header.count(",") - 1) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"unexpected trajectory header: {header!r}")):
+        read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, name, value",
+    [("1.5,0", "k", "1.5"), ("1,1.9", "sigma_max", "1.9"), ("inf,0", "k", "inf")],
+)
+def test_read_trajectory_rejects_a_non_integral_count(tmp_path, row, name, value):
+    path = tmp_path / "t.csv"
+    path.write_text(f"k,sigma_max,consensus_gap,mean_error\n1,0,0.1,0.2\n{row},0.1,0.2\n")
+    with pytest.raises(ValueError, match=re.escape(
+        f"trajectory column {name}: {value!r} is not an integer"
+    )):
         read_trajectory_csv(path)
 
 

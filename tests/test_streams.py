@@ -143,35 +143,12 @@ def test_stream_bank_old_column_keeps_its_values_after_a_refill():
     assert np.array_equal(first, kept)
 
 
-def test_expected_columns_size_the_last_refill_and_keep_the_stream():
-    seqs = bi.spawn_agent_sequences(21, 3)["noise"]
-    sizes = []
-
-    def draw(g, size):
-        sizes.append(size)
-        return g.normal(0.0, 1.0, size)
-
-    sized = bi.StreamBank(seqs, draw, block=8)
-    plain = bi.StreamBank(seqs, lambda g, size: g.normal(0.0, 1.0, size), block=8)
-    sized.column()              # one column read before the announcement
-    sized.expect(19)            # 7 are cached, 12 still to draw: blocks of 8 and 4
-    got = [sized.column() for _ in range(19)]
-    assert sizes == [8] * 3 + [8] * 3 + [4] * 3
-    got += [sized.column() for _ in range(10)]   # reads past it draw whole blocks
-    assert sizes[9:] == [8] * 6
-    want = [plain.column() for _ in range(30)][1:]
-    for col, ref in zip(got, want):
-        assert np.array_equal(col, ref)
-
-
-def test_a_run_draws_only_the_steps_it_needs():
+def test_the_draws_go_on_where_a_run_stopped():
     model = _model(n_agents=3, l=2)
     g = bi.complete_graph(3)
     sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
     streams = bi.ModelStreams(model, 9, block=64)
     bi.run(model, sched, 100, streams=streams)
-    assert len(streams._phi_bank._cache) == len(streams._noise_bank._cache) == 36
-    # the draws go on where the run stopped, as one unsized stream's would
     fresh = bi.ModelStreams(model, 9, block=64)
     for _ in range(100):
         fresh.columns()

@@ -90,6 +90,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import binident as bi  # noqa: E402
 import numpy as np  # noqa: E402
+from binident.runner import _split_seed  # noqa: E402
 
 RING_STAR = (0.5, -0.4, 0.3, -0.35)
 
@@ -169,7 +170,7 @@ def digests(cfg: bi.ExperimentConfig) -> tuple[str, str]:
 
 def schedule_digests(cfg: bi.ExperimentConfig) -> tuple[str, str]:
     """SHA-256 of the dumped schedule and of its validation report text."""
-    sched = bi.build_schedule(cfg, np.random.SeedSequence(cfg.seed).spawn(2)[0])
+    sched = bi.build_schedule(cfg, _split_seed(cfg)[0])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.schedule"
         bi.dump_schedule(sched, path)
@@ -191,7 +192,7 @@ def file_run_digests() -> tuple[str, str]:
 def no_sink_digests(cfg: bi.ExperimentConfig) -> tuple[str, str, str]:
     """SHA-256 of the final theta, sigma and ledger of ``run`` without sinks."""
     pre = bi.preflight(cfg)
-    streams = bi.ModelStreams(pre.model, np.random.SeedSequence(cfg.seed).spawn(2)[1])
+    streams = bi.ModelStreams(pre.model, _split_seed(cfg)[1])
     final = bi.run(
         pre.model, pre.schedule, cfg.steps, streams=streams, gain=cfg.gain, radii=cfg.radii
     )
@@ -213,7 +214,7 @@ def no_sink_digests(cfg: bi.ExperimentConfig) -> tuple[str, str, str]:
 def step_digest(cfg: bi.ExperimentConfig) -> str:
     """SHA-256 of every state a plain per-step sink of ``run`` receives."""
     pre = bi.preflight(cfg)
-    streams = bi.ModelStreams(pre.model, np.random.SeedSequence(cfg.seed).spawn(2)[1])
+    streams = bi.ModelStreams(pre.model, _split_seed(cfg)[1])
     digest = hashlib.sha256()
 
     def feed(snap):
@@ -246,7 +247,7 @@ def direct_step_digest(cfg: bi.ExperimentConfig, disagreeing: bool) -> str:
     """SHA-256 of every state of direct ``dsaawet_identification_step`` calls."""
     pre = bi.preflight(cfg)
     model = pre.model
-    streams = bi.ModelStreams(model, np.random.SeedSequence(cfg.seed).spawn(2)[1])
+    streams = bi.ModelStreams(model, _split_seed(cfg)[1])
     snap = bi.NetworkSnapshot.initial(model.n_agents, model.l)
     if disagreeing:
         theta, sigma = _disagreeing_start(model.n_agents, model.l, cfg.seed)
