@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _finite, check_count
+from ._checks import _finite, _integral, check_array, check_count, check_seed
 from .plant import SystemModel, sign_pm
 
 
@@ -68,17 +68,6 @@ class RegressionContext:
         return self.model.l
 
 
-def _check_theta(ctx: RegressionContext, theta, name: str) -> np.ndarray:
-    """``theta`` as a float ``(l,)`` array; a wrong shape or a non-finite
-    entry is a ``ValueError`` that names the argument."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (ctx.l,):
-        raise ValueError(f"{name} must have shape ({ctx.l},)")
-    if not np.isfinite(theta).all():
-        raise ValueError(f"{name} must be finite, got {theta}")
-    return theta
-
-
 def _sum_over_agents(ctx: RegressionContext, per: np.ndarray, wq: np.ndarray) -> np.ndarray:
     """Quadrature of each agent's row of ``per`` (l, nodes), summed into its
     coordinate.
@@ -101,16 +90,14 @@ def regression_function(ctx: RegressionContext, theta: np.ndarray) -> np.ndarray
     decreasing in ``theta_m`` around the root, which is what the solver and
     the descent diagnostics rely on.
     """
-    theta = _check_theta(ctx, theta, "theta")
+    theta = check_array("theta", theta, (ctx.l,))
     if not ctx.closed_form:
         warnings.warn(
             "no closed form for this regressor kind; using Monte Carlo fallback",
             stacklevel=2,
         )
-        est = regression_function_mc(
-            ctx, theta, ctx.mc_fallback_samples, np.random.default_rng(ctx.mc_fallback_seed)
-        )
-        return est.value
+        samples, seed = ctx.mc_fallback_samples, ctx.mc_fallback_seed
+        return regression_function_mc(ctx, theta, samples, seed).value
     x, wq = _gauss_legendre(ctx.quad_nodes)
     args = (theta - ctx.model.theta_star)[:, None] * x      # (l, nodes)
     per = (1.0 - 2.0 * ctx.model.noise.cdf(args)) * (0.5 * x)
@@ -126,7 +113,7 @@ def regression_jacobian(ctx: RegressionContext, theta: np.ndarray) -> np.ndarray
     """
     if not ctx.closed_form:
         raise ValueError("general-theta Jacobian needs the sparse regressor kind")
-    theta = _check_theta(ctx, theta, "theta")
+    theta = check_array("theta", theta, (ctx.l,))
     x, wq = _gauss_legendre(ctx.quad_nodes)
     args = (theta - ctx.model.theta_star)[:, None] * x      # (l, nodes)
     per = ctx.model.noise.pdf(args) * (x * x)
@@ -176,8 +163,9 @@ def regression_function_mc(
     and averages ``phi_i * sign(y_i - phi_i' theta)``.  The generator is
     consumed agent by agent within each chunk of at most 65 536 samples,
     noise before regressor (deterministic given ``rng``, unrelated to run
-    streams).  ``samples`` is an integer of at least 1; a NaN or infinite
-    draw raises ValueError naming its role (``noise`` or ``regressor``).
+    streams).  ``rng`` is a Generator or a seed under ``check_seed``;
+    ``samples`` is an integer of at least 1; a NaN or infinite draw raises
+    ValueError naming its role (``noise`` or ``regressor``).
 
     Each sample's vector ``sum_i phi_i s_i`` is summed over the chunk, and
     so are its squares, for the mean and the standard error.  The sparse
@@ -189,9 +177,9 @@ def regression_function_mc(
     ``(samples, l)`` array (one contiguous column when l = 1, pairwise), so
     the estimate equals that of the per-sample form bit for bit.
     """
-    theta = _check_theta(ctx, theta, "theta")
+    theta = check_array("theta", theta, (ctx.l,))
     check_count("samples", samples, 1)
-    rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng if isinstance(rng, np.random.Generator) else check_seed(rng))
     sums = _mc_sparse_sums if ctx.closed_form else _mc_dense_sums
     total, total_sq = sums(ctx.model, theta, samples, rng)
     mean = total / samples
@@ -288,14 +276,15 @@ def consensus_gap(s) -> float:
 
 
 def estimation_errors(s, theta_star: np.ndarray) -> np.ndarray:
-    """Per-agent distances ``||theta_i - theta_star||``."""
-    return _agent_error_rows(s.theta[None], np.asarray(theta_star, dtype=np.float64))[0]
+    """Per-agent distances ``||theta_i - theta_star||``; ``theta_star`` holds l finite reals."""
+    theta_star = check_array("theta_star", theta_star, s.theta.shape[1:])
+    return _agent_error_rows(s.theta[None], theta_star)[0]
 
 
 def mean_error(s, theta_star: np.ndarray) -> float:
     """Distance of the network-average estimate from the true parameter."""
-    bar = _theta_bar_rows(s.theta[None])
-    return float(_mean_error_rows(bar, np.asarray(theta_star, dtype=np.float64))[0])
+    theta_star = check_array("theta_star", theta_star, s.theta.shape[1:])
+    return float(_mean_error_rows(_theta_bar_rows(s.theta[None]), theta_star)[0])
 
 
 @dataclass(eq=False)
@@ -310,14 +299,17 @@ class Metrics:
     theta_bar: np.ndarray | None = None      # (rows, l)
 
     def __post_init__(self):
-        self.k = np.asarray(self.k, dtype=np.int64)
-        n = self.k.size
-        for name in ("sigma_max", "consensus_gap", "mean_error"):
+        n = np.size(self.k)
+        for name in ("k", "sigma_max", "consensus_gap", "mean_error"):
             col = np.asarray(getattr(self, name))
             if col.shape != (n,):
                 raise ValueError(f"{name} must have {n} rows")
+            if name in ("k", "sigma_max") and col.dtype.kind != "i":
+                bad = np.flatnonzero(~_integral(col.astype(np.float64)))
+                if bad.size:
+                    raise ValueError(f"{name}: {col[bad[0]]} is not an integer an int64 holds")
+                col = col.astype(np.int64)
             setattr(self, name, col)
-        self.sigma_max = self.sigma_max.astype(np.int64)
         for name in ("agent_errors", "theta_bar"):
             col = getattr(self, name)
             if col is not None:
@@ -366,7 +358,7 @@ class TrajectoryRecorder:
         record_theta_bar: bool = False,
     ):
         self.stride = check_count("stride", stride, 1)
-        self.theta_star = np.array(theta_star, dtype=np.float64)
+        self.theta_star = check_array("theta_star", theta_star, (None,))
         self.record_agent_errors = record_agent_errors
         self.record_theta_bar = record_theta_bar
         self._ks: list[int] = []
@@ -377,6 +369,8 @@ class TrajectoryRecorder:
 
     def _add(self, T: np.ndarray, ks, sigma_max: int) -> None:
         """Reduce the estimates ``T`` (rows, n, l) of steps ``ks`` into the columns."""
+        if not self._ks:        # the first rows give l
+            check_array("theta_star", self.theta_star, T.shape[2:])
         bar = _theta_bar_rows(T)
         chunks = self._chunks
         chunks["consensus_gap"].append(_consensus_gap_rows(T, bar))

@@ -14,8 +14,9 @@ import sys
 
 import numpy as np
 
+from ._checks import check_array
 from .analysis import RegressionContext, jacobian_at_root, regression_function
-from .oracle import identifiability_probe
+from .oracle import _check_probe, identifiability_probe
 from .runner import ExperimentConfig, _make_out_dir, preflight, preset_v, run_experiment
 
 
@@ -119,6 +120,7 @@ def _cmd_probe(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed        # before preflight, which range-checks it
     model = _preflight_model(cfg)
+    _check_probe(model, args.agent, args.steps, args.threshold)
     out_dir = None if args.out is None else _make_out_dir(args.out, "--out")
     report = identifiability_probe(
         model, args.agent, args.steps, cfg.seed, threshold=args.threshold
@@ -145,13 +147,13 @@ def _cmd_probe(args) -> int:
 def _cmd_analyze(args) -> int:
     model = _preflight_model(ExperimentConfig.from_ini(args.config))
     try:
-        theta = np.array([float(v) for v in args.theta.replace(",", " ").split()])
+        theta = [float(v) for v in args.theta.replace(",", " ").split()]
     except ValueError:
         raise ValueError(f"--theta: cannot parse {args.theta!r}") from None
-    if theta.shape != (model.l,):
-        raise ValueError(f"--theta: expected {model.l} values, got {theta.size}")
-    if not np.isfinite(theta).all():
-        raise ValueError(f"--theta: values must be finite, got {args.theta!r}")
+    try:
+        theta = check_array("theta", theta, (model.l,))
+    except ValueError as exc:
+        raise ValueError(f"--theta: {exc}") from None
     ctx = RegressionContext(model)
     fval = regression_function(ctx, theta)
     eigs = np.linalg.eigvalsh(jacobian_at_root(ctx))

@@ -88,7 +88,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._checks import check_count, check_positive
+from ._checks import check_array, check_count, check_positive
 from .plant import SystemModel
 from .streams import ModelStreams
 from .topology import TopologySchedule, WeightMatrix
@@ -306,14 +306,13 @@ def dsaawet_identification_step(
     ``shat_i + 1``.
 
     Like :func:`run`, it rejects a non-finite or non-positive ``gain``, a
-    snapshot ``s`` or ``weights`` of another size than the model, and
-    ``streams`` whose drawn columns do not fit the model, each with a
-    ``ValueError`` that names the argument.
+    snapshot ``s`` or ``weights`` of another size than the model, non-finite
+    estimates in ``s`` and ``streams`` whose drawn columns do not fit the
+    model, each with a ``ValueError`` that names the argument.
     """
     check_positive("gain", gain)
     n, l = model.n_agents, model.l
-    if s.theta.shape != (n, l):
-        raise ValueError(f"s: theta has shape {s.theta.shape}, the model needs ({n}, {l})")
+    check_array("s.theta", s.theta, (n, l))
     k = s.k
     phi = streams.phi_step(k)
     d = streams.noise_step()
@@ -379,11 +378,7 @@ def generic_dsaawet_step(
     check_radii(radii)
     check_positive("a_k", a_k)
     n, l = state.x.shape
-    obs = np.asarray(observations, dtype=np.float64)
-    if obs.shape != (n, l):
-        raise ValueError(f"observations shape {obs.shape} != ({n}, {l})")
-    if not np.isfinite(obs).all():
-        raise ValueError("observations must be finite")
+    obs = check_array("observations", observations, (n, l))
     x_next, sigma_next, _ = _truncated_update(
         state.x, state.sigma, weights, np.full(n, a_k), obs, None, radii
     )
@@ -415,7 +410,7 @@ def run(
     *,
     init: NetworkSnapshot | None = None,
     streams: ModelStreams | None = None,
-    seed: int | None = None,
+    seed: int | np.random.SeedSequence | None = None,
     sinks: Sequence[Callable] = (),
     gain: float = 1.0,
     radii: str = "linear",
@@ -423,28 +418,26 @@ def run(
     """Iterate the identification step ``steps`` times.
 
     Draws come from ``streams`` (or a fresh :class:`ModelStreams` built from
-    ``seed``); streams built for a model with another agent count,
-    dimension, regressor law or noise law are rejected.  Results are
-    reproducible per seed.  ``gain`` and ``radii`` select the recursion
-    (gain a/k, radii M_m) as in :func:`dsaawet_identification_step`, whose
-    results the run reproduces bit for bit when no noise draw is -0.0, as
-    with every :class:`ModelStreams` (see the module docstring).
+    ``seed``, a non-negative int or a SeedSequence); streams built for a
+    model with another agent count, dimension, regressor law or noise law
+    are rejected.  Results are reproducible per seed.  ``gain`` and
+    ``radii`` select the recursion (gain a/k, radii M_m) as in
+    :func:`dsaawet_identification_step`, whose results the run reproduces
+    bit for bit when no noise draw is -0.0, as with every
+    :class:`ModelStreams` (see the module docstring).
 
     Sinks observe, they cannot alter the run.  A sink with a ``window``
     method is a window observer (see the module docstring); any other sink
     is called as ``sink(previous, new)`` with frozen snapshots after every
     step, in order.  ``steps`` must be a non-negative integer (a bool is
-    not one).  ``init`` must hold ``(model.n_agents, model.l)`` estimates;
-    with ``steps == 0`` it is returned as it is.
+    not one).  ``init`` must hold ``(model.n_agents, model.l)`` finite
+    estimates; with ``steps == 0`` it is returned as it is.
     """
     check_positive("gain", gain)
     check_radii(radii)
     check_count("steps", steps, 0)
-    if init is not None and init.theta.shape != (model.n_agents, model.l):
-        raise ValueError(
-            f"init: theta has shape {init.theta.shape}, "
-            f"the model needs ({model.n_agents}, {model.l})"
-        )
+    if init is not None:
+        check_array("init.theta", init.theta, (model.n_agents, model.l))
     if streams is None:
         if seed is None:
             raise ValueError("provide streams= or seed=")
@@ -596,8 +589,8 @@ class InvariantMonitor:
     rose holds an exactly-zero estimate, and every estimate satisfies
     ``||theta_i|| <= M_sigma_i`` for the radius sequence ``radii``
     (truncated rows are zero, kept rows passed exactly this comparison
-    inside the step).  ``violations`` keeps the first 10 messages, in step
-    order; ``count`` counts them all.
+    inside the step; a NaN norm satisfies no bound).  ``violations`` keeps
+    the first 10 messages, in step order; ``count`` counts them all.
 
     As a window observer of :func:`run` it judges the balls of every row of
     a window with one ``einsum``.  When a window's counter array differs
@@ -632,7 +625,7 @@ class InvariantMonitor:
             radii = truncation_radii(sigma, self.radii)
             self._sigma, self._radii_sq = sigma, radii * radii
         norms_sq = np.einsum("kij,kij->ki", rows, rows)
-        for i in np.flatnonzero((norms_sq > self._radii_sq).any(axis=1)).tolist():
+        for i in np.flatnonzero(~(norms_sq <= self._radii_sq).all(axis=1)).tolist():
             self._record(f"k={ks[i]}: estimate outside its truncation ball")
 
     def window(self, rows, k, sigma, ledger, radii) -> None:

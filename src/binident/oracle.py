@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _is_integer, check_count, check_positive
+from ._checks import check_array, check_count, check_positive
 from .analysis import RegressionContext, regression_function, regression_jacobian
 from .identifier import run
 from .plant import SparseUniformRegressors, SystemModel
@@ -48,7 +48,7 @@ def centralized_baseline(model: SystemModel, steps: int, seed, record_every: int
     """
     check_count("steps", steps, 0)
     check_count("record_every", record_every, 1)
-    streams = ModelStreams(model, _checked_seed(seed))
+    streams = ModelStreams(model, seed)
     l, sup = model.l, model.supports
     tstar = model.theta_star if sup is None else model.theta_star[sup]
     y, c = np.empty(model.n_agents), np.empty(model.n_agents)
@@ -84,15 +84,6 @@ def centralized_baseline(model: SystemModel, steps: int, seed, record_every: int
     return traj
 
 
-def _checked_seed(seed):
-    """``seed`` if it is a SeedSequence or a non-negative integer, else a ValueError."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    if not _is_integer(seed):
-        raise ValueError(f"seed must be an integer or a SeedSequence, got {seed!r}")
-    return check_count("seed", seed, 0)
-
-
 class RootSolveError(RuntimeError):
     """Newton iteration failed; carries the last iterate and residual."""
 
@@ -117,11 +108,9 @@ def solve_root(ctx: RegressionContext, theta_init) -> np.ndarray:
     halved away instead of dragging the iterate where the density
     quadrature underflows.  Returns once the residual norm is at most
     1e-10; raises :class:`RootSolveError` after 200 iterations or a stalled
-    line search, and ``ValueError`` for a non-finite ``theta_init``.
+    line search, and ``ValueError`` for a ``theta_init`` that is not l finite reals.
     """
-    theta = np.array(theta_init, dtype=np.float64)
-    if not np.isfinite(theta).all():
-        raise ValueError(f"theta_init must be finite, got {theta}")
+    theta = check_array("theta_init", theta_init, (ctx.l,))
     fval = regression_function(ctx, theta)
     for _ in range(_MAX_ITER):
         fnorm = float(np.linalg.norm(fval))
@@ -182,6 +171,14 @@ class ProbeReport:
         return out
 
 
+def _check_probe(model: SystemModel, agent, steps, threshold) -> None:
+    """The checks :func:`identifiability_probe` makes before it runs."""
+    if check_count("agent", agent, 1) > model.n_agents:
+        raise ValueError(f"agent must lie in 1..{model.n_agents}")
+    check_count("steps", steps, 0)
+    check_positive("threshold", threshold)
+
+
 class _Touched:
     """Window observer of a one-agent run: coordinates that ever left zero."""
 
@@ -207,13 +204,11 @@ def identifiability_probe(
     coordinates whose estimate never left the zero initial value are
     reported stalled - with one-coordinate excitation those are exactly the
     coordinates other agents would have to supply through the network.
-    ``agent`` is a 1-based integer and ``seed`` a non-negative int or a
-    SeedSequence.
+    ``agent`` is a 1-based integer, ``steps`` a non-negative integer and
+    ``seed`` a non-negative int or a SeedSequence (checked by
+    :class:`ModelStreams`).
     """
-    if check_count("agent", agent, 1) > model.n_agents:
-        raise ValueError(f"agent must lie in 1..{model.n_agents}")
-    check_positive("threshold", threshold)
-    seed = _checked_seed(seed)
+    _check_probe(model, agent, steps, threshold)
     sub_gen = model.regressor
     if model.supports is not None:
         sub_gen = SparseUniformRegressors(model.l, support=(int(model.supports[agent - 1]) + 1,))

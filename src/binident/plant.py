@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_count, check_positive
+from ._checks import check_array, check_count, check_positive
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +348,7 @@ class SystemModel:
     supports: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        theta = np.array(self.theta_star, dtype=np.float64)
-        if theta.ndim != 1 or theta.size == 0 or not np.isfinite(theta).all():
-            raise ValueError("theta_star must be a nonempty finite vector")
+        theta = check_array("theta_star", self.theta_star, (None,))
         theta.flags.writeable = False
         object.__setattr__(self, "theta_star", theta)
         check_count("n_agents", self.n_agents, 1)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import _is_integer, _is_real, check_positive
+from ._checks import _integral, _is_integer, _is_real, check_array, check_positive
 from .analysis import (
     Metrics,
     TrajectoryRecorder,
@@ -222,12 +222,10 @@ class ExperimentConfig:
             if self.theta_star != "graded":
                 raise ValueError(f"model.theta_star: unknown preset {self.theta_star!r}")
             return graded_theta_star(self.l)
-        theta = np.asarray(self.theta_star, dtype=np.float64)
-        if theta.shape != (self.l,):
-            raise ValueError(f"model.theta_star: expected {self.l} entries, got {theta.size}")
-        if not np.isfinite(theta).all():
-            raise ValueError(f"model.theta_star: entries must be finite, got {theta.tolist()}")
-        return theta
+        try:
+            return check_array("theta_star", self.theta_star, (self.l,))
+        except ValueError as exc:
+            raise ValueError(f"model.theta_star: {exc}") from None
 
     def to_dict(self) -> dict:
         d: dict = {}
@@ -564,12 +562,12 @@ def read_trajectory_csv(path) -> Metrics:
     data = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
     for j, name in enumerate(header[:2]):     # k and sigma_max: integers an int64 holds
         col = data[:, j]
-        bad = np.flatnonzero(~((col == np.trunc(col)) & (np.abs(col) < 2.0**63)))
+        bad = np.flatnonzero(~_integral(col))
         if bad.size:
             raise ValueError(f"trajectory column {name}: {rows[bad[0]][j]!r} is not an integer")
     return Metrics(
-        k=data[:, 0].astype(np.int64),
-        sigma_max=data[:, 1].astype(np.int64),
+        k=data[:, 0],
+        sigma_max=data[:, 1],
         consensus_gap=data[:, 2],
         mean_error=data[:, 3],
         agent_errors=data[:, 4 : 4 + n_err] if n_err else None,

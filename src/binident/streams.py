@@ -29,7 +29,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import plant
-from ._checks import _finite, check_count
+from ._checks import _finite, check_count, check_seed
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
@@ -45,9 +45,8 @@ _M32 = 0xFFFFFFFF
 
 
 def _role_children(seed: int | np.random.SeedSequence) -> list[np.random.SeedSequence]:
-    """The root's one child per role: the first level of the layout below."""
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return root.spawn(len(_ROLES))
+    """The root's one child per role (the first level of the layout below)."""
+    return check_seed(seed).spawn(len(_ROLES))
 
 
 def spawn_agent_sequences(

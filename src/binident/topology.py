@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._checks import _is_integer, check_count
+from ._checks import _is_integer, check_array, check_count, check_seed
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +130,13 @@ def ring_graph(n: int) -> Digraph:
 def generate_poisson_graph(n: int, p: float, rng) -> Digraph:
     """Random undirected graph: each pair linked independently with prob p.
 
-    Self-loops are always present.  ``rng`` may be a seed or Generator.
+    Self-loops are always present.  ``rng`` is a Generator or a seed under
+    ``check_seed``.
     """
     n = check_count("n", n, 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    gen = np.random.default_rng(rng)
+    gen = np.random.default_rng(rng if isinstance(rng, np.random.Generator) else check_seed(rng))
     iu, ju = np.triu_indices(n, k=1)
     hit = gen.random(iu.size) < p
     return _undirected(n, iu[hit], ju[hit])
@@ -152,12 +153,7 @@ class WeightMatrix:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.w, dtype=np.float64)
-        n = self.graph.n
-        if w.shape != (n, n):
-            raise ValueError(f"weight matrix shape {w.shape} != ({n}, {n})")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
+        w = check_array("weights", self.w, (self.graph.n, self.graph.n))
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         support = self.graph.adjacency()
@@ -436,9 +432,10 @@ def fit_geometric_envelope(deviations: np.ndarray) -> GeometricFit:
 
     Fits ``log dev = log c + lag log rho`` over entries above 1e-13
     (below that, float rounding dominates), then scales c up so the
-    envelope dominates every fitted entry.
+    envelope dominates every fitted entry.  ``deviations`` is a nonempty
+    vector of finite reals.
     """
-    dev = np.asarray(deviations, dtype=np.float64)
+    dev = check_array("deviations", deviations, (None,))
     lags = np.arange(dev.size)
     keep = dev > _FIT_FLOOR
     if keep.sum() < 2:

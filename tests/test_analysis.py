@@ -395,6 +395,20 @@ def test_metrics_requires_increasing_steps():
         )
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [({"k": [1.5, 2.9]}, "k: 1.5 is not an integer"),
+     ({"sigma_max": [0.5, 1.7]}, "sigma_max: 0.5 is not an integer"),
+     ({"k": [1, 2**70]}, f"k: {2**70} is not an integer")],
+    ids=["fractional-k", "fractional-sigma_max", "huge-k"],
+)
+def test_metrics_rejects_a_count_that_is_not_an_int64_integer(counts, message):
+    cols = {"k": [1, 2], "sigma_max": [0, 1], "consensus_gap": np.zeros(2),
+            "mean_error": np.zeros(2), **counts}
+    with pytest.raises(ValueError, match=f"^{message} an int64 holds$"):
+        bi.Metrics(**cols)
+
+
 def test_metrics_equality_is_exact():
     mk = lambda gap: bi.Metrics(
         k=np.array([1, 2]), sigma_max=np.array([0, 1]),

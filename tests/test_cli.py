@@ -370,6 +370,23 @@ def test_probe_rejects_a_nan_threshold(small_ini, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--agent", "0"], "agent must be >= 1, got 0"),
+     (["--agent", "99"], "agent must lie in 1..8"),
+     (["--agent", "1", "--steps", "-1"], "steps must be >= 0, got -1"),
+     (["--agent", "1", "--threshold", "nan"], "threshold must be finite and positive, got nan")],
+    ids=["agent-0", "agent-99", "steps", "threshold"],
+)
+def test_probe_refused_for_an_argument_creates_no_out_directory(
+    small_ini, tmp_path, capsys, args, message
+):
+    out = tmp_path / "pd"
+    assert main(["probe", *args, "--config", str(small_ini), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["l", "n_agents"])
 @pytest.mark.parametrize("command", [["probe", "--agent", "1"], ["analyze", "--theta", "0"]])
 def test_probe_and_analyze_name_the_config_field_preflight_rejects(tmp_path, capsys, field, command):
@@ -420,7 +437,7 @@ def test_analyze_rejects_wrong_length(small_ini, capsys):
     rc = main(["analyze", "--config", str(small_ini), "--theta", "1,2"])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err.strip() == "error: --theta: expected 4 values, got 2"
+    assert captured.err.strip() == "error: --theta: theta must have shape (4,), got (2,)"
 
 
 def test_analyze_rejects_garbage_theta(small_ini, capsys):
@@ -435,7 +452,7 @@ def test_analyze_rejects_non_finite_theta(small_ini, capsys, theta):
     rc = main(["analyze", "--config", str(small_ini), "--theta", theta])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err.startswith("error: --theta: values must be finite")
+    assert captured.err.startswith("error: --theta: theta must be finite")
     assert captured.out == ""
 
 

@@ -757,7 +757,9 @@ def test_run_rejects_init_of_the_wrong_shape():
     for n, l in ((3, 5), (4, 2)):
         init = bi.NetworkSnapshot.initial(n, l)
         for steps in (0, 10):
-            with pytest.raises(ValueError, match=r"init: theta has shape \(%d, %d\)" % (n, l)):
+            with pytest.raises(
+                ValueError, match=r"init.theta must have shape \(3, 2\), got \(%d, %d\)" % (n, l)
+            ):
                 bi.run(model, sched, steps, init=init, seed=0)
 
 
@@ -909,6 +911,19 @@ def test_monitor_judges_each_step_when_called():
     ]
 
 
+def test_monitor_counts_a_nan_estimate_outside_its_ball():
+    # a NaN norm satisfies no bound: on the per-step path ...
+    mon = bi.InvariantMonitor()
+    _feed(mon, [[1.0, 1.0], [np.nan, 0.0], [1.0, 1.0]])
+    assert mon.violations == ["k=4: estimate outside its truncation ball"]
+    # ... and on the window path
+    mon = bi.InvariantMonitor()
+    rows = np.ones((4, 2, 1))
+    rows[2, 1, 0] = np.nan
+    mon.window(rows, 2, np.array([2, 2]), bi.TruncationLedger.initial(2), "linear")
+    assert mon.violations == ["k=4: estimate outside its truncation ball"] and mon.steps == 3
+
+
 def test_monitor_reports_a_counter_that_decreased():
     # agent 2's counter falls from 2 to 1 with every estimate at zero
     ledger = bi.TruncationLedger.initial(2)
@@ -982,7 +997,7 @@ def test_run_rejects_bad_gain_and_radii():
         ({"gain": 0.0}, "^gain must be finite and positive, got 0.0$"),
         ({"gain": -1.0}, "^gain must be finite and positive, got -1.0$"),
         ({"s": bi.NetworkSnapshot.initial(3, 3)},
-         r"^s: theta has shape \(3, 3\), the model needs \(3, 2\)$"),
+         r"^s.theta must have shape \(3, 2\), got \(3, 3\)$"),
         ({"weights": bi.metropolis_weights(bi.complete_graph(4))},
          "^weights: a matrix for 4 agents, the state has 3$"),
         ({"streams": bi.ModelStreams(_sparse_model(4, 2), 0)},

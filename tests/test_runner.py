@@ -60,7 +60,7 @@ def test_resolved_theta_star_unknown_preset():
 
 
 def test_resolved_theta_star_wrong_length():
-    with pytest.raises(ValueError, match="expected 4 entries, got 3"):
+    with pytest.raises(ValueError, match=re.escape("theta_star must have shape (4,), got (3,)")):
         small_config(theta_star=(1.0, 2.0, 3.0)).resolved_theta_star()
 
 
@@ -596,7 +596,7 @@ def test_preflight_reports_every_error_when_the_build_fails():
 
 def test_preflight_rejects_non_finite_theta_star():
     rep = preflight(small_config(theta_star=(float("nan"), 0.0, 0.0, 0.0)))
-    assert rep.errors == ["model.theta_star: entries must be finite, got [nan, 0.0, 0.0, 0.0]"]
+    assert rep.errors == ["model.theta_star: theta_star must be finite, got nan at index [0]"]
     with pytest.raises(ValueError, match="model.theta_star"):
         bi.run_experiment(small_config(theta_star=(0.0, float("inf"), 0.0, 0.0)))
 
@@ -613,7 +613,7 @@ _THETA_TYPE = 'model.theta_star: must be "graded" or a sequence of reals'
      (1.0, _THETA_TYPE),
      ([[0.5, -0.4], 0.3, -0.35], _THETA_TYPE),
      (np.reshape(STAR4, (2, 2)), _THETA_TYPE),
-     ((0.5, -0.4, 0.3), "model.theta_star: expected 4 entries, got 3")],
+     ((0.5, -0.4, 0.3), "model.theta_star: theta_star must have shape (4,), got (3,)")],
     ids=["str", "huge", "none", "bool", "scalar", "ragged", "2-d", "length"],
 )
 def test_theta_star_is_typed_and_named_once(tmp_path, theta, message):
@@ -624,7 +624,8 @@ def test_theta_star_is_typed_and_named_once(tmp_path, theta, message):
         bi.run_experiment(cfg)
     assert not out.exists()
     path = tmp_path / "cfg.ini"
-    if message == "model.theta_star: expected 4 entries, got 3":    # typed, so an INI holds it
+    # typed, so an INI holds it
+    if message == "model.theta_star: theta_star must have shape (4,), got (3,)":
         cfg.to_ini(path)
         assert ExperimentConfig.from_ini(path).theta_star == theta
     else:
