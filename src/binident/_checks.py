@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -50,8 +51,18 @@ def check_positive(name: str, value) -> None:
 
 def check_array(name: str, value, shape: tuple) -> np.ndarray:
     """``value`` as a new float array, or a ValueError naming ``name`` unless it
+    holds real numbers (ints or floats; not bools, strings, complex or dates),
     has ``shape`` and finite entries; a ``None`` in ``shape`` is any length above zero."""
-    arr = np.array(value, dtype=np.float64)
+    try:
+        if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+            arr = np.array(value, dtype=np.float64)
+        else:   # entry by entry: numpy infers a number dtype for [True, 2.0]
+            entries = np.array(value, dtype=object)
+            if not all(map(_is_real, entries.flat)):
+                raise TypeError(value)
+            arr = np.array(entries, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # a ragged nesting, or a non-real entry
+        raise ValueError(f"{name} must hold real numbers, got {reprlib.repr(value)}") from None
     fit = tuple(got if want is None and got else want for got, want in zip(arr.shape, shape))
     if arr.ndim != len(shape) or arr.shape != fit:
         want = str(tuple("n > 0" if d is None else d for d in shape)).replace("'", "")

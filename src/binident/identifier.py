@@ -27,9 +27,9 @@ runs it on user-supplied observation rows with a given gain a_k and radius
 sequence.
 
 :func:`run` drives the recursion through a window engine.  It hoists the
-schedule's weight cycle, ``theta*`` on each agent's support, the regressor
-bound beta, the largest row sum rho of the weight matrices, and the squared
-radius (recomputed when the counters move).
+schedule's weight cycle, the regressor bound beta, the largest row sum rho
+of the weight matrices, and the squared radius (recomputed when the
+counters move).
 
 - *Window.*  The state lives in one preallocated ``(65, n, l)`` buffer.
   Slot 0 holds the row before the window, and each step writes its result
@@ -47,17 +47,22 @@ radius (recomputed when the counters move).
   builds their frozen snapshots from the window rows, so the engine has a
   single observer path and builds snapshots only for plain sinks, for its
   general steps and for its return value.
-- *Quiet step.*  While the counters agree, the engine reads the raw draw
-  columns (:meth:`ModelStreams.columns`, the same banks as ``phi_step`` and
-  ``noise_step``), computes outputs and thresholds into preallocated
-  buffers and calls :func:`_kernel` with the common radius from one slot
-  into the next, through flat views of the slots made once.  The sensor's
-  signed gain is ``copysign(a_k, y - c)``: this is ``-a_k`` exactly where
-  the bit ``y < c`` is set, as long as ``y - c`` is neither -0.0 nor NaN.
-  It is -0.0 only when a noise draw is -0.0, which a :class:`StreamBank`
-  refill never serves (it adds 0.0 to every draw).  So with the banks of
+- *Quiet step.*  While the counters agree, the engine reads one step's
+  regressor row and true output from a chunk of up to 64 steps
+  (:meth:`ModelStreams.chunk` under the run's ``model.theta_star``, the
+  same banks as ``phi_step`` and ``noise_step``), computes the thresholds into a preallocated buffer and
+  calls :func:`_kernel` with the common radius from one slot into the
+  next, through flat views of the slots made once.  The rows of a chunk
+  not read when a general step comes, or when the run ends or fails, go
+  back to the streams (:meth:`ModelStreams.unread`), so every later read serves the
+  draws it would have served step by step.  The sensor's signed gain is
+  ``copysign(a_k, y - c)``: this is ``-a_k`` exactly where the bit
+  ``y < c`` is set, as long as ``y - c`` is neither -0.0 nor NaN.  It is
+  -0.0 only when ``y`` is -0.0, which the outputs of a chunk never are (a
+  :class:`StreamBank` refill adds 0.0 to every draw).  So with
   :class:`ModelStreams` every value is the identification step's bit for
-  bit; a caller's own ``columns()`` must serve no -0.0 noise to keep that.
+  bit; a caller's own ``chunk`` must give outputs with ``y - c`` never
+  -0.0 to keep that.
 - *Norm bound.*  Weights are nonnegative, so with agreeing counters each
   new row obeys ``||x'_i|| <= sum_j w_ij ||x_j|| + a_k ||phi_i||
   <= rho max_j ||x_j|| + a_k beta``.  The engine carries
@@ -237,7 +242,10 @@ def _kernel(x, out, w, coef, draws, flat, out_flat, r_sq, scratch=None):
     and NaN, or, when no row was reset, None and the largest squared norm
     (NaN when untested).
     """
-    np.matmul(w, x, out=out)
+    if len(w) > 1:
+        np.dot(w, x, out=out)   # bit-equal to np.matmul here, and cheaper per call
+    else:                       # np.dot keeps 1 * -0.0 = -0.0; matmul's sum from 0.0 gives +0.0
+        np.matmul(w, x, out=out)
     if flat is not None:
         # eta (+-a_k) == +-(eta a_k) exactly: the sign of a product is exact
         out_flat[flat] += np.multiply(draws, coef, out=scratch)
@@ -423,7 +431,7 @@ def run(
     are rejected.  Results are reproducible per seed.  ``gain`` and
     ``radii`` select the recursion (gain a/k, radii M_m) as in
     :func:`dsaawet_identification_step`, whose results the run reproduces
-    bit for bit when no noise draw is -0.0, as with every
+    bit for bit when no output ``y - c`` is -0.0, as with every
     :class:`ModelStreams` (see the module docstring).
 
     Sinks observe, they cannot alter the run.  A sink with a ``window``
@@ -493,11 +501,7 @@ def _run_steps(model, schedule, streams, snap, steps, sinks, gain, radii):
     grow = 1.0 + _BOUND_SLACK
     n = model.n_agents
     sparse = model.supports is not None
-    if sparse:
-        star = model.theta_star[model.supports]
-        flat = np.arange(n) * model.l + model.supports
-    else:
-        star, flat = model.theta_star, None
+    flat = np.arange(n) * model.l + model.supports if sparse else None
     observers = [s for s in sinks if hasattr(s, "window")]
     plain = [s for s in sinks if not hasattr(s, "window")]
     if plain:
@@ -510,66 +514,77 @@ def _run_steps(model, schedule, streams, snap, steps, sinks, gain, radii):
     k, sigma, uniform, ledger = snap.k, snap.sigma, snap.sigma_uniform, snap.ledger
     _deliver(observers, win[:1], k, sigma, ledger, radii)
     k0, j = k, 0            # the step of slot 0, and the steps written after it
-    y, coef = np.empty(n), np.empty(n)
+    coef = np.empty(n)
+    left = 0                # rows of the current chunk not yet read
     scratch = np.empty(n) if sparse else np.empty((n, model.l))
     bound = math.inf        # bounds every row norm of the state while counters agree
     radius_of = None        # the counters r_sq and r_cut belong to
-    for _ in range(steps):
-        x, out = slots[j], slots[j + 1]
-        moved = None
-        if uniform:
-            if sigma is not radius_of:
-                radius = float(truncation_radii(sigma[:1], radii)[0])
-                r_sq, r_cut, radius_of = radius * radius, radius * (1.0 - _BOUND_SLACK), sigma
-            draws, d = streams.columns()
-            if sparse:
-                np.multiply(draws, star, out=y)
-                c = np.multiply(draws, flats[j][flat], out=coef)
+    try:
+        for _ in range(steps):
+            x, out = slots[j], slots[j + 1]
+            moved = None
+            if uniform:
+                if sigma is not radius_of:
+                    radius = float(truncation_radii(sigma[:1], radii)[0])
+                    r_sq, r_cut, radius_of = radius * radius, radius * (1.0 - _BOUND_SLACK), sigma
+                if not left:
+                    rows = None         # a view pins its block: let a refill free it
+                    rows, outs = streams.chunk(model.theta_star)
+                    left = len(rows)
+                draws, y = rows[-left], outs[-left]
+                left -= 1
+                if sparse:
+                    c = np.multiply(draws, flats[j][flat], out=coef)
+                else:
+                    c = np.einsum("ij,ij->i", draws, x, out=coef)
+                a_k = gain / k
+                # sign(y - c) is the sensor's -1 where y < c, +1 elsewhere: a
+                # chunk's outputs are never -0.0, so y - c is never -0.0
+                np.copysign(a_k, np.subtract(y, c, out=coef), out=coef)
+                bound = (rho * bound + a_k * beta) * grow
+                exact = not bound < r_cut          # a NaN bound takes the exact test
+                exceeded, top = _kernel(
+                    x, out, mats[(k - 1) % period], coef, draws, flat, flats[j + 1],
+                    r_sq if exact else None, scratch,
+                )
+                del draws           # a view pins its block: let the next refill free it
+                k += 1
+                if exceeded is None:
+                    if exact:
+                        bound = math.sqrt(top) * grow
+                else:
+                    moved = sigma + exceeded
+                    moved.flags.writeable = False
+                    new_ledger = ledger.record(k, sigma, moved, int(exceeded.sum()))
+                    uniform, bound = bool((moved == moved[0]).all()), math.inf
             else:
-                np.matmul(draws, star, out=y)
-                c = np.einsum("ij,ij->i", draws, x, out=coef)
-            np.add(y, d, out=y)
-            a_k = gain / k
-            # sign(y - c) is the sensor's -1 where y < c, +1 elsewhere: a
-            # stream bank never serves a -0.0 noise draw, so y - c is never -0.0
-            np.copysign(a_k, np.subtract(y, c, out=y), out=coef)
-            bound = (rho * bound + a_k * beta) * grow
-            exact = not bound < r_cut          # a NaN bound takes the exact test
-            exceeded, top = _kernel(
-                x, out, mats[(k - 1) % period], coef, draws, flat, flats[j + 1],
-                r_sq if exact else None, scratch,
-            )
-            del draws, d        # views pin their block: let the next refill free it
-            k += 1
-            if exceeded is None:
-                if exact:
-                    bound = math.sqrt(top) * grow
-            else:
-                moved = sigma + exceeded
-                moved.flags.writeable = False
-                new_ledger = ledger.record(k, sigma, moved, int(exceeded.sum()))
-                uniform, bound = bool((moved == moved[0]).all()), math.inf
-        else:
-            prev = NetworkSnapshot(k=k, theta=x, sigma=sigma, ledger=ledger)
-            new = dsaawet_identification_step(
-                prev, cycle[(k - 1) % period], model, streams, gain, radii
-            )
-            np.copyto(out, new.theta)
-            k += 1
-            if not np.array_equal(new.sigma, sigma):
-                moved, new_ledger, uniform = new.sigma, new.ledger, new.sigma_uniform
-            bound = math.inf
-        if moved is not None:
-            if j:               # the window's rows share one counter array
+                if left:            # the step function reads the next draws itself
+                    streams.unread(left)
+                    left = 0
+                rows = outs = None
+                prev = NetworkSnapshot(k=k, theta=x, sigma=sigma, ledger=ledger)
+                new = dsaawet_identification_step(
+                    prev, cycle[(k - 1) % period], model, streams, gain, radii
+                )
+                np.copyto(out, new.theta)
+                k += 1
+                if not np.array_equal(new.sigma, sigma):
+                    moved, new_ledger, uniform = new.sigma, new.ledger, new.sigma_uniform
+                bound = math.inf
+            if moved is not None:
+                if j:               # the window's rows share one counter array
+                    _deliver(observers, win[: j + 1], k0, sigma, ledger, radii)
+                    win[:2] = win[j : j + 2]
+                    k0, j = k0 + j, 0
+                sigma, ledger = moved, new_ledger
+            j += 1
+            if j == _WINDOW:
                 _deliver(observers, win[: j + 1], k0, sigma, ledger, radii)
-                win[:2] = win[j : j + 2]
+                win[0] = win[j]
                 k0, j = k0 + j, 0
-            sigma, ledger = moved, new_ledger
-        j += 1
-        if j == _WINDOW:
-            _deliver(observers, win[: j + 1], k0, sigma, ledger, radii)
-            win[0] = win[j]
-            k0, j = k0 + j, 0
+    finally:                # rows of the last chunk not used go back, also on an error
+        if left:
+            streams.unread(left)
     if j:
         _deliver(observers, win[: j + 1], k0, sigma, ledger, radii)
     return NetworkSnapshot(k=k, theta=slots[j], sigma=sigma, ledger=ledger)

@@ -30,15 +30,16 @@ def centralized_baseline(model: SystemModel, steps: int, seed, record_every: int
     averaging, this is the natural upper reference for any distributed run
     on the same model and seed streams.
 
-    Each step reads the raw draw columns (``ModelStreams.columns``) and
-    senses in two preallocated arrays: ``y = phi_i' theta* + d_i`` and
-    ``c = phi_i' theta``, the bit as ``copysign(1, y - c)`` (a stream never
-    serves -0.0 noise, so ``y == c`` reads +1, as ``1 - 2 (y < c)`` does).
-    The bits are pooled per coordinate by ``bincount`` in agent order
-    (sparse) or as ``phi' signs`` (dense), the same sums in the same order
-    as a ``PhiBatch`` step, so the trajectory is that of one bit for bit.
-    A step lets go of its columns before the next is drawn, so a bank
-    frees its old block before it draws the new one.
+    Each step reads its regressor row and true outputs
+    ``y = phi_i' theta* + d_i`` from a chunk of up to 64 steps
+    (``ModelStreams.chunk``) and senses in one preallocated array:
+    ``c = phi_i' theta``, the bit as ``copysign(1, y - c)`` (a chunk's
+    outputs are never -0.0, so ``y - c`` is never -0.0 and ``y == c`` reads
+    +1, as ``1 - 2 (y < c)`` does).  The bits are pooled per coordinate by
+    ``bincount`` in agent order (sparse) or as ``phi' signs`` (dense), the
+    same sums in the same order as a ``PhiBatch`` step, so the trajectory is
+    that of one bit for bit.  The loop lets go of a chunk before it reads
+    the next, so a bank frees its old block before it draws the new one.
 
     ``steps`` must be a non-negative integer, ``record_every`` a positive
     integer and ``seed`` a non-negative int or a SeedSequence, from which
@@ -50,27 +51,28 @@ def centralized_baseline(model: SystemModel, steps: int, seed, record_every: int
     check_count("record_every", record_every, 1)
     streams = ModelStreams(model, seed)
     l, sup = model.l, model.supports
-    tstar = model.theta_star if sup is None else model.theta_star[sup]
-    y, c = np.empty(model.n_agents), np.empty(model.n_agents)
+    c = np.empty(model.n_agents)
     theta = np.zeros(l)
     sigma, r2 = 0, 0.0
     traj = np.zeros((1 + steps // record_every + (steps % record_every > 0), l))
-    row = 1
+    row, left = 1, 0
     for k in range(1, steps + 1):
-        phi, d = streams.columns()
+        if not left:
+            rows = None         # a view pins its block: let a refill free it
+            rows, outs = streams.chunk(model.theta_star)
+            left = len(rows)
+        phi, y = rows[-left], outs[-left]
+        left -= 1
         if sup is not None:
-            np.multiply(phi, tstar, out=y)
             np.multiply(phi, theta[sup], out=c)
         else:
-            np.matmul(phi, tstar, out=y)
             np.matmul(phi, theta, out=c)
-        y += d
-        np.copysign(1.0, np.subtract(y, c, out=y), out=y)
+        np.copysign(1.0, np.subtract(y, c, out=c), out=c)
         if sup is not None:
-            pooled = np.bincount(sup, weights=np.multiply(phi, y, out=y), minlength=l)
+            pooled = np.bincount(sup, weights=np.multiply(phi, c, out=c), minlength=l)
         else:
-            pooled = phi.T @ y
-        del phi, d
+            pooled = phi.T @ c
+        del phi
         cand = theta + pooled * (1.0 / k)
         if float(cand @ cand) > r2:
             theta = np.zeros(l)

@@ -248,10 +248,12 @@ class PhiBatch:
     dense layout stores full rows.  ``dsaawet_identification_step``
     (the general path of ``run``) senses through these methods; ``rows``
     and ``add_innovation`` serve the tests' references.  The quiet step of
-    ``run`` and ``centralized_baseline`` build no batch: they compute in
-    place from the raw draw columns (``tests/reference.py`` keeps the
-    baseline's batch form), and ``tests/test_identifier.py`` pins the quiet
-    step bit for bit to the step function.
+    ``run`` and ``centralized_baseline`` build no batch: they read the
+    regressor rows and the true outputs of ``ModelStreams.chunk``, whose
+    outputs equal :meth:`outputs` bit for bit, and compute the rest in
+    place (``tests/reference.py`` keeps the baseline's batch form);
+    ``tests/test_identifier.py`` pins the quiet step bit for bit to the
+    step function.
 
     The sparse layout addresses agent i's active slot of an ``(n, l)``
     array by one flat index, ``flat[i] = i * l + support[i]``, always built

@@ -2,15 +2,16 @@
 
 Every agent owns two independent generator streams (regressor draws and
 sensor noise), derived from one experiment seed via ``SeedSequence.spawn``.
-Draws are served one network column per step, sliced out of a block cache
-filled by the model's own samplers (the regressor's ``draw`` and the
-noise's ``sample``); numpy generators produce identical values whether
-drawn one at a time or in batches, so the cache is purely a speed
-optimisation and never changes the stream.  A block holds 1024 steps by
-default: 0.8 MB per bank on the 100-agent preset, so a run's two banks fit
-together in a 2 MB L2 cache.  A drawn -0.0 is served as +0.0
-(no built-in law draws one), so the identification engine can read a
-sensor's sign as the sign of ``y - c``.
+Draws are served one network column per step, or several steps' rows at
+once, sliced out of a block cache filled by the model's own samplers (the
+regressor's ``draw`` and the noise's ``sample``); numpy generators produce
+identical values whether drawn one at a time or in batches, so the cache is
+purely a speed optimisation and never changes the stream.  A block holds
+1024 steps by default: 0.8 MB per bank on the 100-agent preset, so a run's
+two banks fit together in a 2 MB L2 cache.  A drawn -0.0 is served as +0.0
+(no built-in law draws one), so the true outputs ``y`` of
+:meth:`ModelStreams.chunk` are never -0.0 and the identification engine
+can read a sensor's sign as the sign of ``y - c``.
 
 :class:`ModelStreams` seeds its per-agent generators without building the
 per-agent SeedSequences: it starts from each role child's own ``pool``
@@ -36,6 +37,7 @@ SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 _ROLES = ("regressor", "noise")
 
 _BLOCK = 1024   # steps cached per refill, unless a bank is given another size
+_CHUNK = 64     # steps a chunk read serves at most
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -115,7 +117,7 @@ def _agent_generators(child: np.random.SeedSequence, n: int) -> list[np.random.G
 
 
 class StreamBank:
-    """One generator per agent, served as per-step columns.
+    """One generator per agent, served as per-step columns or as rows of several steps.
 
     Every refill checks its block once, and a NaN or an infinity raises
     ``ValueError`` (``draws: ...``) naming the first agent that drew one.
@@ -170,11 +172,24 @@ class StreamBank:
         The result is a read-only view into the block cache; it keeps its
         values after later refills.
         """
+        return self._rows(1)[0]
+
+    def _rows(self, steps: int) -> np.ndarray:
+        # The next m <= steps (steps >= 1) steps' draws, stacked step-major:
+        # one read-only view that stops at the end of the block, refilled
+        # first if the block is used up, so m >= 1.
         if self._pos == self._block:
             self._refill()
-        col = self._cache[self._pos]
-        self._pos += 1
-        return col
+        pos = self._pos
+        self._pos = end = min(pos + steps, self._block)
+        return self._cache[pos:end]
+
+    def unread(self, count: int) -> None:
+        """Take back the last ``count`` steps served from the current block."""
+        check_count("unread", count, 0)
+        if count > self._pos:
+            raise ValueError(f"unread: {count} steps, {self._pos} were served from this block")
+        self._pos -= count
 
 
 class _RoleBank(StreamBank):
@@ -189,9 +204,10 @@ class ModelStreams:
     """Regressor and noise streams bound to a system model.
 
     Provides the two per-step draws the identification recursion consumes:
-    ``phi_step(k)`` (regressor batch) and ``noise_step()``.  Both are
-    block-cached through the model's own ``draw`` and ``sample`` methods;
-    for the sparse kind each batch carries ``model.supports``.
+    ``phi_step(k)`` (regressor batch) and ``noise_step()``, and
+    :meth:`chunk`, several steps' regressor rows with their true outputs.
+    All are block-cached through the model's own ``draw`` and ``sample``
+    methods; for the sparse kind each batch carries ``model.supports``.
 
     The streams are those of :func:`spawn_agent_sequences`, all built at
     construction; the per-agent generators are seeded by a vectorised hash
@@ -227,12 +243,38 @@ class ModelStreams:
         """Noise draw for every agent: shape ``(n,)``."""
         return self._noise_bank.column()
 
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Next step's raw regressor column and noise column, with no batch.
+    def chunk(self, theta_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``m <= 64`` steps' regressor rows and their true outputs.
 
-        The regressor column holds the sparse amplitudes ``(n,)`` or the
-        dense rows ``(n, l)``.  Both come from the banks behind
-        :meth:`phi_step` and :meth:`noise_step`, so the three calls can be
-        mixed step by step and every drawn value stays the same.
+        Returns ``(phi, y)``: ``phi`` the read-only rows of the regressor
+        bank, ``(m, n)`` sparse amplitudes or ``(m, n, l)`` dense rows, and
+        ``y`` a new ``(m, n)`` array of the outputs ``phi_i' theta_star + d_i``,
+        each step's row bit-equal to ``PhiBatch.outputs(theta_star, d)``.
+        ``m >= 1`` stops at the end of either bank's block, so a chunk never
+        spans a refill.  The rows come from the banks behind
+        :meth:`phi_step` and :meth:`noise_step`, so the reads can be mixed
+        and every drawn value stays the same; :meth:`unread` takes back the
+        rows not used.
         """
-        return self._phi_bank.column(), self._noise_bank.column()
+        phi = self._phi_bank._rows(_CHUNK)
+        d = self._noise_bank._rows(len(phi))
+        if len(d) < len(phi):       # the noise block ends first
+            self._phi_bank.unread(len(phi) - len(d))
+            phi = phi[: len(d)]
+        if self._support is not None:
+            y = np.multiply(phi, theta_star[self._support])
+        else:
+            y = np.matmul(phi, theta_star)      # per step, the product PhiBatch.outputs takes
+        y += d
+        return phi, y
+
+    def unread(self, count: int) -> None:
+        """Take back the last ``count`` steps of the latest :meth:`chunk`.
+
+        The next read serves them again, as if they had never been read.
+        Refused, with neither bank moved, beyond the steps either bank
+        served from its current block.
+        """
+        banks = sorted((self._phi_bank, self._noise_bank), key=lambda bank: bank._pos)
+        for bank in banks:          # the bank that served fewer refuses first
+            bank.unread(count)

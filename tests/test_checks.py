@@ -177,6 +177,46 @@ def test_each_real_array_is_rejected_by_name(where, name, call, value):
         call(value)
 
 
+def _not_reals(good):
+    """Values shaped like ``good`` that are not arrays of reals, one per way to miss."""
+    good = np.asarray(good)
+    ragged = good.tolist()
+    ragged[-1] = [ragged[-1], ragged[-1]]
+    mixed = good.astype(object)
+    mixed.flat[0] = True            # numpy infers float64 for the list [True, 2.0]
+    objects = good.astype(object)
+    objects.flat[0], objects.flat[-1] = True, "1.5"
+    return {
+        "string": "ab",
+        "ragged": ragged,
+        "complex": good + 1j,
+        "bool": good > 0,
+        "bool-among-floats": mixed.tolist(),
+        "bool-and-string-objects": objects,
+        "datetime64": np.zeros(good.shape, dtype="datetime64[D]"),
+    }
+
+
+# run and the identification step take the array inside a snapshot, whose
+# constructor converts it first; a string resolved_theta_star names a preset
+NOT_REALS = [
+    (where, name, call, case, value)
+    for where, name, call, good, _, _ in ARRAYS
+    if where not in ("run", "dsaawet_identification_step")
+    for case, value in _not_reals(good).items()
+    if (where, case) != ("ExperimentConfig.resolved_theta_star", "string")
+]
+
+
+@pytest.mark.parametrize(
+    "where, name, call, case, value", NOT_REALS,
+    ids=[f"{where}-{case}" for where, _, _, case, _ in NOT_REALS],
+)
+def test_each_array_of_non_reals_is_rejected_by_name(where, name, call, case, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must hold real numbers, got "):
+        call(value)
+
+
 def test_a_recorder_rejects_a_theta_star_of_another_length_before_reducing_a_row():
     recorder = bi.TrajectoryRecorder(np.zeros(3))
     with pytest.raises(ValueError, match=re.escape("theta_star must have shape (2,), got (3,)")):

@@ -288,6 +288,57 @@ def test_run_takes_both_the_bound_skip_and_the_exact_ball_test(monkeypatch):
     assert np.array_equal(final.sigma, snap.sigma)
 
 
+@pytest.mark.parametrize("n, l", [(1, 1), (1, 8), (8, 1), (8, 4), (100, 8)])
+def test_the_kernels_mixing_is_bit_equal_to_matmul_at_its_shapes(n, l):
+    # _kernel mixes with np.dot(w, x, out=), cheaper per call than np.matmul,
+    # but with np.matmul for one agent, where np.dot keeps a -0.0 that
+    # matmul turns into +0.0; the engine's digests rest on the two forms
+    # being bit-equal, so the bytes are compared, -0.0 entries included
+    rng = np.random.default_rng(n * 100 + l)
+    for _ in range(100):
+        w = rng.random((n, n)) * (rng.random((n, n)) < 0.3) + np.eye(n)
+        w /= w.sum(axis=1, keepdims=True)
+        x = rng.normal(0.0, 10.0, (n, l))
+        x[rng.random((n, l)) < 0.5] = -0.0
+        draws = rng.uniform(-1.0, 1.0, (n, l))
+        draws[rng.random((n, l)) < 0.5] = 0.0
+        coef = rng.choice([-0.5, 0.5], n)
+        out = np.empty((n, l))
+        bi.identifier._kernel(x, out, w, coef, draws, None, None, None, np.empty((n, l)))
+        want = np.matmul(w, x)
+        want += np.multiply(draws, coef[:, None])
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
+class _CountedStreams(bi.ModelStreams):
+    """Model streams that count their chunk reads."""
+
+    chunks = 0
+
+    def chunk(self, theta_star):
+        self.chunks += 1
+        return super().chunk(theta_star)
+
+
+def test_a_run_reads_a_chunk_per_64_quiet_steps_general_step_and_block_end(monkeypatch):
+    cfg = bi.preset_v(seed=101, steps=0)
+    pre = bi.preflight(cfg)
+    general = []
+    step = bi.identifier.dsaawet_identification_step
+
+    def counting(*args):
+        general.append(args[0].k)
+        return step(*args)
+
+    monkeypatch.setattr(bi.identifier, "dsaawet_identification_step", counting)
+    steps, block = 3000, 1024
+    streams = _CountedStreams(pre.model, 0, block=block)
+    final = bi.run(pre.model, pre.schedule, steps, streams=streams, gain=cfg.gain, radii=cfg.radii)
+    quiet = steps - len(general)
+    assert final.k == steps + 1 and general
+    assert streams.chunks <= -(-quiet // 64) + len(general) + steps // block
+
+
 # ---------------------------------------------------------------------------
 # the window engine and its observers
 
@@ -360,22 +411,31 @@ def test_window_rows_match_reference_on_random_networks(seed, n, l, dense, recur
 class _KickedStreams(bi.ModelStreams):
     """Real noise; every agent's regressor amplitude is 0, or 1 at the kicked steps.
 
-    Counted in steps of the run (the first step read is step 1).
+    Counted in steps of the run (the first step read is step 1); steps
+    handed back by ``unread`` are read again.
     """
 
     def __init__(self, model, seed, kicks):
         super().__init__(model, seed)
         self._kicks, self._read = frozenset(kicks), 0
 
-    def _eta(self):
-        self._read += 1
-        return np.full(self.model.n_agents, float(self._read in self._kicks))
+    def _eta(self, m):
+        steps = range(self._read + 1, self._read + m + 1)
+        self._read += m
+        kicked = np.array([float(k in self._kicks) for k in steps])
+        return np.repeat(kicked[:, None], self.model.n_agents, axis=1)
 
-    def columns(self):
-        return self._eta(), super().columns()[1]
+    def chunk(self, theta_star):
+        d = self._noise_bank._rows(64)
+        eta = self._eta(len(d))
+        return eta, eta * theta_star[self.model.supports] + d
+
+    def unread(self, count):
+        self._read -= count
+        self._noise_bank.unread(count)
 
     def phi_step(self, k):
-        return bi.PhiBatch(l=self.model.l, eta=self._eta(), support=self.model.supports)
+        return bi.PhiBatch(l=self.model.l, eta=self._eta(1)[0], support=self.model.supports)
 
 
 class _WindowLog:
@@ -490,9 +550,14 @@ def test_run_rejects_streams_of_another_model(changes, field):
     sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
     with pytest.raises(ValueError, match=f"^streams: built for a model with {field} "):
         bi.run(model, sched, 50, streams=bi.ModelStreams(other, 1))
-    # streams of an equal model (another theta_star) are fine
+    # streams of an equal model (another theta_star) are fine: the run senses
+    # against its own theta_star, on the same draws
     same = bi.SystemModel(**{**base, "theta_star": -STAR4})
-    assert bi.run(model, sched, 50, streams=bi.ModelStreams(same, 1)).k == 51
+    got = bi.run(model, sched, 300, streams=bi.ModelStreams(same, 1), gain=4.0)
+    want = bi.run(model, sched, 300, streams=bi.ModelStreams(model, 1), gain=4.0)
+    assert got.k == 301
+    assert np.array_equal(got.theta.view(np.uint64), want.theta.view(np.uint64))
+    assert np.array_equal(got.sigma, want.sigma)
 
 
 def test_monitor_rejects_a_run_with_other_radii():

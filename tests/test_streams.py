@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import binident as bi
 
@@ -150,9 +152,47 @@ def test_the_draws_go_on_where_a_run_stopped():
     streams = bi.ModelStreams(model, 9, block=64)
     bi.run(model, sched, 100, streams=streams)
     fresh = bi.ModelStreams(model, 9, block=64)
-    for _ in range(100):
-        fresh.columns()
+    read = 0
+    while read < 100:
+        read += len(fresh.chunk(model.theta_star)[0])
+    fresh.unread(read - 100)
     for k in range(101, 200):
+        assert np.array_equal(streams.phi_step(k).eta, fresh.phi_step(k).eta)
+        assert np.array_equal(streams.noise_step(), fresh.noise_step())
+
+
+class _Stop(Exception):
+    pass
+
+
+class _StopAtWindow:
+    """A window observer that raises at its ``calls``-th window, noting the steps run."""
+
+    def __init__(self, calls):
+        self.calls, self.ran = calls, None
+
+    def window(self, rows, k, sigma, ledger, radii):
+        self.calls -= 1
+        if not self.calls:
+            self.ran = k + len(rows) - 2       # the last row is the state after this many steps
+            raise _Stop
+
+
+@pytest.mark.parametrize("calls", [1, 2, 3, 6])
+def test_the_draws_go_on_where_a_failed_run_stopped(calls):
+    # the run's chunks (64 and 36 steps at block 100) end past the failed
+    # window; their unread rows go back to the streams all the same
+    model = _model(n_agents=3, l=2)
+    g = bi.complete_graph(3)
+    sched = bi.TopologySchedule.static(g, bi.metropolis_weights(g))
+    streams = bi.ModelStreams(model, 9, block=100)
+    stop = _StopAtWindow(calls)
+    with pytest.raises(_Stop):
+        bi.run(model, sched, 400, streams=streams, sinks=(stop,))
+    fresh = bi.ModelStreams(model, 9, block=100)
+    for k in range(1, stop.ran + 1):
+        fresh.phi_step(k), fresh.noise_step()
+    for k in range(stop.ran + 1, stop.ran + 150):
         assert np.array_equal(streams.phi_step(k).eta, fresh.phi_step(k).eta)
         assert np.array_equal(streams.noise_step(), fresh.noise_step())
 
@@ -243,20 +283,111 @@ def _eager_blocks(model, seed, block, blocks):
 
 
 @pytest.mark.parametrize("kind", ["sparse", "dense"])
-@pytest.mark.parametrize("through", ["steps", "columns"])
+@pytest.mark.parametrize("through", ["steps", "chunks"])
 def test_model_streams_equal_eagerly_spawned_ones(kind, through):
     model = _model(n_agents=6, l=3, kind=kind)
     block = 5
     want = _eager_blocks(model, 2024, block, 2)
     streams = bi.ModelStreams(model, 2024, block=block)
+    if through == "chunks":     # 3, 2, 3 and 2 steps kept: none spans a refill
+        kept = []
+        for _ in range(4):
+            phi = streams.chunk(model.theta_star)[0]
+            kept.append(phi[:3])
+            streams.unread(len(phi) - len(kept[-1]))
+        assert [len(phi) for phi in kept] == [3, 2, 3, 2]
+        assert np.array_equal(np.concatenate(kept), want["regressor"])
+        return
     for k in range(1, 2 * block + 1):
-        if through == "columns":
-            phi, noise = streams.columns()
-        else:
-            batch = streams.phi_step(k)
-            phi, noise = (batch.eta if kind == "sparse" else batch.dense), streams.noise_step()
+        batch = streams.phi_step(k)
+        phi, noise = (batch.eta if kind == "sparse" else batch.dense), streams.noise_step()
         assert np.array_equal(phi, want["regressor"][k - 1])
         assert np.array_equal(noise, want["noise"][k - 1])
+
+
+# ---------------------------------------------------------------------------
+# chunk reads
+
+_READS = st.one_of(
+    st.tuples(st.just("chunk"), st.integers(0, 70)),
+    st.tuples(st.sampled_from(["phi", "noise", "both"])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    block=st.sampled_from([5, 64, 100]),
+    shape=st.sampled_from([("sparse", 4, 3), ("sparse", 1, 2), ("dense", 1, 1),
+                           ("dense", 3, 1), ("dense", 4, 3), ("dense", 7, 8)]),
+    reads=st.lists(_READS, max_size=12),
+)
+def test_chunks_and_hand_backs_serve_the_eager_draws(block, shape, reads):
+    # a chunk of up to 64 steps, with up to 70 of them handed back, mixed
+    # with single phi_step and noise_step reads that put the banks apart
+    kind, n, l = shape
+    model = _model(n_agents=n, l=l, kind=kind)
+    want = _eager_blocks(model, 77, block, -(-12 * 64 // block) + 1)
+    streams = bi.ModelStreams(model, 77, block=block)
+    at = {"regressor": 0, "noise": 0}
+    for read in reads:
+        if read[0] == "chunk":
+            phi, y = streams.chunk(model.theta_star)
+            m = len(phi)
+            assert 1 <= m <= 64
+            assert all(at[r] // block == (at[r] + m - 1) // block for r in at)
+            assert not phi.flags.writeable and y.shape == (m, n)
+            assert np.array_equal(phi, want["regressor"][at["regressor"]:][:m])
+            for i in range(m):
+                eta, dense = (phi[i], None) if kind == "sparse" else (None, phi[i])
+                batch = bi.PhiBatch(l=l, eta=eta, support=model.supports, dense=dense)
+                d = want["noise"][at["noise"] + i]
+                assert np.array_equal(y[i], batch.outputs(model.theta_star, d))
+            back = min(read[1], m)
+            streams.unread(back)
+            at = {r: at[r] + m - back for r in at}
+        if read[0] in ("phi", "both"):
+            batch = streams.phi_step(1)
+            got = batch.eta if kind == "sparse" else batch.dense
+            assert np.array_equal(got, want["regressor"][at["regressor"]])
+            at["regressor"] += 1
+        if read[0] in ("noise", "both"):
+            assert np.array_equal(streams.noise_step(), want["noise"][at["noise"]])
+            at["noise"] += 1
+
+
+def test_a_hand_back_takes_only_steps_of_the_current_block():
+    model = _model()
+    streams = bi.ModelStreams(model, 5, block=8)
+    assert len(streams.chunk(model.theta_star)[0]) == 8
+    assert len(streams.chunk(model.theta_star)[0]) == 8      # a refill: the first block is gone
+    with pytest.raises(ValueError, match=r"^unread: 9 steps, 8 were served from this block$"):
+        streams.unread(9)
+
+
+@pytest.mark.parametrize("count, message", [
+    (4, r"^unread: 4 steps, 3 were served from this block$"),
+    (-1, r"^unread must be >= 0, got -1$"),
+    (1.0, r"^unread must be an integer, got 1.0$"),
+    (True, r"^unread must be an integer, got True$"),
+])
+def test_a_refused_hand_back_moves_neither_bank(count, message):
+    # 3 steps read by a chunk, then the regressor bank one step further on
+    model = _model()
+    streams = bi.ModelStreams(model, 5, block=8)
+    ref = bi.ModelStreams(model, 5, block=8)
+    streams.chunk(model.theta_star)
+    streams.unread(5)
+    streams.phi_step(4)
+    with pytest.raises(ValueError, match=message):
+        streams.unread(count)
+    for k in range(1, 5):
+        ref.phi_step(k)
+    for _ in range(3):
+        ref.noise_step()
+    for k in range(5, 9):
+        assert np.array_equal(streams.phi_step(k).eta, ref.phi_step(k).eta)
+    for _ in range(4):
+        assert np.array_equal(streams.noise_step(), ref.noise_step())
 
 
 def test_a_callers_seed_sequence_spawned_after_construction_leaves_the_streams():
@@ -297,7 +428,7 @@ def test_a_nan_noise_sampler_fails_the_first_refill():
     with pytest.raises(ValueError, match=r"^noise: the sampler returned nan for agent 0$"):
         streams.noise_step()
     with pytest.raises(ValueError, match=r"^noise: "):
-        streams.columns()
+        streams.chunk(np.arange(1.0, 4.0))
 
 
 def test_an_infinite_regressor_sampler_fails_its_refill():
